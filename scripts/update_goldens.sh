@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates the golden RunReports in tests/golden/ after an intentional
-# behavioral change. Builds the golden test and reruns it in update mode,
-# then shows what moved; review and commit the diff like any other change.
+# Regenerates the golden RunReports and FleetReports in tests/golden/ after
+# an intentional behavioral change. Builds the golden test and reruns it in
+# update mode, then shows what moved; review and commit the diff like any
+# other change.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

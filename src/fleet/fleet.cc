@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <queue>
 #include <utility>
 
@@ -136,6 +137,11 @@ struct FleetSim::Shard {
     std::unique_ptr<AppInstance> inst;
     std::uint64_t seed = 0;
     bool in_use = false;
+    // The workload's Reference() for this slot's inputs, computed at the
+    // slot's first verification; every later request on the slot is compared
+    // against it. Never snapshotted: a slot rebuilt from a checkpoint, or
+    // dropped by crash recovery, recomputes it on its next verification.
+    std::optional<std::vector<Workload::Expected>> reference;
   };
   std::vector<std::vector<CachedInstance>> cache;  // [workload_idx]
   // Synthetic service mode: which workloads' datasets this shard has
@@ -933,12 +939,16 @@ struct FleetSim::ServeLoop {
     for (std::size_t i = 0; i < insts.size(); ++i) {
       FleetRequest* r = s->current_batch[i];
       r->complete = stalled ? end : insts[i]->complete_time;
-      if (!failed && fleet->config_.verify_outputs) {
-        s->verified = s->verified &&
-                      fleet->traffic_->mix()[static_cast<std::size_t>(r->workload_idx)]->Verify(
-                          *insts[i]);
+      Shard::CachedInstance& slot = SlotOf(s, r, insts[i]);
+      if (!failed && fleet->config_.verify_outputs && s->verified) {
+        if (!slot.reference) {
+          slot.reference =
+              fleet->traffic_->mix()[static_cast<std::size_t>(r->workload_idx)]->Reference(
+                  *insts[i]);
+        }
+        s->verified = Workload::Matches(*insts[i], *slot.reference);
       }
-      Release(s, r, insts[i]);
+      slot.in_use = false;
     }
     s->last_batch_failed = failed;
     s->last_batch_ms = TicksToMs(end - now);
@@ -995,13 +1005,12 @@ struct FleetSim::ServeLoop {
       if (slot.in_use) {
         continue;
       }
-      // Dataset already flash-resident: re-prepare the buffers with the
-      // slot's original seed (matching the flash contents) and reset the
+      // Dataset already flash-resident: reset the buffers to what the slot's
+      // original seed prepared (matching the flash contents) and reset the
       // execution timeline.
       slot.in_use = true;
       AppInstance* inst = slot.inst.get();
-      Rng rng(slot.seed);
-      wl->Prepare(*inst, rng);
+      wl->Reset(*inst, slot.seed);
       inst->done = false;
       inst->submit_time = 0;
       inst->load_done_time = 0;
@@ -1019,18 +1028,18 @@ struct FleetSim::ServeLoop {
     s->dev->InstallData(inst.get(), [](Tick) {});
     *fresh_install = true;
     s->stats.installs += 1;
-    cache.push_back({std::move(inst), seed, true});
+    cache.push_back({std::move(inst), seed, true, std::nullopt});
     return cache.back().inst.get();
   }
 
-  void Release(Shard* s, FleetRequest* r, AppInstance* inst) {
-    for (Shard::CachedInstance& slot : s->cache[static_cast<std::size_t>(r->workload_idx)]) {
-      if (slot.inst.get() == inst) {
-        slot.in_use = false;
-        return;
-      }
-    }
-    FAB_CHECK(false) << "released instance not in shard cache";
+  static Shard::CachedInstance& SlotOf(Shard* s, const FleetRequest* r,
+                                       const AppInstance* inst) {
+    auto& slots = s->cache[static_cast<std::size_t>(r->workload_idx)];
+    auto it = std::find_if(slots.begin(), slots.end(), [inst](const Shard::CachedInstance& c) {
+      return c.inst.get() == inst;
+    });
+    FAB_CHECK(it != slots.end()) << "served instance not in shard cache";
+    return *it;
   }
 };
 
@@ -1118,7 +1127,7 @@ void FleetSim::ReadInstallCache(Shard* shard, StateReader& c) const {
         s.model_bytes = c.U64();
         inst->sections().push_back(s);
       }
-      slots.push_back({std::move(inst), seed, false});
+      slots.push_back({std::move(inst), seed, false, std::nullopt});
     }
   }
 }

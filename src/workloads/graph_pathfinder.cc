@@ -63,15 +63,13 @@ class PathfinderWorkload : public Workload {
   void Prepare(AppInstance& inst, Rng& rng) const override {
     inst.EnsureBuffers(4);
     FillRandom(&inst.buffer(0), (kRows + 1) * kCols, rng);
-    FillZero(&inst.buffer(1), kCols);
-    // DP row 0 = cost row 0.
-    std::vector<float>& prev = inst.buffer(2);
-    prev.resize(kCols);
-    std::copy_n(inst.buffer(0).begin(), kCols, prev.begin());
-    FillZero(&inst.buffer(3), kCols);
+    ResetRows(inst);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  // The cost grid is read-only; the DP rows restart from its row 0.
+  void Reset(AppInstance& inst, std::uint64_t /*seed*/) const override { ResetRows(inst); }
+
+  std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> prev(kCols);
     std::copy_n(inst.buffer(0).begin(), kCols, prev.begin());
     std::vector<float> next(kCols, 0.0f);
@@ -79,7 +77,17 @@ class PathfinderWorkload : public Workload {
       StepRow(inst.buffer(0), prev, &next, r, 0, kCols);
       std::swap(prev, next);
     }
-    return NearlyEqual(inst.buffer(1), prev);
+    return {{1, std::move(prev)}};
+  }
+
+ private:
+  static void ResetRows(AppInstance& inst) {
+    FillZero(&inst.buffer(1), kCols);
+    // DP row 0 = cost row 0.
+    std::vector<float>& prev = inst.buffer(2);
+    prev.resize(kCols);
+    std::copy_n(inst.buffer(0).begin(), kCols, prev.begin());
+    FillZero(&inst.buffer(3), kCols);
   }
 };
 

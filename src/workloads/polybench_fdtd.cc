@@ -111,15 +111,21 @@ class FdtdWorkload : public Workload {
     inst.buffer(6) = inst.buffer(3);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  // fict is read-only; ex, ey and hz are updated in place from buffers 4-6.
+  void Reset(AppInstance& inst, std::uint64_t /*seed*/) const override {
+    inst.buffer(1) = inst.buffer(4);
+    inst.buffer(2) = inst.buffer(5);
+    inst.buffer(3) = inst.buffer(6);
+  }
+
+  std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> ex = inst.buffer(4);
     std::vector<float> ey = inst.buffer(5);
     std::vector<float> hz = inst.buffer(6);
     ApplyFict(inst.buffer(0), &ey);
     UpdateFields(&ex, &ey, hz, 0, kN);
     UpdateHz(&hz, ex, ey, 0, kN);
-    return NearlyEqual(inst.buffer(1), ex) && NearlyEqual(inst.buffer(2), ey) &&
-           NearlyEqual(inst.buffer(3), hz);
+    return {{1, std::move(ex)}, {2, std::move(ey)}, {3, std::move(hz)}};
   }
 };
 

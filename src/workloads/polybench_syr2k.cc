@@ -62,10 +62,15 @@ class Syr2kWorkload : public Workload {
     inst.buffer(3) = inst.buffer(2);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  // A and B are read-only; C is updated in place from its pristine copy.
+  void Reset(AppInstance& inst, std::uint64_t /*seed*/) const override {
+    inst.buffer(2) = inst.buffer(3);
+  }
+
+  std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> c = inst.buffer(3);
     Syr2kRows(inst.buffer(0), inst.buffer(1), &c, 0, kN);
-    return NearlyEqual(inst.buffer(2), c);
+    return {{2, std::move(c)}};
   }
 };
 

@@ -20,6 +20,21 @@ bool NearlyEqual(const std::vector<float>& a, const std::vector<float>& b, float
   return true;
 }
 
+void Workload::Reset(AppInstance& inst, std::uint64_t seed) const {
+  Rng rng(seed);
+  Prepare(inst, rng);
+}
+
+bool Workload::Matches(const AppInstance& inst, const std::vector<Expected>& expected) {
+  for (const Expected& e : expected) {
+    if (e.buffer < 0 || static_cast<std::size_t>(e.buffer) >= inst.buffers().size() ||
+        !NearlyEqual(inst.buffer(e.buffer), e.values, e.rel_tol)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 WorkloadRegistry::WorkloadRegistry() {
   auto add = [this](std::unique_ptr<Workload> w, std::vector<const Workload*>* group) {
     group->push_back(w.get());

@@ -4,11 +4,12 @@
 //  * the Table-2 model parameters (input MB, LD/ST ratio, B/KI, microblock
 //    structure with serial flags) driving the timing model, and
 //  * a functional implementation: Prepare() fills real input buffers,
-//    microblock bodies compute real outputs, Verify() checks them against an
-//    independent reference implementation.
+//    microblock bodies compute real outputs, Reference() recomputes them with
+//    an independent reference implementation, and Verify() compares the two.
 #ifndef SRC_WORKLOADS_WORKLOAD_H_
 #define SRC_WORKLOADS_WORKLOAD_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,13 +26,33 @@ class Workload {
   const KernelSpec& spec() const { return spec_; }
   const std::string& name() const { return spec_.name; }
 
+  // The values one output buffer must hold after a run.
+  struct Expected {
+    int buffer = -1;  // index into AppInstance::buffers()
+    std::vector<float> values;
+    float rel_tol = 1e-4f;  // NearlyEqual tolerance
+  };
+
   // Sizes the instance's functional buffers and fills the inputs
   // deterministically from `rng`. Outputs are zeroed.
   virtual void Prepare(AppInstance& inst, Rng& rng) const = 0;
 
-  // Recomputes the kernel with a reference implementation from the instance's
-  // (unmodified) input buffers and compares against its outputs.
-  virtual bool Verify(const AppInstance& inst) const = 0;
+  // Returns an instance prepared from `seed` — possibly run since — to
+  // exactly the state Prepare(inst, Rng(seed)) left it in. The default
+  // prepares again; a workload whose kernel leaves its inputs intact, or
+  // keeps pristine copies of the inputs it updates in place, overrides this
+  // to zero the outputs and restore the copies without redrawing any input.
+  virtual void Reset(AppInstance& inst, std::uint64_t seed) const;
+
+  // Recomputes the kernel with a reference implementation from the
+  // instance's input buffers (or their pristine copies): one entry per
+  // output buffer the run must have produced.
+  virtual std::vector<Expected> Reference(const AppInstance& inst) const = 0;
+
+  // True when every expected buffer matches within its tolerance.
+  static bool Matches(const AppInstance& inst, const std::vector<Expected>& expected);
+
+  bool Verify(const AppInstance& inst) const { return Matches(inst, Reference(inst)); }
 
   // True for the compute-intensive group (B/KI below ~10, Fig 10a split).
   bool compute_intensive() const { return spec_.bki < 10.0; }
@@ -40,7 +61,7 @@ class Workload {
   KernelSpec spec_;
 };
 
-// Approximate float comparison used by all Verify() implementations.
+// Approximate float comparison behind Workload::Matches().
 bool NearlyEqual(const std::vector<float>& a, const std::vector<float>& b,
                  float rel_tol = 1e-4f);
 

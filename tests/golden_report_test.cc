@@ -3,7 +3,9 @@
 // systems; the full RunReport JSON is compared byte-for-byte against the
 // checked-in goldens in tests/golden/. Any behavioral drift — a timing
 // constant, an energy coefficient, a scheduler decision, a metric name —
-// shows up as a failing diff listing exactly which fields moved.
+// shows up as a failing diff listing exactly which fields moved. Three
+// real-device fleets pin the FleetReport JSON the same way, including the
+// install-cache hit path (slot reset + memoized reference, docs/FLEET.md).
 //
 // Refreshing after an intentional change:
 //   scripts/update_goldens.sh        (or FABACUS_UPDATE_GOLDENS=1, see below)
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/fleet/fleet.h"
 #include "src/sim/json.h"
 #include "src/workloads/tenant_mix.h"
 
@@ -81,14 +84,10 @@ bool UpdateMode() {
   return v != nullptr && v[0] != '\0' && std::string(v) != "0";
 }
 
-class GoldenReport : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(GoldenReport, MatchesCheckedInReport) {
-  const std::string system = GetParam();
-  const BenchRun run = RunCanonical(system);
-  ASSERT_TRUE(run.verified) << system << " failed functional verification";
-  const std::string actual = run.result.ToJson();
-  const std::string path = GoldenPath(system);
+// Compares `actual` against the checked-in golden `name`.json (or rewrites
+// the golden in update mode), failing with a field-level diff on mismatch.
+void CheckGolden(const std::string& name, const std::string& actual) {
+  const std::string path = GoldenPath(name);
 
   if (UpdateMode()) {
     std::ofstream f(path);
@@ -117,7 +116,7 @@ TEST_P(GoldenReport, MatchesCheckedInReport) {
   ASSERT_TRUE(ParseJson(actual, &av, &aerr)) << "report is not JSON: " << aerr;
   std::vector<std::string> lines;
   const int diffs = JsonFieldDiff(gv, av, "", &lines, kMaxDiffLines);
-  std::string msg = system + " report drifted from " + path + " (" + std::to_string(diffs) +
+  std::string msg = name + " report drifted from " + path + " (" + std::to_string(diffs) +
                     " field(s) changed):\n";
   for (const std::string& line : lines) {
     msg += "  " + line + "\n";
@@ -129,9 +128,74 @@ TEST_P(GoldenReport, MatchesCheckedInReport) {
   ADD_FAILURE() << msg;
 }
 
+class GoldenReport : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenReport, MatchesCheckedInReport) {
+  const std::string system = GetParam();
+  const BenchRun run = RunCanonical(system);
+  ASSERT_TRUE(run.verified) << system << " failed functional verification";
+  CheckGolden(system, run.result.ToJson());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, GoldenReport,
                          ::testing::Values("SIMD", "InterSt", "InterDy", "IntraIo", "IntraO3",
                                            "TenantQoS"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+// Real-device fleets served mostly from the shards' install caches:
+//  * FleetDefault       — the default ATAX/BICG/MVT/GESUM mix;
+//  * FleetInPlace       — kernels that update inputs in place (GEMM, COVAR,
+//    FDTD restore them from pristine copies; ADI re-prepares);
+//  * FleetSnapshotCrash — a crash with checkpoint recovery, so slots rebuilt
+//    from the checkpoint's install-cache directory serve later requests.
+FleetConfig CanonicalFleet(const std::string& name) {
+  FleetConfig cfg;
+  cfg.num_devices = 2;
+  cfg.max_route_attempts = 1;
+  cfg.queue_depth = 64;
+  cfg.traffic.seed = 42;
+  cfg.traffic.num_clients = 4;
+  cfg.traffic.arrival_rate_per_s = 400.0;
+  cfg.traffic.total_requests = 32;
+  if (name == "FleetInPlace") {
+    cfg.traffic.mix = {{"GEMM", 1.0}, {"COVAR", 1.0}, {"FDTD", 1.0}, {"ADI", 1.0}};
+  } else if (name == "FleetSnapshotCrash") {
+    // Round-robin keeps routing half the traffic to the recovered shard; the
+    // second route attempt carries arrivals past it while it is down.
+    cfg.traffic.arrival_rate_per_s = 600.0;
+    cfg.traffic.total_requests = 64;
+    cfg.max_route_attempts = 2;
+    cfg.max_request_retries = 2;
+    cfg.faults.recovery = FleetFaultConfig::Recovery::kSnapshot;
+    cfg.faults.checkpoint_every_batches = 2;
+    FleetFaultEvent crash;
+    crash.kind = FleetFaultEvent::Kind::kCrash;
+    crash.shard = 1;
+    crash.at = 60 * kMs;  // after shard 1's first checkpoint (two batches)
+    crash.duration = 20 * kMs;
+    cfg.faults.plan.push_back(crash);
+  }
+  return cfg;
+}
+
+class GoldenFleetReport : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenFleetReport, MatchesCheckedInReport) {
+  const std::string name = GetParam();
+  const FleetReport rep = RunFleet(CanonicalFleet(name));
+  ASSERT_TRUE(rep.verified) << name << " failed functional verification";
+  std::uint64_t hits = 0;
+  for (const FleetDeviceStats& d : rep.devices) {
+    hits += d.install_hits;
+  }
+  ASSERT_GT(hits, 0u) << name << " must exercise the install-cache hit path";
+  CheckGolden(name, rep.ToJson());
+}
+
+INSTANTIATE_TEST_SUITE_P(Fleets, GoldenFleetReport,
+                         ::testing::Values("FleetDefault", "FleetInPlace", "FleetSnapshotCrash"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

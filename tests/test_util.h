@@ -2,7 +2,9 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/flashabacus.h"
@@ -31,6 +33,79 @@ inline FlashAbacusConfig TestDeviceConfig() {
   cfg.record_full_trace = true;
   return cfg;
 }
+
+// A randomized multi-microblock workload with a verifiable streaming body
+// (scheduler property tests, workload contract tests).
+class RandomWorkload : public Workload {
+ public:
+  explicit RandomWorkload(std::uint64_t seed) {
+    Rng rng(seed);
+    spec_.name = "RND" + std::to_string(seed);
+    spec_.model_input_mb = 64.0 + rng.NextDouble() * 512.0;
+    spec_.ldst_ratio = 0.2 + rng.NextDouble() * 0.3;
+    spec_.bki = 5.0 + rng.NextDouble() * 60.0;
+    const int mblks = 1 + static_cast<int>(rng.NextBelow(5));
+    double remaining = 1.0;
+    for (int m = 0; m < mblks; ++m) {
+      MicroblockSpec spec;
+      spec.name = "m" + std::to_string(m);
+      spec.serial = rng.NextDouble() < 0.3;
+      spec.work_fraction = (m == mblks - 1) ? remaining : remaining * rng.NextDouble(0.2, 0.6);
+      remaining -= (m == mblks - 1) ? remaining : spec.work_fraction;
+      spec.frac_ldst = spec_.ldst_ratio;
+      spec.frac_mul = (1.0 - spec.frac_ldst) * 0.4;
+      spec.frac_alu = 1.0 - spec.frac_ldst - spec.frac_mul;
+      spec.func_iterations = kElems;
+      const int mblk_index = m;
+      const int total = mblks;
+      spec.body = [mblk_index, total](AppInstance& inst, std::size_t begin, std::size_t end) {
+        // Each microblock adds a distinct constant to its slice; serial
+        // blocks receive the full range. The final buffer value encodes how
+        // many microblocks processed each element — order-insensitive within
+        // a microblock, order-sensitive across them via scaling.
+        std::vector<float>& v = inst.buffer(1);
+        const std::vector<float>& in = inst.buffer(0);
+        for (std::size_t i = begin; i < end; ++i) {
+          v[i] = v[i] * 0.5f + in[i] + static_cast<float>(mblk_index + 1);
+        }
+        (void)total;
+      };
+      spec_.microblocks.push_back(spec);
+    }
+    spec_.sections = {
+        {"in", DataSectionSpec::Dir::kIn, 1.0, 0},
+        {"out", DataSectionSpec::Dir::kOut, 0.5, 1},
+    };
+  }
+
+  void Prepare(AppInstance& inst, Rng& rng) const override {
+    inst.EnsureBuffers(2);
+    inst.buffer(0).resize(kElems);
+    for (auto& f : inst.buffer(0)) {
+      f = rng.NextFloat(-1.0f, 1.0f);
+    }
+    inst.buffer(1).assign(kElems, 0.0f);
+  }
+
+  // The input is read-only.
+  void Reset(AppInstance& inst, std::uint64_t /*seed*/) const override {
+    inst.buffer(1).assign(kElems, 0.0f);
+  }
+
+  std::vector<Expected> Reference(const AppInstance& inst) const override {
+    std::vector<float> ref(kElems, 0.0f);
+    const std::vector<float>& in = inst.buffer(0);
+    for (std::size_t m = 0; m < spec_.microblocks.size(); ++m) {
+      for (std::size_t i = 0; i < kElems; ++i) {
+        ref[i] = ref[i] * 0.5f + in[i] + static_cast<float>(m + 1);
+      }
+    }
+    return {{1, std::move(ref)}};
+  }
+
+ private:
+  static constexpr std::size_t kElems = 4096;
+};
 
 // Runs `workload` end to end on a fresh FlashAbacus device under `kind`.
 // Returns the run result; `instances` receives the executed instances so the

@@ -1,14 +1,19 @@
 // Functional tests for every workload: run the microblock bodies directly
 // (in order, fully fanned out) and check against the reference
-// implementation; validate the Table-2 characteristics and mixes.
+// implementation; check the Prepare/Reset/Reference contract the fleet's
+// install-cache hits rely on; validate the Table-2 characteristics and mixes.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/workloads/tenant_mix.h"
 #include "src/workloads/workload.h"
+#include "tests/test_util.h"
 
 namespace fabacus {
 namespace {
@@ -55,6 +60,100 @@ TEST_P(WorkloadFunctionalTest, ScreenSplitInvariantToFanout) {
     EXPECT_TRUE(wl->Verify(inst)) << "fanout " << fanout;
   }
 }
+
+// Every workload the repository defines: the registry, the synthetic and
+// tenant-mix kernels, and the test-local RandomWorkload.
+std::vector<const Workload*> ContractWorkloads() {
+  static const std::unique_ptr<Workload> extra[] = {
+      MakeSynthetic(0.3), MakeBullyWriter(), MakeLatencyProbe(),
+      std::make_unique<RandomWorkload>(303)};
+  std::vector<const Workload*> all = WorkloadRegistry::Get().all();
+  for (const auto& w : extra) {
+    all.push_back(w.get());
+  }
+  return all;
+}
+
+// Bit-level equality of every buffer (float == would equate 0.0 and -0.0).
+void ExpectSameBuffers(const AppInstance& actual, const AppInstance& expected) {
+  ASSERT_EQ(actual.buffers().size(), expected.buffers().size());
+  for (std::size_t b = 0; b < expected.buffers().size(); ++b) {
+    const std::vector<float>& x = actual.buffers()[b];
+    const std::vector<float>& y = expected.buffers()[b];
+    ASSERT_EQ(x.size(), y.size()) << "buffer " << b;
+    if (!x.empty()) {  // an empty vector's data() may be null, invalid for memcmp
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(float)), 0) << "buffer " << b;
+    }
+  }
+  EXPECT_EQ(actual.int_state(), expected.int_state());
+}
+
+class WorkloadContractTest : public ::testing::TestWithParam<const Workload*> {};
+
+TEST_P(WorkloadContractTest, ResetRestoresPreparedState) {
+  const Workload& wl = *GetParam();
+  constexpr std::uint64_t kSeed = 2024;
+  AppInstance fresh(0, 0, &wl.spec(), 1.0 / 256);
+  Rng rng(kSeed);
+  wl.Prepare(fresh, rng);
+
+  AppInstance inst(0, 0, &wl.spec(), 1.0 / 256);
+  Rng rng2(kSeed);
+  wl.Prepare(inst, rng2);
+  for (int round = 0; round < 2; ++round) {
+    RunFunctionally(wl, &inst, 6);
+    wl.Reset(inst, kSeed);
+    ExpectSameBuffers(inst, fresh);
+  }
+}
+
+TEST_P(WorkloadContractTest, VerifyIsMatchesOfReference) {
+  const Workload& wl = *GetParam();
+  Rng rng(31);
+  AppInstance inst(0, 0, &wl.spec(), 1.0 / 256);
+  wl.Prepare(inst, rng);
+  EXPECT_EQ(wl.Verify(inst), Workload::Matches(inst, wl.Reference(inst)));
+  RunFunctionally(wl, &inst, 3);
+  EXPECT_TRUE(Workload::Matches(inst, wl.Reference(inst)));
+  EXPECT_TRUE(wl.Verify(inst));
+}
+
+TEST_P(WorkloadContractTest, MemoizedReferenceChecksEveryRerun) {
+  const Workload& wl = *GetParam();
+  constexpr std::uint64_t kSeed = 99;
+  Rng rng(kSeed);
+  AppInstance inst(0, 0, &wl.spec(), 1.0 / 256);
+  wl.Prepare(inst, rng);
+  RunFunctionally(wl, &inst, 4);
+  const std::vector<Workload::Expected> memo = wl.Reference(inst);
+  ASSERT_FALSE(memo.empty());
+  ASSERT_TRUE(Workload::Matches(inst, memo));
+
+  wl.Reset(inst, kSeed);
+  RunFunctionally(wl, &inst, 7);
+  EXPECT_TRUE(Workload::Matches(inst, memo)) << "a rerun after Reset must match the memo";
+
+  for (std::size_t e = 0; e < memo.size(); ++e) {
+    ASSERT_FALSE(memo[e].values.empty());
+    std::vector<Workload::Expected> flipped = memo;
+    float& v = flipped[e].values[flipped[e].values.size() / 2];
+    v += 1.0f + 2.0f * std::fabs(v);
+    EXPECT_FALSE(Workload::Matches(inst, flipped))
+        << "flipping one element of expected buffer " << memo[e].buffer << " must fail";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadContractTest,
+                         ::testing::ValuesIn(ContractWorkloads()),
+                         [](const ::testing::TestParamInfo<const Workload*>& info) {
+                           std::string name = info.param->name();
+                           for (char& c : name) {
+                             if (!std::isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
 
 std::vector<std::string> AllWorkloadNames() {
   std::vector<std::string> names;
