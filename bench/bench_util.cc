@@ -82,7 +82,7 @@ BenchRun RunFlashAbacusSystem(const std::vector<const Workload*>& apps, int inst
                               const BenchOptions& opt) {
   BenchRun run;
   RunMeter meter(&run);
-  Simulator sim(opt.backend);
+  Simulator sim;
   FlashAbacus dev(&sim, cfg);
   InstanceSet set = BuildInstances(apps, instances_per_app, cfg.model_scale, opt.seed);
   for (AppInstance* inst : set.raw) {
@@ -111,7 +111,7 @@ BenchRun RunFlashAbacusSystemTenants(const std::vector<const Workload*>& apps,
   FAB_CHECK_EQ(apps.size(), app_tenants.size());
   BenchRun run;
   RunMeter meter(&run);
-  Simulator sim(opt.backend);
+  Simulator sim;
   FlashAbacus dev(&sim, cfg);
   InstanceSet set = BuildInstances(apps, instances_per_app, cfg.model_scale, opt.seed);
   std::vector<AppInstance*> admitted;
@@ -153,7 +153,7 @@ BenchRun RunSimdSystem(const std::vector<const Workload*>& apps, int instances_p
                        const BenchOptions& opt) {
   BenchRun run;
   RunMeter meter(&run);
-  Simulator sim(opt.backend);
+  Simulator sim;
   SimdConfig cfg;
   cfg.model_scale = opt.model_scale;
   cfg.num_lwps = opt.num_lwps;

@@ -53,8 +53,6 @@ struct BenchOptions {
   // Full interval trace (Fig-14/15 series, Chrome-trace export). Off by
   // default: throughput benches keep only the energy-model tags.
   bool record_full_trace = false;
-  // Event-queue engine; kHeap exists for A/B determinism and attribution.
-  EventQueue::Backend backend = EventQueue::Backend::kCalendar;
 };
 
 // Builds `instances_per_app` instances of every workload in `apps` (app_id =

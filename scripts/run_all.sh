@@ -61,18 +61,12 @@ mkdir -p "$SNAP_DIR"
 ./build/tools/snapshot_ctl resume-run "$SNAP_DIR/demo_device.snap"
 
 # Perf pass: the engine micro-benchmark gates on a minimum events/sec for the
-# production (calendar + EventFn) engine and on heap/calendar A/B equality.
-# The default floor is ~1/4 of a release-build laptop core's measured rate —
-# loose enough for CI noise, tight enough to catch an accidental O(log n) or
-# per-event-allocation regression. See docs/PERFORMANCE.md.
+# calendar-queue engine. The default floor is about a third of the rate
+# measured on one core of a 4-vCPU VM — loose enough for CI noise, tight
+# enough to catch an accidental O(log n) or per-event-allocation regression.
+# See docs/PERFORMANCE.md.
 : "${FABACUS_MIN_EVENTS_PER_SEC:=4000000}"
 export FABACUS_MIN_EVENTS_PER_SEC
-# The conservative-PDES pass additionally gates on the 4-thread shard-churn
-# speedup (the bench skips this floor by itself on machines with fewer than
-# 4 hardware threads) and, unconditionally, on PDES-vs-sequential report
-# identity. See docs/PERFORMANCE.md, "Parallel DES".
-: "${FABACUS_MIN_PDES_SPEEDUP:=2.0}"
-export FABACUS_MIN_PDES_SPEEDUP
 ./build/bench/bench_micro_engine 2>&1 | tee perf_output.txt
 
 # Consolidate: one BENCH_perf.json holding every bench's JSON plus the PERF

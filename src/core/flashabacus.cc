@@ -46,10 +46,6 @@ std::string FlashAbacusConfig::Validate() const {
   if (lwp.clock_ghz <= 0.0 || lwp.issue_width <= 0) {
     return "lwp must have positive clock and issue width";
   }
-  if (pdes_threads < 0 || pdes_threads > 1 + nand.channels) {
-    return "pdes_threads must be in [0, 1 + nand.channels], got " +
-           std::to_string(pdes_threads);
-  }
   return "";
 }
 
@@ -101,15 +97,6 @@ FlashAbacus::FlashAbacus(Simulator* sim, const FlashAbacusConfig& config)
     : sim_(sim), config_(config) {
   const std::string err = config_.Validate();
   FAB_CHECK(err.empty()) << "invalid FlashAbacusConfig: " << err;
-  if (config_.pdes_threads > 0 && !sim_->pdes_enabled()) {
-    // Shard 0 hosts the device; flash channels map to shards 1..channels.
-    // Must happen before any component schedules its first event.
-    PdesConfig pdes;
-    pdes.shards = 1 + config_.nand.channels;
-    pdes.threads = config_.pdes_threads;
-    pdes.lookahead = config_.nand.OnfiLookahead();
-    sim_->EnablePdes(pdes);
-  }
   if (!config_.record_full_trace) {
     trace_.SetMask(kEnergyTraceTags);
   }

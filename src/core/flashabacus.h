@@ -77,13 +77,6 @@ struct FlashAbacusConfig {
   // trace-append cost (see docs/PERFORMANCE.md).
   bool record_full_trace = false;
   PowerModel power;
-  // Conservative parallel-DES mode (docs/PERFORMANCE.md, "Parallel DES").
-  // 0 = sequential (default). N >= 1 enables the sharded engine with N worker
-  // threads over 1 + nand.channels shards (shard 0 = device, one shard per
-  // flash channel) and ONFi-derived lookahead. Reports and snapshots are
-  // byte-identical to sequential at any thread count, so this knob is
-  // deliberately excluded from ConfigFingerprint().
-  int pdes_threads = 0;
   // Multi-tenant QoS (docs/QOS.md): tenant specs, per-tenant flash quotas and
   // the scheduling policy layered under the four paper schedulers. Empty
   // tenants = single-tenant mode, byte-identical to the pre-tenant device.

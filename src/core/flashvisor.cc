@@ -213,7 +213,6 @@ void Flashvisor::DoRead(IoRequest req, Tick service_end) {
     }
     Tick flash_done = start;
     IoStatus status = IoStatus::kOk;
-    int primary_ch = -1;  // critical-path channel of the slowest group
     std::vector<std::uint8_t> group_buf(group_bytes);
     for (std::uint64_t i = 0; i < n_groups; ++i) {
       const std::uint64_t lg = first_lg + i;
@@ -237,9 +236,6 @@ void Flashvisor::DoRead(IoRequest req, Tick service_end) {
         uncorrectable_reads_.Add();
       }
       status = WorseStatus(status, r.status);
-      if (r.done >= flash_done) {
-        primary_ch = r.primary_channel;
-      }
       flash_done = std::max(flash_done, r.done);
       if (carries_data) {
         const std::uint64_t n = std::min(group_bytes, req.func_bytes - req_off);
@@ -257,9 +253,6 @@ void Flashvisor::DoRead(IoRequest req, Tick service_end) {
     // time order and concurrent kernel compute is not queued behind
     // transfers that have not started yet.
     const double model_bytes = static_cast<double>(req.model_bytes);
-    // PDES affinity: park the read's flash dead time on its critical-path
-    // channel's shard (no-op in sequential mode).
-    sim_->NoteFlashCompletion(primary_ch, flash_done);
     sim_->ScheduleAt(flash_done, [this, model_bytes, cb = std::move(req.on_complete), hold,
                                   lock_id, status]() mutable {
       const Tick done = dram_->BulkAccess(sim_->Now(), model_bytes);
@@ -299,7 +292,6 @@ void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
     const Tick staged = dram_->BulkAccess(start, static_cast<double>(req.model_bytes));
     Tick flash_done = staged;
     IoStatus status = IoStatus::kOk;
-    int primary_ch = -1;  // critical-path channel of the slowest program
     std::vector<std::uint8_t> group_buf(group_bytes);
     for (std::uint64_t i = 0; i < n_groups; ++i) {
       const std::uint64_t lg = first_lg + i;
@@ -316,9 +308,8 @@ void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
       // Program first, then map: the mapping only ever points at a group the
       // device accepted (a program-status fail re-allocates transparently).
       Tick prog_done = staged;
-      int prog_ch = -1;
       const std::uint32_t phys = ProgramReliable(
-          staged, static_cast<std::uint32_t>(lg), payload, &prog_done, &status, &prog_ch);
+          staged, static_cast<std::uint32_t>(lg), payload, &prog_done, &status);
       const std::uint32_t old = map_.Update(lg, phys);
       if (old != MappingTable::kUnmapped) {
         blocks_.MarkInvalid(BlockGroupOf(old), SlotOf(old));
@@ -330,9 +321,6 @@ void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
       }
       blocks_.MarkValid(BlockGroupOf(phys), SlotOf(phys));
       SetSlotOwner(phys, req.tenant);
-      if (prog_done >= flash_done) {
-        primary_ch = prog_ch;
-      }
       flash_done = std::max(flash_done, prog_done);
     }
     active_io_tenant_ = kDefaultTenant;
@@ -346,9 +334,6 @@ void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
     sim_->ScheduleAt(accepted, [cb = std::move(req.on_complete), accepted, status]() {
       cb(accepted, status);
     });
-    // PDES affinity: the program's dead time belongs to its critical-path
-    // channel's shard (no-op in sequential mode).
-    sim_->NoteFlashCompletion(primary_ch, flash_done);
     sim_->ScheduleAt(flash_done, [this, lock_id]() { lock_.Release(lock_id); });
   };
 
@@ -457,16 +442,12 @@ void Flashvisor::ForegroundReclaim(Tick now) {
 }
 
 std::uint32_t Flashvisor::ProgramReliable(Tick now, std::uint32_t oob_tag, const void* payload,
-                                          Tick* done_out, IoStatus* status_out,
-                                          int* primary_channel) {
+                                          Tick* done_out, IoStatus* status_out) {
   for (int attempt = 0; attempt < 8; ++attempt) {
     Tick alloc_io = now;
     const std::uint32_t phys = AllocatePhysicalGroup(now, &alloc_io);
     FlashBackbone::OpResult r =
         backbone_->ProgramGroup(std::max(now, alloc_io), phys, payload, oob_tag);
-    if (primary_channel != nullptr && r.done >= *done_out) {
-      *primary_channel = r.primary_channel;
-    }
     *done_out = std::max(*done_out, r.done);
     if (r.status != IoStatus::kProgramFailed) {
       if (status_out != nullptr) {

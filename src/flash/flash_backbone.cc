@@ -41,9 +41,6 @@ FlashBackbone::OpResult FlashBackbone::ReadGroup(Tick now, std::uint64_t group, 
   for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
     FlashController& ctrl = *controllers_[ch];
     const FlashController::ReadSliceResult s = ctrl.ReadSlice(now, addr);
-    if (s.done > slices_done || r.primary_channel < 0) {
-      r.primary_channel = static_cast<int>(ch);
-    }
     slices_done = std::max(slices_done, s.done);
     r.retry_rungs = std::max(r.retry_rungs, s.rungs);
     if (s.uncorrectable) {
@@ -88,9 +85,6 @@ FlashBackbone::OpResult FlashBackbone::ProgramGroup(Tick now, std::uint64_t grou
   Tick done = 0;
   for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
     const FlashController::ProgramSliceResult s = controllers_[ch]->ProgramSlice(at_fmc, addr);
-    if (s.done > done || r.primary_channel < 0) {
-      r.primary_channel = static_cast<int>(ch);
-    }
     done = std::max(done, s.done);
     failed = failed || s.failed;
     any_dead = any_dead || s.dead_die;
@@ -143,9 +137,6 @@ FlashBackbone::OpResult FlashBackbone::EraseBlockGroup(Tick now, int block) {
     for (int pkg = 0; pkg < config_.packages_per_channel; ++pkg) {
       const FlashController::EraseSliceResult s =
           controllers_[ch]->EraseSlice(now, pkg, block, failed);
-      if (s.done > done || r.primary_channel < 0) {
-        r.primary_channel = static_cast<int>(ch);
-      }
       done = std::max(done, s.done);
     }
   }

@@ -42,10 +42,6 @@ class FlashBackbone : public Snapshottable {
     int retry_rungs = 0;      // deepest read-retry rung walked by any channel
     bool ecc_event = false;   // correctable-error threshold crossed (reads)
     bool became_bad = false;  // block retired (erases)
-    // Channel whose die finished last (the op's critical path; lowest index
-    // on ties, -1 if unset). PDES shard affinity: the op's dead time is
-    // parked on this channel's event shard (see Simulator::NoteFlashCompletion).
-    int primary_channel = -1;
   };
 
   // Durable out-of-band record kept next to each physical page group.

@@ -835,7 +835,7 @@ struct FleetSim::ServeLoop {
     SnapshotFile snap;
     std::string err;
     FAB_CHECK(SnapshotFile::Parse(s->checkpoint, &snap, &err)) << "shard checkpoint: " << err;
-    s->sim = std::make_unique<Simulator>(fleet->config_.backend);
+    s->sim = std::make_unique<Simulator>();
     s->dev = std::make_unique<FlashAbacus>(s->sim.get(), fleet->ShardDeviceConfig(s->index));
     FAB_CHECK(s->dev->Resume(snap, &err)) << "shard checkpoint: " << err;
     StateReader r(s->checkpoint_cache);
@@ -1068,7 +1068,7 @@ void FleetSim::BuildShards() {
     if (!config_.synthetic_service) {
       // Synthetic shards have no device simulation at all — constructing 64+
       // full devices would dominate a scale-out run's footprint and startup.
-      shard->sim = std::make_unique<Simulator>(config_.backend);
+      shard->sim = std::make_unique<Simulator>();
       shard->dev = std::make_unique<FlashAbacus>(shard->sim.get(), ShardDeviceConfig(d));
     }
     shard->cache.resize(traffic_->mix().size());

@@ -9,10 +9,13 @@
 // for the rare oversized or non-trivial callables (e.g. ones capturing a
 // `std::function` continuation). The slab never touches malloc after warmup.
 // Each chunk is tagged with its owning pool, so an EventFn may be destroyed
-// on a different thread than the one that built it (the PDES engine moves
-// events across shard threads): a local free is a lock-free push onto the
-// owner's freelist, a remote free is a lock-free push onto the owner's
-// return stack, drained by the owner on its next refill.
+// on a different thread than the one that built it: a partitioned fleet run
+// (src/fleet/fleet.h, Execution::kPartitioned) builds each shard's simulator
+// on the caller thread, serves it on a SweepRunner worker and destroys it
+// back on the caller, so pending events cross threads in both directions. A
+// local free is a plain push onto the owner's freelist, a remote free is a
+// lock-free push onto the owner's return stack, drained by the owner on its
+// next refill.
 //
 // The inline budget is deliberately 32 and not larger: together with the two
 // dispatch pointers it makes EventFn 48 bytes, so a calendar-queue Event
@@ -22,7 +25,7 @@
 //
 // EventFn is move-only; a moved-from EventFn is empty. Inline callables are
 // relocated by memcpy (that is what the trivially-copyable requirement buys),
-// so queue reshuffles (calendar-bucket inserts, heap sifts) stay cheap.
+// so queue reshuffles (calendar-bucket inserts and rebuilds) stay cheap.
 #ifndef SRC_SIM_EVENT_FN_H_
 #define SRC_SIM_EVENT_FN_H_
 

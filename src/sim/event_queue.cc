@@ -4,7 +4,7 @@
 
 namespace fabacus {
 
-std::size_t CalendarEventQueue::FindNext() {
+std::size_t EventQueue::FindNext() {
   FAB_CHECK(size_ > 0);
   if (cached_next_ != kNoBucket) {
     return cached_next_;
@@ -44,7 +44,7 @@ std::size_t CalendarEventQueue::FindNext() {
   return cached_next_ = best_bucket;
 }
 
-void CalendarEventQueue::Rebuild() {
+void EventQueue::Rebuild() {
   // Pull every event out, then re-seed the geometry from the live
   // population: bucket count tracks the event count, bucket width tracks the
   // spacing of the NEAREST events so the windows the cursor is about to walk
@@ -103,7 +103,7 @@ void CalendarEventQueue::Rebuild() {
   }
 }
 
-void CalendarEventQueue::Clear() {
+void EventQueue::Clear() {
   for (Bucket& b : buckets_) {
     b.ev.clear();
     b.head = 0;

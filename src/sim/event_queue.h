@@ -1,35 +1,20 @@
-// Discrete-event queues ordered by (time, sequence): sequence numbers break
-// ties so same-tick events fire in scheduling order, which keeps runs
+// The discrete-event queue, ordered by (time, sequence): sequence numbers
+// break ties so same-tick events fire in scheduling order, which keeps runs
 // deterministic.
 //
-// Two interchangeable implementations share that contract:
-//
-//  - BasicHeapEventQueue<Fn>: the classic binary-heap queue (O(log n) per
-//    op). `LegacyEventQueue` instantiates it with std::function — the
-//    original engine, kept as the A/B baseline for bench_micro_engine and
-//    the equivalence tests.
-//
-//  - CalendarEventQueue: a calendar queue (R. Brown, CACM '88) over
-//    non-allocating EventFn callbacks — the production engine. Events hash
-//    into time buckets of power-of-two width; pushes are a sorted insert
-//    into one small bucket and pops walk a cursor across bucket windows, so
-//    both are O(1) amortized for the clustered event spacings a flash
-//    simulation produces (1 us command overheads, 81 us tR, 2.6 ms tPROG —
-//    see NandConfig). The bucket count and width adapt to the live event
-//    population, and a full-rotation fallback handles sparse far-future
-//    horizons (erase completions, Storengine daemon ticks).
-//
-// EventQueue is the facade the Simulator owns: it runs the calendar queue by
-// default and can be constructed over the heap backend so a whole simulation
-// can be replayed on either engine and byte-compared (tests/event_queue_test,
-// tests/sweep_determinism_test).
+// EventQueue is a calendar queue (R. Brown, CACM '88) over non-allocating
+// EventFn callbacks. Events hash into time buckets of power-of-two width;
+// pushes are a sorted insert into one small bucket and pops walk a cursor
+// across bucket windows, so both are O(1) amortized for the clustered event
+// spacings a flash simulation produces (1 us command overheads, 81 us tR,
+// 2.6 ms tPROG — see NandConfig). The bucket count and width adapt to the
+// live event population, and a full-rotation fallback handles sparse
+// far-future horizons (erase completions, Storengine daemon ticks).
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -39,96 +24,18 @@
 
 namespace fabacus {
 
-// The original binary-heap event queue, templated on the callback type.
-template <typename CallbackT>
-class BasicHeapEventQueue {
+// NextTime() is non-const: it advances the internal bucket cursor, caching
+// the found event so the following Pop is O(1).
+class EventQueue {
  public:
-  using Callback = CallbackT;
+  using Callback = EventFn;
+
+  EventQueue() { InitBuckets(kInitBucketShift, kInitWidthShift); }
 
   // Schedules `fn` to run at absolute time `when`. Daemon events model
   // background housekeeping (e.g. Storengine's periodic ticks): they fire in
   // time order like any event, but a queue holding only daemons counts as
   // drained, so a run loop does not spin on self-rescheduling maintenance.
-  void Push(Tick when, Callback fn, bool daemon = false) {
-    heap_.push(Event{when, next_seq_++, std::move(fn), daemon});
-    if (!daemon) {
-      ++non_daemon_count_;
-    }
-  }
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  // True when no non-daemon events are pending.
-  bool OnlyDaemonsLeft() const { return non_daemon_count_ == 0; }
-  // Pending non-daemon events (the PDES engine's daemon-gating input).
-  std::size_t non_daemon_count() const { return non_daemon_count_; }
-
-  // Time of the earliest pending event; only valid when !empty().
-  Tick NextTime() const {
-    FAB_CHECK(!heap_.empty());
-    return heap_.top().when;
-  }
-
-  // Removes and returns the earliest event's callback, setting *when to its
-  // firing time. Only valid when !empty().
-  Callback Pop(Tick* when) {
-    FAB_CHECK(!heap_.empty());
-    // priority_queue::top() returns const&; the callback must be moved out,
-    // so const_cast is confined to this one well-understood spot.
-    Event& top = const_cast<Event&>(heap_.top());
-    *when = top.when;
-    Callback fn = std::move(top.fn);
-    if (!top.daemon) {
-      FAB_CHECK_GT(non_daemon_count_, 0u);
-      --non_daemon_count_;
-    }
-    heap_.pop();
-    return fn;
-  }
-
-  void Clear() {
-    while (!heap_.empty()) {
-      heap_.pop();
-    }
-    next_seq_ = 0;
-    non_daemon_count_ = 0;
-  }
-
- private:
-  struct Event {
-    Tick when;
-    std::uint64_t seq;
-    Callback fn;
-    bool daemon;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
-  std::size_t non_daemon_count_ = 0;
-};
-
-// The pre-rewrite engine: binary heap over std::function (one heap
-// allocation per event with any non-tiny capture). Baseline only.
-using LegacyEventQueue = BasicHeapEventQueue<std::function<void()>>;
-
-// Calendar-queue engine. See the file comment for the design; the public
-// surface matches BasicHeapEventQueue except that NextTime() is non-const
-// (it advances the internal bucket cursor, caching the found event so the
-// following Pop is O(1)).
-class CalendarEventQueue {
- public:
-  using Callback = EventFn;
-
-  CalendarEventQueue() { InitBuckets(kInitBucketShift, kInitWidthShift); }
-
   void Push(Tick when, Callback fn, bool daemon = false) {
     const std::uint64_t tag = (next_seq_++ << 1) | static_cast<std::uint64_t>(daemon);
     if (size_ == 0 || when < cur_window_) {
@@ -177,14 +84,17 @@ class CalendarEventQueue {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+  // True when no non-daemon events are pending.
   bool OnlyDaemonsLeft() const { return non_daemon_count_ == 0; }
-  std::size_t non_daemon_count() const { return non_daemon_count_; }
 
+  // Time of the earliest pending event; only valid when !empty().
   Tick NextTime() {
     FAB_CHECK(size_ > 0);
     return buckets_[FindNext()].front().when;
   }
 
+  // Removes and returns the earliest event's callback, setting *when to its
+  // firing time. Only valid when !empty().
   Callback Pop(Tick* when) {
     FAB_CHECK(size_ > 0);
     Bucket& b = buckets_[FindNext()];
@@ -296,57 +206,6 @@ class CalendarEventQueue {
   std::size_t size_ = 0;
   std::size_t non_daemon_count_ = 0;
   std::uint64_t next_seq_ = 0;
-};
-
-// The queue the Simulator owns: calendar engine by default, heap engine on
-// request (A/B determinism tests, bench_micro_engine attribution runs).
-class EventQueue {
- public:
-  using Callback = EventFn;
-  enum class Backend { kCalendar, kHeap };
-
-  EventQueue() = default;
-  explicit EventQueue(Backend backend) : backend_(backend) {}
-
-  void Push(Tick when, Callback fn, bool daemon = false) {
-    if (backend_ == Backend::kCalendar) {
-      calendar_.Push(when, std::move(fn), daemon);
-    } else {
-      heap_.Push(when, std::move(fn), daemon);
-    }
-  }
-
-  bool empty() const {
-    return backend_ == Backend::kCalendar ? calendar_.empty() : heap_.empty();
-  }
-  std::size_t size() const {
-    return backend_ == Backend::kCalendar ? calendar_.size() : heap_.size();
-  }
-  bool OnlyDaemonsLeft() const {
-    return backend_ == Backend::kCalendar ? calendar_.OnlyDaemonsLeft()
-                                          : heap_.OnlyDaemonsLeft();
-  }
-  std::size_t non_daemon_count() const {
-    return backend_ == Backend::kCalendar ? calendar_.non_daemon_count()
-                                          : heap_.non_daemon_count();
-  }
-  Tick NextTime() {
-    return backend_ == Backend::kCalendar ? calendar_.NextTime() : heap_.NextTime();
-  }
-  Callback Pop(Tick* when) {
-    return backend_ == Backend::kCalendar ? calendar_.Pop(when) : heap_.Pop(when);
-  }
-  void Clear() {
-    calendar_.Clear();
-    heap_.Clear();
-  }
-
-  Backend backend() const { return backend_; }
-
- private:
-  Backend backend_ = Backend::kCalendar;
-  CalendarEventQueue calendar_;
-  BasicHeapEventQueue<EventFn> heap_;
 };
 
 }  // namespace fabacus

@@ -1,20 +1,12 @@
 // The simulation kernel: owns the clock and the event queue, and runs events
-// until the queue drains (or a time/event budget is hit).
-//
-// Two execution modes share one API:
-//  - sequential (default): a single EventQueue popped in (when, seq) order;
-//  - conservative PDES (EnablePdes): per-shard queues advanced in
-//    lookahead-bounded windows by a PdesEngine (src/sim/pdes_engine.h),
-//    byte-identical to sequential for shard-safe workloads — see
-//    docs/PERFORMANCE.md, "Parallel DES".
+// in (when, seq) order until the queue drains (or a time/event budget is hit).
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/snapshot.h"
@@ -22,51 +14,16 @@
 
 namespace fabacus {
 
-class PdesEngine;
-
-// Conservative-PDES knobs (see PdesEngine::Options for semantics). Shard 0
-// hosts everything not explicitly relayed elsewhere; FlashAbacus maps flash
-// channels onto shards 1..channels.
-struct PdesConfig {
-  int shards = 1;
-  int threads = 1;
-  Tick lookahead = 1;
-};
-
 class Simulator : public Snapshottable {
  public:
-  // The queue backend is selectable so a whole run can be replayed on the
-  // legacy heap engine and byte-compared against the calendar engine (see
-  // src/sim/event_queue.h and tests/sweep_determinism_test.cc).
-  explicit Simulator(EventQueue::Backend backend = EventQueue::Backend::kCalendar);
-  ~Simulator();  // out-of-line (like the ctor): PdesEngine is incomplete here
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Switches this simulator to conservative-parallel execution. Must be
-  // called before anything is scheduled (fresh simulator, clock at zero).
-  // With cfg.threads == 1 the engine still shards but runs windows inline —
-  // same results, no worker threads.
-  void EnablePdes(const PdesConfig& cfg);
-  bool pdes_enabled() const { return pdes_ != nullptr; }
-  // The underlying engine (null in sequential mode) — bench/test hook.
-  PdesEngine* pdes() { return pdes_.get(); }
-
-  Tick Now() const {
-    if (pdes_) {
-      return PdesNow();
-    }
-    return now_;
-  }
+  Tick Now() const { return now_; }
 
   // Schedules `fn` to run `delay` ns from now.
-  void Schedule(Tick delay, EventQueue::Callback fn) {
-    if (pdes_) {
-      PdesSchedule(delay, std::move(fn), /*daemon=*/false);
-      return;
-    }
-    queue_.Push(now_ + delay, std::move(fn));
-  }
+  void Schedule(Tick delay, EventQueue::Callback fn) { queue_.Push(now_ + delay, std::move(fn)); }
 
   // Schedules `fn` at absolute time `when` (must not be in the past).
   void ScheduleAt(Tick when, EventQueue::Callback fn);
@@ -75,18 +32,8 @@ class Simulator : public Snapshottable {
   // alone do not keep Run() alive (see EventQueue). Periodic services
   // (Storengine ticks) use this so the simulation drains naturally.
   void ScheduleDaemon(Tick delay, EventQueue::Callback fn) {
-    if (pdes_) {
-      PdesSchedule(delay, std::move(fn), /*daemon=*/true);
-      return;
-    }
     queue_.Push(now_ + delay, std::move(fn), /*daemon=*/true);
   }
-
-  // In PDES mode: notes that a flash operation on `channel` completes at
-  // absolute time `done`, letting the engine park the op's dead time on that
-  // channel's shard. Inert bookkeeping — safe to call unconditionally; a
-  // no-op in sequential mode or when `channel` has no shard.
-  void NoteFlashCompletion(int channel, Tick done);
 
   // Runs until only daemon events (or nothing) remain. Returns the final time.
   Tick Run();
@@ -96,49 +43,42 @@ class Simulator : public Snapshottable {
   Tick RunUntil(Tick deadline);
 
   // Runs a single event if one is pending; returns false when idle.
-  // Sequential mode only.
   bool Step();
 
   // Drops every pending event (daemons included) without running it. The
   // clock keeps its value. Models an abrupt power failure: whatever was in
   // flight simply never completes. Callers must Reset/rebuild any component
   // whose invariants depend on a scheduled continuation (queues, daemons).
-  void Halt();
+  void Halt() { queue_.Clear(); }
 
-  std::size_t pending_events() const;
-  std::uint64_t events_executed() const;
+  std::size_t pending_events() const { return queue_.size(); }
+  std::uint64_t events_executed() const { return events_executed_; }
 
   // Safety valve: aborts the run loop after this many events (guards against
   // accidental event storms in tests). Default effectively unlimited.
-  void set_max_events(std::uint64_t n);
+  void set_max_events(std::uint64_t n) { max_events_ = n; }
 
   // True when only daemon events remain — the quiescence condition for
   // checkpointing. Event callbacks are closures and are never serialized;
   // snapshots happen at points where every pending event is an inert
   // housekeeping tick that re-arms from component state (docs/SNAPSHOT.md).
-  bool OnlyDaemonsPending() const;
+  bool OnlyDaemonsPending() const { return queue_.OnlyDaemonsLeft(); }
 
   // Snapshottable: the kernel's plain state (clock + event counter). The
-  // queue itself is rebuilt empty on restore; both backends re-derive
-  // identical ordering from the (when, seq) contract as events are re-pushed.
-  // PDES runs save and load the same two words (unified clock, external
-  // event count), so a snapshot taken under either mode resumes under either.
+  // queue itself is rebuilt empty on restore and re-derives its ordering from
+  // the (when, seq) contract as events are re-pushed.
   std::string StateName() const override { return "sim"; }
   void SaveState(StateWriter& w) const override {
-    w.U64(Now());
-    w.U64(events_executed());
+    w.U64(now_);
+    w.U64(events_executed_);
   }
   void LoadState(StateReader& r) override;
 
  private:
-  Tick PdesNow() const;
-  void PdesSchedule(Tick delay, EventQueue::Callback fn, bool daemon);
-
   EventQueue queue_;
   Tick now_ = 0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t max_events_ = std::numeric_limits<std::uint64_t>::max();
-  std::unique_ptr<PdesEngine> pdes_;
 };
 
 }  // namespace fabacus

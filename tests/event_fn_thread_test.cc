@@ -1,8 +1,10 @@
-// Cross-thread lifetime tests for EventFn's slab allocator: PDES workers
-// execute (and therefore destroy) events that another thread's pool
-// allocated, and a shard thread can exit while its allocations are still
-// live on other threads. Remote frees route back to the owning pool's
-// free list; the last outstanding chunk keeps a dead thread's pool alive.
+// Cross-thread lifetime tests for EventFn's slab allocator. A partitioned
+// fleet run builds shard simulators on the caller thread, serves them on
+// SweepRunner workers (which execute, and so destroy, events the caller's
+// pool allocated) and destroys them back on the caller, after the worker
+// threads have exited with their own allocations still pending. Remote frees
+// route back to the owning pool's free list; the last outstanding chunk keeps
+// a dead thread's pool alive.
 #include <gtest/gtest.h>
 
 #include <cstdint>

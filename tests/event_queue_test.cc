@@ -1,17 +1,17 @@
-// Unit tests for the rewritten event core: EventFn storage classes, the
-// calendar queue's ordering/daemon/Clear contract, and randomized A/B
-// equivalence against the legacy heap engine.
+// Unit tests for the event core: EventFn storage classes, the calendar
+// queue's ordering/daemon/Clear contract, and a randomized check of its pop
+// order against an ordered-set oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/sim/event_fn.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/simulator.h"
 
 namespace fabacus {
 namespace {
@@ -88,7 +88,7 @@ TEST(EventFn, NonTrivialCaptureDestructsOnSlab) {
 }
 
 TEST(CalendarQueue, SameTickFiresInSchedulingOrder) {
-  CalendarEventQueue q;
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 64; ++i) {
     q.Push(1000, [&order, i] { order.push_back(i); });
@@ -104,7 +104,7 @@ TEST(CalendarQueue, SameTickFiresInSchedulingOrder) {
 }
 
 TEST(CalendarQueue, DaemonsDoNotKeepQueueAlive) {
-  CalendarEventQueue q;
+  EventQueue q;
   q.Push(10, [] {}, /*daemon=*/true);
   EXPECT_TRUE(q.OnlyDaemonsLeft());
   q.Push(20, [] {});
@@ -119,7 +119,7 @@ TEST(CalendarQueue, DaemonsDoNotKeepQueueAlive) {
 }
 
 TEST(CalendarQueue, ClearDropsEverythingAndStaysUsable) {
-  CalendarEventQueue q;
+  EventQueue q;
   int fired = 0;
   for (int i = 0; i < 100; ++i) {
     q.Push(static_cast<Tick>(i) * 77, [&fired] { ++fired; }, /*daemon=*/(i % 3) == 0);
@@ -138,7 +138,7 @@ TEST(CalendarQueue, ClearDropsEverythingAndStaysUsable) {
 }
 
 TEST(CalendarQueue, CursorRewindsForEarlierPushAfterDrain) {
-  CalendarEventQueue q;
+  EventQueue q;
   Tick when = 0;
   // Drain an event far in the future, parking the cursor there...
   q.Push(50 * kMs, [] {});
@@ -155,7 +155,7 @@ TEST(CalendarQueue, CursorRewindsForEarlierPushAfterDrain) {
 TEST(CalendarQueue, SparseFarFutureEventsFound) {
   // Events spread far beyond bucket_count * bucket_width exercise the
   // full-rotation fallback (erase completions, Storengine daemon ticks).
-  CalendarEventQueue q;
+  EventQueue q;
   std::vector<Tick> fired;
   const std::vector<Tick> times = {2 * kUs, 81 * kUs, 2600 * kUs, 6 * kMs, 500 * kMs, 2 * kSec};
   for (auto it = times.rbegin(); it != times.rend(); ++it) {
@@ -170,7 +170,7 @@ TEST(CalendarQueue, SparseFarFutureEventsFound) {
 }
 
 TEST(CalendarQueue, ResizesUnderLoadWithoutReordering) {
-  CalendarEventQueue q;
+  EventQueue q;
   const std::size_t initial_buckets = q.bucket_count();
   std::uint64_t x = 12345;
   std::vector<std::pair<Tick, int>> pushed;
@@ -191,16 +191,31 @@ TEST(CalendarQueue, ResizesUnderLoadWithoutReordering) {
   EXPECT_LT(q.bucket_count(), std::size_t{1} << 16);
 }
 
-// Randomized A/B: the calendar queue must pop the exact (when, seq) sequence
-// the legacy heap pops, including daemon bookkeeping, under a mix of
-// interleaved pushes and pops at ONFi-like spacings.
-TEST(CalendarQueue, MatchesLegacyHeapOnRandomWorkload) {
+// Randomized oracle check: the calendar queue must pop the exact (when, seq)
+// sequence an ordered set keyed on (when, seq) yields, including daemon
+// bookkeeping, under a mix of interleaved pushes and pops at ONFi-like
+// spacings. The push id doubles as the sequence number.
+TEST(CalendarQueue, MatchesOrderedSetOnRandomWorkload) {
   Rng rng(7);
-  CalendarEventQueue cal;
-  LegacyEventQueue heap;
-  std::vector<std::pair<Tick, int>> cal_fired;
-  std::vector<std::pair<Tick, int>> heap_fired;
+  EventQueue cal;
+  std::set<std::pair<Tick, int>> oracle;
+  std::vector<bool> is_daemon;
+  std::size_t oracle_non_daemons = 0;
+  int fired_tag = -1;
   Tick now = 0;
+  // Pops both sides, checks they agree on the time and on which event fired,
+  // and advances `now` to the popped time.
+  auto pop_both = [&]() {
+    ASSERT_FALSE(oracle.empty());
+    const std::pair<Tick, int> expect = *oracle.begin();
+    oracle.erase(oracle.begin());
+    if (!is_daemon[static_cast<std::size_t>(expect.second)]) {
+      --oracle_non_daemons;
+    }
+    cal.Pop(&now)();
+    ASSERT_EQ(now, expect.first);
+    ASSERT_EQ(fired_tag, expect.second);
+  };
   int id = 0;
   for (int round = 0; round < 2000; ++round) {
     const int pushes = static_cast<int>(rng.NextBelow(4));
@@ -219,49 +234,25 @@ TEST(CalendarQueue, MatchesLegacyHeapOnRandomWorkload) {
       const bool daemon = rng.NextBelow(16) == 0;
       const Tick when = now + delay;
       const int tag = id++;
-      cal.Push(when, [&cal_fired, when, tag] { cal_fired.push_back({when, tag}); }, daemon);
-      heap.Push(when, [&heap_fired, when, tag] { heap_fired.push_back({when, tag}); }, daemon);
+      cal.Push(when, [&fired_tag, tag] { fired_tag = tag; }, daemon);
+      oracle.insert({when, tag});
+      is_daemon.push_back(daemon);
+      if (!daemon) {
+        ++oracle_non_daemons;
+      }
     }
     if (!cal.empty() && rng.NextBelow(3) != 0) {
-      ASSERT_FALSE(heap.empty());
-      ASSERT_EQ(cal.NextTime(), heap.NextTime());
-      ASSERT_EQ(cal.OnlyDaemonsLeft(), heap.OnlyDaemonsLeft());
-      Tick cw = 0;
-      Tick hw = 0;
-      cal.Pop(&cw)();
-      heap.Pop(&hw)();
-      ASSERT_EQ(cw, hw);
-      now = cw;
+      ASSERT_FALSE(oracle.empty());
+      ASSERT_EQ(cal.NextTime(), oracle.begin()->first);
+      ASSERT_EQ(cal.OnlyDaemonsLeft(), oracle_non_daemons == 0);
+      ASSERT_NO_FATAL_FAILURE(pop_both());
     }
   }
   while (!cal.empty()) {
-    Tick cw = 0;
-    Tick hw = 0;
-    cal.Pop(&cw)();
-    ASSERT_FALSE(heap.empty());
-    heap.Pop(&hw)();
-    ASSERT_EQ(cw, hw);
+    ASSERT_NO_FATAL_FAILURE(pop_both());
   }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(cal_fired, heap_fired);
-}
-
-TEST(SimulatorBackend, HeapBackendRunsIdentically) {
-  auto drive = [](EventQueue::Backend backend) {
-    Simulator sim(backend);
-    std::vector<std::pair<Tick, int>> fired;
-    for (int i = 0; i < 10; ++i) {
-      sim.Schedule(static_cast<Tick>(i % 4) * 100, [&fired, i, &sim] {
-        fired.push_back({sim.Now(), i});
-        if (i % 2 == 0) {
-          sim.Schedule(50, [&fired, i, &sim] { fired.push_back({sim.Now(), 100 + i}); });
-        }
-      });
-    }
-    sim.Run();
-    return fired;
-  };
-  EXPECT_EQ(drive(EventQueue::Backend::kCalendar), drive(EventQueue::Backend::kHeap));
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_EQ(oracle_non_daemons, 0u);
 }
 
 }  // namespace

