@@ -92,7 +92,7 @@ void Run(BenchJson* json) {
                 Fmt(rep.served_mb_s, 2), Fmt(p50, 2), Fmt(p99, 2), Fmt(util, 2),
                 std::to_string(hits), rep.verified ? "yes" : "NO"});
 
-      json->AddScalarRow("d" + std::to_string(devices), rep.policy,
+      json->AddScalarRow(std::string("d").append(std::to_string(devices)), rep.policy,
                          {{"devices", static_cast<double>(devices)},
                           {"offered", static_cast<double>(rep.offered)},
                           {"served", static_cast<double>(rep.served)},

@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""A/B wall time of one perfbench workload: a base revision against this checkout.
+
+    python3 scripts/perf_ab.py --base origin/main --workload ftl_churn --pairs 10
+    python3 scripts/perf_ab.py --base HEAD --workload ftl_churn --pairs 1 --seconds 1
+
+Run it from anywhere inside the repository. The base revision is checked out
+in a git worktree under .bench_build/ab/<commit>/ (kept, so a later run reuses
+its build); the change side is this checkout, uncommitted edits included.
+Each side runs its own perfbench/run.py, which builds its own Release tree.
+The script then runs N pairs, alternating which side goes first, at one
+workload and seed, and prints:
+
+  - every pair's wall_s on both sides and the change/base ratio;
+  - each side's median and quartiles, and how many pairs the change won;
+  - both sides' medians of the other end-to-end metrics;
+  - whether sim_digest and the failed-check counts matched on every pair.
+
+A speed-only change should win at least 9 of 10 pairs with a median gap
+larger than the base's interquartile range, and must leave sim_digest alone.
+The exit code is 1 when a digest differs or any run failed a check, 2 when
+the worktree cannot be made or a run prints no result, and 0 otherwise.
+"""
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+AB_DIR = ROOT / ".bench_build" / "ab"
+
+DIGEST = re.compile(r"sim_digest ([0-9a-f]+)")
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, text=True,
+                          stdout=subprocess.PIPE).stdout.strip()
+
+
+def base_worktree(rev):
+    """Returns the checkout of `rev`, adding the worktree on first use."""
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    tree = AB_DIR / sha[:12]
+    if not (tree / "perfbench" / "run.py").exists():
+        AB_DIR.mkdir(parents=True, exist_ok=True)
+        git("worktree", "prune")
+        git("worktree", "add", "--detach", str(tree), sha)
+    if not (tree / "perfbench" / "run.py").exists():
+        raise RuntimeError(f"{rev} ({sha[:12]}) has no perfbench/run.py")
+    return sha, tree
+
+
+def run_side(tree, args):
+    """Runs perfbench once in `tree`; returns (metrics, failed, correct, digest)."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, text=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        tail = "\n".join(lines[-20:])
+        raise RuntimeError(f"no result from {tree} (exit {proc.returncode}):\n{tail}")
+    digest = next((m.group(1) for m in map(DIGEST.search, lines) if m), None)
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    correct = result["correct"] and proc.returncode == 0 and "wall_s" in metrics
+    return metrics, result["failed"], correct, digest
+
+
+def spread(values):
+    """(median, first quartile, third quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q1, q3
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", default="ftl_churn",
+                    help="one perfbench workload (default ftl_churn)")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0,
+                    help="measured time per run (BENCHMARK.json run_seconds is 20)")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    try:
+        sha, base_tree = base_worktree(args.base)
+    except (subprocess.CalledProcessError, RuntimeError) as e:
+        print(f"perf_ab: cannot check out {args.base}: {e}", file=sys.stderr)
+        return 2
+    sides = {"base": base_tree, "change": ROOT}
+    print(f"perf_ab: {args.workload}, seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds:g} s runs; base {args.base} ({sha[:12]}) in "
+          f"{base_tree.relative_to(ROOT)}, change = this checkout", flush=True)
+
+    runs = {"base": [], "change": []}
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                runs[side].append(run_side(sides[side], args))
+            except RuntimeError as e:
+                print(f"perf_ab: {side} run of pair {i + 1}: {e}", file=sys.stderr)
+                return 2
+        b, c = (runs[side][-1][0].get("wall_s", float("nan")) for side in ("base", "change"))
+        print(f"pair {i + 1:>2} ({order[0]} first): base {b:.4f} s, change {c:.4f} s, "
+              f"change/base {c / b:.3f}; digest {runs['base'][-1][3]} / "
+              f"{runs['change'][-1][3]}; failed {runs['base'][-1][1]} / "
+              f"{runs['change'][-1][1]}", flush=True)
+
+    ok = all(r[2] for rs in runs.values() for r in rs)
+    if not ok:
+        print("a run failed a check or printed no wall_s")
+    else:
+        walls = {side: [r[0]["wall_s"] for r in rs] for side, rs in runs.items()}
+        for side, values in walls.items():
+            med, q1, q3 = spread(values)
+            print(f"{side:<6} wall_s median {med:.4f} s, quartiles {q1:.4f} .. {q3:.4f} s")
+        wins = sum(c < b for b, c in zip(walls["base"], walls["change"]))
+        base_med, base_q1, base_q3 = spread(walls["base"])
+        change_med = spread(walls["change"])[0]
+        gap, iqr = base_med - change_med, base_q3 - base_q1
+        print(f"change faster in {wins}/{args.pairs} pairs; change median "
+              f"{change_med / base_med - 1:+.1%} vs base; median gap {abs(gap):.4f} s "
+              f"{'>' if abs(gap) > iqr else '<='} base IQR {iqr:.4f} s")
+        for name in runs["base"][0][0]:
+            if name == "wall_s":
+                continue
+            b, c = (statistics.median(r[0][name] for r in runs[side])
+                    for side in ("base", "change"))
+            ratio = f"{c / b:.4f}" if b else "n/a"
+            print(f"  {name:<18} median base {b:.6g}, change {c:.6g}, change/base {ratio}")
+    digests = {r[3] for rs in runs.values() for r in rs}
+    digest_ok = len(digests) == 1 and None not in digests
+    fails_ok = all(b[1] == c[1] for b, c in zip(runs["base"], runs["change"]))
+    print(f"sim_digest {'matched: ' + digests.pop() if digest_ok else 'DIFFERS'}; "
+          f"failed-check counts {'matched' if fails_ok else 'DIFFER'}")
+    return 0 if ok and digest_ok and fails_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

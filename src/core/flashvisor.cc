@@ -213,22 +213,33 @@ void Flashvisor::DoRead(IoRequest req, Tick service_end) {
     }
     Tick flash_done = start;
     IoStatus status = IoStatus::kOk;
-    std::vector<std::uint8_t> group_buf(group_bytes);
+    std::uint8_t* const func = static_cast<std::uint8_t*>(req.func_data);
     for (std::uint64_t i = 0; i < n_groups; ++i) {
       const std::uint64_t lg = first_lg + i;
       const std::uint32_t phys = map_.Lookup(lg);
       const std::uint64_t req_off = i * group_bytes;
-      const bool carries_data = req.func_data != nullptr && req_off < req.func_bytes;
+      const bool carries_data = func != nullptr && req_off < req.func_bytes;
+      const std::uint64_t n = carries_data ? std::min(group_bytes, req.func_bytes - req_off) : 0;
       if (phys == MappingTable::kUnmapped) {
         // Never-written logical space reads back as zeros with no device op.
         if (carries_data) {
-          const std::uint64_t n = std::min(group_bytes, req.func_bytes - req_off);
-          std::memset(static_cast<std::uint8_t*>(req.func_data) + req_off, 0, n);
+          std::memset(func + req_off, 0, n);
         }
         continue;
       }
-      FlashBackbone::OpResult r =
-          backbone_->ReadGroup(start, phys, carries_data ? group_buf.data() : nullptr);
+      // A whole group lands straight in the kernel's buffer; only a partial
+      // last group goes through a bounce buffer.
+      std::vector<std::uint8_t> partial;
+      void* out = nullptr;
+      if (carries_data) {
+        if (n < group_bytes) {
+          partial.resize(group_bytes);
+          out = partial.data();
+        } else {
+          out = func + req_off;
+        }
+      }
+      FlashBackbone::OpResult r = backbone_->ReadGroup(start, phys, out);
       if (r.ecc_event) {
         ecc_events_.Add();
       }
@@ -237,9 +248,8 @@ void Flashvisor::DoRead(IoRequest req, Tick service_end) {
       }
       status = WorseStatus(status, r.status);
       flash_done = std::max(flash_done, r.done);
-      if (carries_data) {
-        const std::uint64_t n = std::min(group_bytes, req.func_bytes - req_off);
-        std::memcpy(static_cast<std::uint8_t*>(req.func_data) + req_off, group_buf.data(), n);
+      if (!partial.empty()) {
+        std::memcpy(func + req_off, partial.data(), n);
       }
     }
     reads_served_.Add();
@@ -292,18 +302,24 @@ void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
     const Tick staged = dram_->BulkAccess(start, static_cast<double>(req.model_bytes));
     Tick flash_done = staged;
     IoStatus status = IoStatus::kOk;
-    std::vector<std::uint8_t> group_buf(group_bytes);
+    const std::uint8_t* const func = static_cast<const std::uint8_t*>(req.func_data);
     for (std::uint64_t i = 0; i < n_groups; ++i) {
       const std::uint64_t lg = first_lg + i;
       const std::uint64_t req_off = i * group_bytes;
-      const bool carries_data = req.func_data != nullptr && req_off < req.func_bytes;
+      const bool carries_data = func != nullptr && req_off < req.func_bytes;
+      // A whole group programs straight from the kernel's buffer; only a
+      // partial last group is copied into a zero-padded bounce buffer.
+      std::vector<std::uint8_t> partial;
       const void* payload = nullptr;
       if (carries_data) {
         const std::uint64_t n = std::min(group_bytes, req.func_bytes - req_off);
-        std::memset(group_buf.data(), 0, group_bytes);
-        std::memcpy(group_buf.data(), static_cast<const std::uint8_t*>(req.func_data) + req_off,
-                    n);
-        payload = group_buf.data();
+        if (n < group_bytes) {
+          partial.resize(group_bytes);
+          std::memcpy(partial.data(), func + req_off, n);
+          payload = partial.data();
+        } else {
+          payload = func + req_off;
+        }
       }
       // Program first, then map: the mapping only ever points at a group the
       // device accepted (a program-status fail re-allocates transparently).
@@ -405,8 +421,10 @@ void Flashvisor::ForegroundReclaim(Tick now) {
   // context), so no kernel mapping can interleave: the range lock is not
   // needed here. Valid groups migrate to the active write point; device time
   // queues naturally in the controllers, stalling subsequent writes.
-  const std::uint64_t group_bytes = backbone_->config().GroupBytes();
-  std::vector<std::uint8_t> buf(group_bytes);
+  // Each group is read for timing only and programmed straight from its
+  // stored bytes (GroupData). The source stays intact meanwhile: PickVictim
+  // took the victim off the candidate list, so a reclaim nested in
+  // ProgramReliable erases some other block group.
   const std::uint32_t data_slots = DataSlotsPerBlockGroup();
   for (std::uint32_t slot = 0; slot < data_slots; ++slot) {
     if (!blocks_.IsValid(victim, slot)) {
@@ -418,12 +436,13 @@ void Flashvisor::ForegroundReclaim(Tick now) {
       blocks_.MarkInvalid(victim, slot);
       continue;
     }
-    FlashBackbone::OpResult rd = backbone_->ReadGroup(now, phys_old, buf.data());
+    FlashBackbone::OpResult rd = backbone_->ReadGroup(now, phys_old, nullptr);
     if (rd.status == IoStatus::kUncorrectable) {
       uncorrectable_reads_.Add();
     }
     Tick prog_done = rd.done;
-    const std::uint32_t phys_new = ProgramReliable(rd.done, lg, buf.data(), &prog_done);
+    const std::uint32_t phys_new =
+        ProgramReliable(rd.done, lg, backbone_->GroupData(phys_old), &prog_done);
     write_drain_horizon_ = std::max(write_drain_horizon_, prog_done);
     map_.Update(lg, phys_new);
     blocks_.MarkInvalid(victim, slot);

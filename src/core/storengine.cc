@@ -212,11 +212,15 @@ void Storengine::MigrateRange(std::uint64_t victim, std::uint32_t slot, Tick bar
           return;
         }
         const SerialCore::Interval iv = core_.Occupy(now, config_.per_group_cpu);
-        const std::uint64_t group_bytes = fv_->backbone().config().GroupBytes();
-        std::vector<std::uint8_t> buf(group_bytes);
-        FlashBackbone::OpResult rd = fv_->backbone().ReadGroup(iv.end, phys_old, buf.data());
+        // Read for timing, then program straight from the stored bytes. The
+        // source cannot be erased by a foreground reclaim nested in
+        // ProgramReliable: the victim left the candidate list (PickVictim /
+        // TakeUsed) or is retired, so no reclaim picks it.
+        FlashBackbone& bb = fv_->backbone();
+        FlashBackbone::OpResult rd = bb.ReadGroup(iv.end, phys_old, nullptr);
         Tick prog_done = rd.done;
-        const std::uint32_t phys_new = fv_->ProgramReliable(rd.done, lg, buf.data(), &prog_done);
+        const std::uint32_t phys_new =
+            fv_->ProgramReliable(rd.done, lg, bb.GroupData(phys_old), &prog_done);
         fv_->mapping().Update(lg, phys_new);
         fv_->blocks().MarkInvalid(victim, slot);
         fv_->blocks().MarkValid(fv_->BlockGroupOf(phys_new), fv_->SlotOf(phys_new));

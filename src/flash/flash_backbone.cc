@@ -106,17 +106,19 @@ FlashBackbone::OpResult FlashBackbone::ProgramGroup(Tick now, std::uint64_t grou
     // A program only becomes durable when every die reports completion;
     // power loss before `done` tears it (recovery must not trust the data).
     inflight_programs_.push_back(InflightProgram{group, done});
+    std::push_heap(inflight_programs_.begin(), inflight_programs_.end(), LaterDone);
   }
   if (any_dead) {
     dead_die_programs_.Add();
     r.status = WorseStatus(r.status, IoStatus::kDegraded);
   }
-  // Lazily prune completed entries so the in-flight list stays small.
+  // Lazily prune completed entries so the in-flight list stays small: once
+  // more than 64 are live, drop every program done by `now`.
   if (inflight_programs_.size() > 64) {
-    inflight_programs_.erase(
-        std::remove_if(inflight_programs_.begin(), inflight_programs_.end(),
-                       [now](const InflightProgram& p) { return p.done <= now; }),
-        inflight_programs_.end());
+    while (!inflight_programs_.empty() && inflight_programs_.front().done <= now) {
+      std::pop_heap(inflight_programs_.begin(), inflight_programs_.end(), LaterDone);
+      inflight_programs_.pop_back();
+    }
   }
   programs_.Add();
   bytes_programmed_ += static_cast<double>(config_.GroupBytes());
@@ -265,8 +267,14 @@ void FlashBackbone::SaveState(StateWriter& w) const {
   }
   w.U64(program_seq_);
   w.VecU64(block_errors_);
-  w.U64(inflight_programs_.size());
-  for (const InflightProgram& p : inflight_programs_) {
+  // Sorted by (done, group), so the bytes never depend on the heap layout.
+  std::vector<InflightProgram> inflight = inflight_programs_;
+  std::sort(inflight.begin(), inflight.end(),
+            [](const InflightProgram& a, const InflightProgram& b) {
+              return a.done != b.done ? a.done < b.done : a.group < b.group;
+            });
+  w.U64(inflight.size());
+  for (const InflightProgram& p : inflight) {
     w.U64(p.group);
     w.U64(p.done);
   }
@@ -321,6 +329,7 @@ void FlashBackbone::LoadState(StateReader& r) {
     p.done = r.U64();
     inflight_programs_.push_back(p);
   }
+  std::make_heap(inflight_programs_.begin(), inflight_programs_.end(), LaterDone);
   reads_.LoadState(r);
   programs_.LoadState(r);
   erases_.LoadState(r);

@@ -58,6 +58,13 @@ class FlashBackbone : public Snapshottable {
   // die; kUncorrectable when a slice exhausted the retry ladder.
   OpResult ReadGroup(Tick now, std::uint64_t group, void* out);
 
+  // The stored GroupBytes() of physical group `group` without a device
+  // operation or a copy, or nullptr when the group holds zeros (unwritten,
+  // erased, torn or programmed without a payload). Migration reads the group
+  // with ReadGroup(..., nullptr) for timing and programs from this view.
+  // Valid until the group is next programmed, erased or torn.
+  const std::uint8_t* GroupData(std::uint64_t group) const { return data_.ChunkData(group); }
+
   // Programs physical page group `group` with `data` (nullable = timing-only,
   // contents become zero). Data first crosses SRIO into the controllers.
   // `oob_tag` is the logical group this program serves, or a kOob* constant;
@@ -84,6 +91,8 @@ class FlashBackbone : public Snapshottable {
   const FaultModel& faults() const { return faults_; }
 
   const OobEntry& Oob(std::uint64_t group) const { return oob_[group]; }
+  // The sparse store behind the page groups (for memory-footprint assertions).
+  const ByteStore& contents() const { return data_; }
   std::uint64_t program_seq() const { return program_seq_; }
 
   bool IsBadBlockGroup(int block) const;
@@ -141,10 +150,15 @@ class FlashBackbone : public Snapshottable {
   std::uint64_t program_seq_ = 0;
   std::vector<std::uint64_t> block_errors_;  // per block group, reset on erase
   // Programs whose die completion lies in the future; PowerFail tears them.
+  // A min-heap on `done` (std::push_heap with LaterDone), so the prune in
+  // ProgramGroup pops completed programs in completion order.
   struct InflightProgram {
     std::uint64_t group;
     Tick done;
   };
+  static bool LaterDone(const InflightProgram& a, const InflightProgram& b) {
+    return a.done > b.done;
+  }
   std::vector<InflightProgram> inflight_programs_;
   Counter reads_;
   Counter programs_;

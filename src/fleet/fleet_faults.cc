@@ -36,9 +36,6 @@ std::string FleetFaultConfig::Validate(int num_devices) const {
       return "fault plan targets shard " + std::to_string(e.shard) + " but the fleet has " +
              std::to_string(num_devices) + " devices";
     }
-    if (e.at < 0) {
-      return "fault plan entries need a non-negative tick";
-    }
     if (e.kind == FleetFaultEvent::Kind::kStall) {
       if (e.duration < 1) {
         return "stall events need a positive duration";

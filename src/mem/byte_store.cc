@@ -7,17 +7,31 @@
 
 namespace fabacus {
 
+ByteStore::ChunkMap::iterator ByteStore::Insert(std::uint64_t index) {
+  if (spare_.empty()) {
+    return chunks_.emplace(index, std::make_unique_for_overwrite<std::uint8_t[]>(chunk_size_))
+        .first;
+  }
+  ChunkMap::node_type node = std::move(spare_.back());
+  spare_.pop_back();
+  node.key() = index;
+  return chunks_.insert(std::move(node)).position;
+}
+
 void ByteStore::Write(std::uint64_t offset, const void* data, std::uint64_t len) {
   const std::uint8_t* src = static_cast<const std::uint8_t*>(data);
   while (len > 0) {
     const std::uint64_t chunk_idx = offset / chunk_size_;
     const std::uint64_t in_chunk = offset % chunk_size_;
     const std::uint64_t n = std::min<std::uint64_t>(len, chunk_size_ - in_chunk);
-    std::vector<std::uint8_t>& chunk = chunks_[chunk_idx];
-    if (chunk.empty()) {
-      chunk.resize(chunk_size_, 0);
+    auto it = chunks_.find(chunk_idx);
+    if (it == chunks_.end()) {
+      it = Insert(chunk_idx);
+      // Only the bytes this write leaves untouched must read back as zero.
+      std::memset(it->second.get(), 0, in_chunk);
+      std::memset(it->second.get() + in_chunk + n, 0, chunk_size_ - in_chunk - n);
     }
-    std::memcpy(chunk.data() + in_chunk, src, n);
+    std::memcpy(it->second.get() + in_chunk, src, n);
     src += n;
     offset += n;
     len -= n;
@@ -30,11 +44,11 @@ void ByteStore::Read(std::uint64_t offset, void* out, std::uint64_t len) const {
     const std::uint64_t chunk_idx = offset / chunk_size_;
     const std::uint64_t in_chunk = offset % chunk_size_;
     const std::uint64_t n = std::min<std::uint64_t>(len, chunk_size_ - in_chunk);
-    auto it = chunks_.find(chunk_idx);
-    if (it == chunks_.end()) {
+    const std::uint8_t* chunk = ChunkData(chunk_idx);
+    if (chunk == nullptr) {
       std::memset(dst, 0, n);
     } else {
-      std::memcpy(dst, it->second.data() + in_chunk, n);
+      std::memcpy(dst, chunk + in_chunk, n);
     }
     dst += n;
     offset += n;
@@ -47,17 +61,22 @@ void ByteStore::Erase(std::uint64_t offset, std::uint64_t len) {
     const std::uint64_t chunk_idx = offset / chunk_size_;
     const std::uint64_t in_chunk = offset % chunk_size_;
     const std::uint64_t n = std::min<std::uint64_t>(len, chunk_size_ - in_chunk);
-    if (in_chunk == 0 && n == chunk_size_) {
-      chunks_.erase(chunk_idx);
-    } else {
-      auto it = chunks_.find(chunk_idx);
-      if (it != chunks_.end()) {
-        std::memset(it->second.data() + in_chunk, 0, n);
+    auto it = chunks_.find(chunk_idx);
+    if (it != chunks_.end()) {
+      if (in_chunk == 0 && n == chunk_size_) {
+        spare_.push_back(chunks_.extract(it));
+      } else {
+        std::memset(it->second.get() + in_chunk, 0, n);
       }
     }
     offset += n;
     len -= n;
   }
+}
+
+const std::uint8_t* ByteStore::ChunkData(std::uint64_t index) const {
+  auto it = chunks_.find(index);
+  return it == chunks_.end() ? nullptr : it->second.get();
 }
 
 void ByteStore::SaveState(StateWriter& w) const {
@@ -71,7 +90,9 @@ void ByteStore::SaveState(StateWriter& w) const {
   w.U64(indices.size());
   for (const std::uint64_t idx : indices) {
     w.U64(idx);
-    w.VecU8(chunks_.at(idx));
+    // The length-prefixed layout of StateWriter::VecU8.
+    w.U64(chunk_size_);
+    w.Bytes(chunks_.at(idx).get(), chunk_size_);
   }
 }
 
@@ -81,17 +102,23 @@ void ByteStore::LoadState(StateReader& r) {
     r.Fail("ByteStore chunk size mismatch");
     return;
   }
-  chunks_.clear();
+  while (!chunks_.empty()) {
+    spare_.push_back(chunks_.extract(chunks_.begin()));
+  }
   const std::uint64_t n = r.U64();
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     const std::uint64_t idx = r.U64();
-    std::vector<std::uint8_t> chunk = r.VecU8();
-    if (r.ok() && chunk.size() != chunk_size_) {
+    const std::vector<std::uint8_t> bytes = r.VecU8();
+    if (r.ok() && bytes.size() != chunk_size_) {
       r.Fail("ByteStore chunk " + std::to_string(idx) + " has wrong size");
       return;
     }
     if (r.ok()) {
-      chunks_[idx] = std::move(chunk);
+      auto it = chunks_.find(idx);
+      if (it == chunks_.end()) {
+        it = Insert(idx);
+      }
+      std::memcpy(it->second.get(), bytes.data(), chunk_size_);
     }
   }
 }

@@ -6,6 +6,7 @@
 #define SRC_MEM_BYTE_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -25,11 +26,21 @@ class ByteStore {
   void Write(std::uint64_t offset, const void* data, std::uint64_t len);
   void Read(std::uint64_t offset, void* out, std::uint64_t len) const;
 
-  // Zero-fills [offset, offset+len) and releases chunks fully covered.
+  // Zero-fills [offset, offset+len) and releases chunks fully covered. A
+  // released chunk (with its hash-map node) is kept as a spare for the next
+  // Write that needs one, so erase/write cycles neither free nor allocate
+  // host memory.
   void Erase(std::uint64_t offset, std::uint64_t len);
+
+  // The chunk_size() bytes of chunk `index`, or nullptr when the chunk holds
+  // no data (it reads back as zeros). Valid until that chunk is erased.
+  const std::uint8_t* ChunkData(std::uint64_t index) const;
 
   // Number of chunks with real data (for memory-footprint assertions).
   std::size_t allocated_chunks() const { return chunks_.size(); }
+  // Released chunks waiting for reuse; live plus spare chunks never exceed
+  // the earlier high-water mark of live chunks.
+  std::size_t spare_chunks() const { return spare_.size(); }
   std::uint64_t chunk_size() const { return chunk_size_; }
 
   // Checkpoint/restore: chunks are emitted in ascending index order so the
@@ -38,8 +49,15 @@ class ByteStore {
   void LoadState(StateReader& r);
 
  private:
+  using ChunkMap = std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>;
+
+  // Maps chunk `index` (not yet mapped), reusing a spare if there is one; the
+  // chunk's contents are unspecified either way.
+  ChunkMap::iterator Insert(std::uint64_t index);
+
   std::uint64_t chunk_size_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> chunks_;
+  ChunkMap chunks_;
+  std::vector<ChunkMap::node_type> spare_;
 };
 
 }  // namespace fabacus

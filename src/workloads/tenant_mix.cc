@@ -134,7 +134,7 @@ TenantSchedConfig FairShareTenants(TenantSchedPolicy policy,
   cfg.policy = policy;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     TenantSpec t;
-    t.name = "t" + std::to_string(i);
+    t.name = std::string("t").append(std::to_string(i));
     t.weight = weights[i];
     cfg.tenants.push_back(t);
   }

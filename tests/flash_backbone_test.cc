@@ -3,11 +3,15 @@
 // counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "src/flash/flash_backbone.h"
 #include "src/flash/nand_config.h"
+#include "src/sim/rng.h"
+#include "src/sim/snapshot.h"
 #include "tests/test_util.h"
 
 namespace fabacus {
@@ -157,6 +161,157 @@ TEST(FlashBackbone, CountersTrackOperations) {
   EXPECT_EQ(bb.TotalErases(),
             static_cast<std::uint64_t>(bb.config().channels) *
                 bb.config().packages_per_channel);
+}
+
+TEST(FlashBackbone, GroupDataViewsStoredBytes) {
+  NandConfig cfg = TinyNand();
+  FlashBackbone bb(cfg);
+  const std::uint64_t bytes = cfg.GroupBytes();
+  EXPECT_EQ(bb.GroupData(0), nullptr);  // never written
+  std::vector<std::uint8_t> in(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    in[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  bb.ProgramGroup(0, 0, in.data());
+  bb.ProgramGroup(0, 1, nullptr);  // timing-only: stores zeros
+  std::vector<std::uint8_t> out(bytes, 0xFF);
+  bb.ReadGroup(0, 0, out.data());
+  ASSERT_NE(bb.GroupData(0), nullptr);
+  EXPECT_EQ(std::memcmp(bb.GroupData(0), out.data(), bytes), 0);
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(bb.GroupData(1), nullptr);
+  bb.EraseBlockGroup(0, 0);
+  EXPECT_EQ(bb.GroupData(0), nullptr);
+  EXPECT_EQ(bb.contents().allocated_chunks(), 0u);
+}
+
+// The in-flight prune as it was written before the heap: a vector in program
+// order, rescanned with remove_if once more than 64 programs are live. The
+// heap must tear exactly what this would tear.
+struct RescanOracle {
+  struct Entry {
+    std::uint64_t group;
+    Tick done;
+  };
+  std::vector<Entry> live;
+  std::size_t peak = 0;
+  std::size_t pruned = 0;
+
+  void Program(Tick now, std::uint64_t group, const FlashBackbone::OpResult& r) {
+    if (r.status != IoStatus::kProgramFailed) {
+      live.push_back(Entry{group, r.done});
+    }
+    peak = std::max(peak, live.size());
+    if (live.size() > 64) {
+      const std::size_t before = live.size();
+      live.erase(std::remove_if(live.begin(), live.end(),
+                                [now](const Entry& e) { return e.done <= now; }),
+                 live.end());
+      pruned += before - live.size();
+    }
+  }
+};
+
+TEST(FlashBackbone, InflightHeapTearsWhatARescanWould) {
+  NandConfig cfg = TinyNand();
+  cfg.fault.program_failure_rate = 0.02;
+  const int pkgs = cfg.packages_per_channel;
+  const int blocks = cfg.blocks_per_plane;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    FlashBackbone bb(cfg, seed);
+    RescanOracle oracle;
+    std::vector<int> write_point(static_cast<std::size_t>(pkgs * blocks), 0);
+    std::vector<std::uint8_t> payload(cfg.GroupBytes());
+    Tick clock = 0;
+    Tick last_done = 0;
+    // Stop inside the ninth burst, with a backlog in flight.
+    const int ops = 1200 + static_cast<int>(rng.NextBelow(150));
+    for (int op = 0; op < ops; ++op) {
+      // Bursts of 150 programs issued faster than the dies drain them
+      // alternate with slower stretches (and rare long gaps) that let them
+      // land; one program in four is stamped earlier than the previous one.
+      const bool burst = op / 150 % 2 == 0;
+      clock += rng.NextBelow(burst ? 20 * kUs : rng.NextBelow(40) == 0 ? 60 * kMs : 3 * kMs);
+      const Tick now = rng.NextBelow(4) == 0 ? clock - rng.NextBelow(std::min(clock, 2 * kMs) + 1)
+                                             : clock;
+      const int pkg = static_cast<int>(rng.NextBelow(pkgs));
+      const int block = static_cast<int>(rng.NextBelow(blocks));
+      int& wp = write_point[static_cast<std::size_t>(block * pkgs + pkg)];
+      if (wp == cfg.pages_per_block) {
+        bb.EraseBlockGroup(now, block);
+        for (int p = 0; p < pkgs; ++p) {
+          write_point[static_cast<std::size_t>(block * pkgs + p)] = 0;
+        }
+        continue;
+      }
+      const std::uint64_t group = EncodeGroup(cfg, GroupAddress{pkg, block, wp++});
+      std::fill(payload.begin(), payload.end(), static_cast<std::uint8_t>(op + 1));
+      const bool with_data = rng.NextBelow(8) != 0;
+      const FlashBackbone::OpResult r = bb.ProgramGroup(
+          now, group, with_data ? payload.data() : nullptr, static_cast<std::uint32_t>(op));
+      oracle.Program(now, group, r);
+      last_done = std::max(last_done, r.done);
+    }
+    ASSERT_GT(oracle.peak, 64u);
+    ASSERT_GT(oracle.pruned, 0u);
+
+    // The checkpoint does not depend on the heap's layout.
+    StateWriter saved;
+    bb.SaveState(saved);
+    {
+      FlashBackbone restored(cfg, seed);
+      StateReader reader(saved.buffer());
+      restored.LoadState(reader);
+      ASSERT_TRUE(reader.ok()) << reader.error();
+      StateWriter resaved;
+      restored.SaveState(resaved);
+      EXPECT_EQ(saved.buffer(), resaved.buffer());
+    }
+
+    std::vector<FlashBackbone::OobEntry> before;
+    std::vector<bool> had_data;
+    for (std::uint64_t g = 0; g < cfg.TotalGroups(); ++g) {
+      before.push_back(bb.Oob(g));
+      had_data.push_back(bb.GroupData(g) != nullptr);
+    }
+    Tick first_done = last_done;
+    for (const RescanOracle::Entry& e : oracle.live) {
+      first_done = std::min(first_done, e.done);
+    }
+    // Crash ticks across the whole history: a crash at 0 tears every entry
+    // still listed, earlier ticks tell pruned entries from kept ones, and
+    // the rest fall among the completions still pending. The device itself
+    // takes the first crash, restored copies the others.
+    const Tick crashes[] = {first_done + rng.NextBelow(last_done - first_done + 1), 0,
+                            rng.NextBelow(clock + 1), rng.NextBelow(clock + 1),
+                            first_done + rng.NextBelow(last_done - first_done + 1)};
+    for (std::size_t k = 0; k < std::size(crashes); ++k) {
+      const Tick crash = crashes[k];
+      SCOPED_TRACE("crash at " + std::to_string(crash));
+      FlashBackbone restored(cfg, seed);
+      StateReader reader(saved.buffer());
+      restored.LoadState(reader);
+      FlashBackbone& device = k == 0 ? bb : restored;
+      std::set<std::uint64_t> torn;
+      std::uint64_t torn_count = 0;
+      for (const RescanOracle::Entry& e : oracle.live) {
+        if (e.done > crash) {
+          torn.insert(e.group);
+          ++torn_count;
+        }
+      }
+      device.PowerFail(crash);
+      EXPECT_EQ(device.torn_groups(), torn_count);
+      for (std::uint64_t g = 0; g < cfg.TotalGroups(); ++g) {
+        const bool is_torn = torn.count(g) != 0;
+        ASSERT_EQ(device.Oob(g).tag, is_torn ? kOobTorn : before[g].tag) << "group " << g;
+        ASSERT_EQ(device.Oob(g).seq, before[g].seq) << "group " << g;
+        ASSERT_EQ(device.GroupData(g) != nullptr, had_data[g] && !is_torn) << "group " << g;
+      }
+    }
+  }
 }
 
 TEST(TagQueue, BoundsInFlightOperations) {

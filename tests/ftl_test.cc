@@ -232,6 +232,49 @@ TEST_F(FtlFixture, ChurnBeyondCapacityTriggersForegroundReclaimAndPreservesData)
   EXPECT_EQ(out, last);
 }
 
+// Whole groups move straight between flash and the kernel's buffer; only a
+// partial last group goes through a bounce buffer. Both must behave as a
+// zero-padded group even when the store hands out recycled chunks.
+TEST_F(FtlFixture, PartialLastGroupIsZeroPaddedAndBoundedByFuncBytes) {
+  const std::size_t group_floats = nand_.GroupBytes() / sizeof(float);
+  // Fill four block groups with data, then overwrite them timing-only until
+  // a reclaim erases them: their chunks become spares full of old data.
+  const std::uint64_t window_bytes =
+      4ULL * fv_.DataSlotsPerBlockGroup() * nand_.GroupBytes();
+  const std::uint64_t window = fv_.AllocLogicalExtent(window_bytes);
+  Write(window, Pattern(window_bytes / sizeof(float), 9.0f));
+  for (int pass = 0; pass < 3; ++pass) {
+    Write(window, {}, window_bytes);
+  }
+  ASSERT_GT(fv_.foreground_reclaims(), 0u);
+  ASSERT_GT(backbone_.contents().spare_chunks(), 2u);
+
+  // 1.5 groups of payload: the second group's tail must read back as zeros.
+  const std::vector<float> payload = Pattern(group_floats * 3 / 2, 1.0f);
+  const std::uint64_t addr = fv_.AllocLogicalExtent(2 * nand_.GroupBytes());
+  Write(addr, payload);
+  const std::vector<float> two = Read(addr, 2 * group_floats);
+  for (std::size_t i = 0; i < two.size(); ++i) {
+    ASSERT_EQ(two[i], i < payload.size() ? payload[i] : 0.0f) << "float " << i;
+  }
+
+  // A 100-float read fills exactly 400 bytes of a larger buffer.
+  constexpr float kSentinel = -7.5f;
+  std::vector<float> out(group_floats, kSentinel);
+  Flashvisor::IoRequest req;
+  req.type = Flashvisor::IoRequest::Type::kRead;
+  req.flash_addr = addr;
+  req.model_bytes = 100 * sizeof(float);
+  req.func_data = out.data();
+  req.func_bytes = 100 * sizeof(float);
+  req.on_complete = [](Tick, IoStatus) {};
+  fv_.SubmitIo(std::move(req));
+  sim_.Run();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], i < 100 ? payload[i] : kSentinel) << "float " << i;
+  }
+}
+
 TEST_F(FtlFixture, LogicalExtentAllocatorAlignsToGroups) {
   const std::uint64_t a = fv_.AllocLogicalExtent(100);  // < one group
   const std::uint64_t b = fv_.AllocLogicalExtent(100);

@@ -61,7 +61,7 @@ BenchRun RunCanonical(const std::string& system) {
     }
   }
   ADD_FAILURE() << "unknown system " << system;
-  return {};
+  return BenchRun();
 }
 
 std::string GoldenPath(const std::string& system) {

@@ -2,6 +2,7 @@
 // banking, scratchpad, crossbars, hardware message queues and the SRIO link.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/core/trace.h"
@@ -12,6 +13,7 @@
 #include "src/noc/message_queue.h"
 #include "src/noc/srio_link.h"
 #include "src/sim/simulator.h"
+#include "src/sim/snapshot.h"
 
 namespace fabacus {
 namespace {
@@ -51,6 +53,122 @@ TEST(ByteStore, EraseReleasesWholeChunks) {
   for (std::uint8_t b : out) {
     EXPECT_EQ(b, 0);
   }
+}
+
+// Whole-chunk Erase keeps the chunk as a spare; a later partial write into a
+// recycled chunk must still read back zero everywhere it did not write.
+TEST(ByteStore, RecycledChunkReadsZeroOutsidePartialWrite) {
+  ByteStore store(64);
+  const std::vector<std::uint8_t> junk(3 * 64, 0xAA);
+  store.Write(0, junk.data(), junk.size());
+  store.Erase(0, junk.size());
+  EXPECT_EQ(store.allocated_chunks(), 0u);
+  EXPECT_EQ(store.spare_chunks(), 3u);
+
+  // Three partial writes, each landing in a recycled chunk: one in the
+  // middle of chunk 5, one at the start of chunk 9, one across the 12/13
+  // boundary (the tail of 12 and the head of 13).
+  const std::vector<std::uint8_t> data(10, 0x55);
+  const std::uint64_t offsets[] = {5 * 64 + 20, 9 * 64, 13 * 64 - 4};
+  for (const std::uint64_t off : offsets) {
+    store.Write(off, data.data(), data.size());
+  }
+  EXPECT_EQ(store.allocated_chunks(), 4u);
+  EXPECT_EQ(store.spare_chunks(), 0u);
+  std::vector<std::uint8_t> out(14 * 64, 0xFF);
+  store.Read(0, out.data(), out.size());
+  for (std::uint64_t i = 0; i < out.size(); ++i) {
+    bool written = false;
+    for (const std::uint64_t off : offsets) {
+      written = written || (i >= off && i < off + data.size());
+    }
+    ASSERT_EQ(out[i], written ? 0x55 : 0x00) << "byte " << i;
+  }
+}
+
+TEST(ByteStore, WholeChunkWriteIntoRecycledChunkRoundTrips) {
+  ByteStore store(64);
+  const std::vector<std::uint8_t> junk(64, 0xAA);
+  store.Write(0, junk.data(), junk.size());
+  store.Erase(0, 64);
+  ASSERT_EQ(store.spare_chunks(), 1u);
+  std::vector<std::uint8_t> in(64);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<std::uint8_t>(i * 3 + 1);
+  }
+  store.Write(2 * 64, in.data(), in.size());
+  EXPECT_EQ(store.spare_chunks(), 0u);
+  ASSERT_NE(store.ChunkData(2), nullptr);
+  EXPECT_EQ(std::vector<std::uint8_t>(store.ChunkData(2), store.ChunkData(2) + 64), in);
+  std::vector<std::uint8_t> out(64, 0);
+  store.Read(2 * 64, out.data(), out.size());
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(store.ChunkData(0), nullptr);
+}
+
+// Live plus spare chunks never exceed the earlier high-water mark of live
+// chunks: erase/write cycles reuse memory instead of growing it.
+TEST(ByteStore, RecyclingNeverGrowsPastTheHighWaterMark) {
+  ByteStore store(64);
+  const std::vector<std::uint8_t> data(4 * 64, 0x11);
+  store.Write(0, data.data(), data.size());
+  for (std::uint64_t round = 1; round <= 5; ++round) {
+    store.Erase((round - 1) % 2 * 4 * 64, 4 * 64);
+    store.Write(round % 2 * 4 * 64, data.data(), data.size());
+    EXPECT_EQ(store.allocated_chunks(), 4u);
+    EXPECT_EQ(store.allocated_chunks() + store.spare_chunks(), 4u);
+  }
+}
+
+void PutU64(std::vector<std::uint8_t>* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+// The checkpoint stream is chunk size, chunk count, then (index, length,
+// bytes) per chunk in ascending index order, all integers little-endian.
+// Built by hand here so an encoder change cannot move both sides at once.
+TEST(ByteStore, SaveStateKeepsItsByteStream) {
+  ByteStore store(16);
+  const std::vector<std::uint8_t> a(16, 0xA5);
+  store.Write(5 * 16, a.data(), a.size());         // chunk 5, whole
+  const std::uint8_t b[3] = {1, 2, 3};
+  store.Write(1 * 16 + 14, b, sizeof(b));          // tail of 1, head of 2
+  store.Write(3 * 16 + 7, b, 1);                   // one byte of chunk 3
+  store.Write(9 * 16, a.data(), a.size());
+  store.Erase(9 * 16, 16);                         // released again
+
+  std::vector<std::uint8_t> expected;
+  PutU64(&expected, 16);
+  PutU64(&expected, 4);
+  auto chunk = [&](std::uint64_t idx, std::vector<std::uint8_t> bytes) {
+    PutU64(&expected, idx);
+    PutU64(&expected, bytes.size());
+    expected.insert(expected.end(), bytes.begin(), bytes.end());
+  };
+  std::vector<std::uint8_t> c1(16, 0), c2(16, 0), c3(16, 0);
+  c1[14] = 1;
+  c1[15] = 2;
+  c2[0] = 3;
+  c3[7] = 1;
+  chunk(1, c1);
+  chunk(2, c2);
+  chunk(3, c3);
+  chunk(5, a);
+
+  StateWriter w;
+  store.SaveState(w);
+  EXPECT_EQ(w.buffer(), expected);
+
+  ByteStore restored(16);
+  StateReader r(w.buffer());
+  restored.LoadState(r);
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_TRUE(r.AtEnd());
+  StateWriter again;
+  restored.SaveState(again);
+  EXPECT_EQ(again.buffer(), expected);
 }
 
 TEST(Dram, BulkAccessUsesAggregateBandwidth) {

@@ -58,7 +58,7 @@ TEST(TenantQuota, RandomizedChargesNeverExceedQuotaByAUnit) {
     std::vector<std::uint64_t> quotas;
     for (int t = 0; t < n_tenants; ++t) {
       TenantSpec spec;
-      spec.name = "t" + std::to_string(t);
+      spec.name = std::string("t").append(std::to_string(t));
       // Deliberately unit-misaligned quotas; 0 = unlimited for tenant 0.
       spec.quota_bytes = t == 0 ? 0 : (rng.Next() % 16) * kUnit + rng.Next() % kUnit;
       quotas.push_back(spec.quota_bytes);
@@ -205,7 +205,7 @@ TEST(TenantIdle, ConfiguringTenantsAllocatesNoStats) {
   cfg.policy = TenantSchedPolicy::kWeightedFair;
   for (int t = 0; t < 64; ++t) {
     TenantSpec spec;
-    spec.name = "t" + std::to_string(t);
+    spec.name = std::string("t").append(std::to_string(t));
     spec.quota_bytes = 1 << 20;
     cfg.tenants.push_back(spec);
   }

@@ -48,7 +48,7 @@ class RandomWorkload : public Workload {
     double remaining = 1.0;
     for (int m = 0; m < mblks; ++m) {
       MicroblockSpec spec;
-      spec.name = "m" + std::to_string(m);
+      spec.name = std::string("m").append(std::to_string(m));
       spec.serial = rng.NextDouble() < 0.3;
       spec.work_fraction = (m == mblks - 1) ? remaining : remaining * rng.NextDouble(0.2, 0.6);
       remaining -= (m == mblks - 1) ? remaining : spec.work_fraction;
