@@ -3,6 +3,7 @@
 
     python3 scripts/perf_ab.py --base origin/main --workload ftl_churn --pairs 10
     python3 scripts/perf_ab.py --base HEAD --workload ftl_churn --pairs 1 --seconds 1
+    python3 scripts/perf_ab.py --base HEAD~1 --workload paper_mix --json ledger.json
 
 Run it from anywhere inside the repository. The base revision is checked out
 in a git worktree under .bench_build/ab/<commit>/ (kept, so a later run reuses
@@ -18,12 +19,20 @@ workload and seed, and prints:
 
 A speed-only change should win at least 9 of 10 pairs with a median gap
 larger than the base's interquartile range, and must leave sim_digest alone.
+
+With --json PATH, the script also appends one record for the invocation to
+PATH, a JSON list it creates if missing: the base commit, workload, seed and
+run length, every pair (order, both wall_s, the ratio, both digests and
+failed-check counts), each side's wall_s median and quartiles, the win count
+and both sides' medians of the other end-to-end metrics. A perf change
+commits that file as its BENCH_<n>.json ledger.
 The exit code is 1 when a digest differs or any run failed a check, 2 when
 the worktree cannot be made or a run prints no result, and 0 otherwise.
 """
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -81,6 +90,31 @@ def spread(values):
     return q2, q1, q3
 
 
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((line.split(":", 1)[1].strip() for line in f
+                         if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
+def read_records(path):
+    """The JSON list at `path`, or an empty list if there is no file yet."""
+    path = Path(path)
+    records = json.loads(path.read_text()) if path.exists() else []
+    if not isinstance(records, list):
+        raise ValueError(f"{path} does not hold a JSON list")
+    return records
+
+
+def append_record(path, record):
+    """Appends `record` to the JSON list at `path`, creating the file if needed."""
+    records = read_records(path)
+    records.append(record)
+    Path(path).write_text(json.dumps(records, indent=1) + "\n")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -91,9 +125,16 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0,
                     help="measured time per run (BENCHMARK.json run_seconds is 20)")
+    ap.add_argument("--json", metavar="PATH",
+                    help="append this invocation's pairs and summary to the JSON list at PATH")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.json:
+        try:
+            read_records(args.json)  # fail now, not after every pair has run
+        except (OSError, ValueError) as e:
+            ap.error(f"--json {args.json}: {e}")
 
     try:
         sha, base_tree = base_worktree(args.base)
@@ -106,6 +147,7 @@ def main():
           f"{base_tree.relative_to(ROOT)}, change = this checkout", flush=True)
 
     runs = {"base": [], "change": []}
+    pairs = []
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
@@ -114,39 +156,56 @@ def main():
             except RuntimeError as e:
                 print(f"perf_ab: {side} run of pair {i + 1}: {e}", file=sys.stderr)
                 return 2
-        b, c = (runs[side][-1][0].get("wall_s", float("nan")) for side in ("base", "change"))
+        (bm, bf, _, bd), (cm, cf, _, cd) = runs["base"][-1], runs["change"][-1]
+        b, c = bm.get("wall_s", float("nan")), cm.get("wall_s", float("nan"))
+        pairs.append({"first": order[0], "base_wall_s": b, "change_wall_s": c,
+                      "ratio": c / b, "base_digest": bd, "change_digest": cd,
+                      "base_failed": bf, "change_failed": cf})
         print(f"pair {i + 1:>2} ({order[0]} first): base {b:.4f} s, change {c:.4f} s, "
-              f"change/base {c / b:.3f}; digest {runs['base'][-1][3]} / "
-              f"{runs['change'][-1][3]}; failed {runs['base'][-1][1]} / "
-              f"{runs['change'][-1][1]}", flush=True)
+              f"change/base {c / b:.3f}; digest {bd} / {cd}; failed {bf} / {cf}", flush=True)
 
+    record = {"base_commit": sha, "change_head": git("rev-parse", "HEAD"),
+              "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+              "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+              "cpu": cpu_model(), "cpus": os.cpu_count(), "pairs": pairs}
     ok = all(r[2] for rs in runs.values() for r in rs)
     if not ok:
         print("a run failed a check or printed no wall_s")
     else:
         walls = {side: [r[0]["wall_s"] for r in rs] for side, rs in runs.items()}
+        record["wall_s"] = {}
         for side, values in walls.items():
             med, q1, q3 = spread(values)
+            record["wall_s"][side] = {"median": med, "q1": q1, "q3": q3}
             print(f"{side:<6} wall_s median {med:.4f} s, quartiles {q1:.4f} .. {q3:.4f} s")
         wins = sum(c < b for b, c in zip(walls["base"], walls["change"]))
         base_med, base_q1, base_q3 = spread(walls["base"])
         change_med = spread(walls["change"])[0]
         gap, iqr = base_med - change_med, base_q3 - base_q1
+        record["change_wins"] = wins
         print(f"change faster in {wins}/{args.pairs} pairs; change median "
               f"{change_med / base_med - 1:+.1%} vs base; median gap {abs(gap):.4f} s "
               f"{'>' if abs(gap) > iqr else '<='} base IQR {iqr:.4f} s")
+        record["other_medians"] = {}
         for name in runs["base"][0][0]:
             if name == "wall_s":
                 continue
             b, c = (statistics.median(r[0][name] for r in runs[side])
                     for side in ("base", "change"))
+            record["other_medians"][name] = {"base": b, "change": c}
             ratio = f"{c / b:.4f}" if b else "n/a"
             print(f"  {name:<18} median base {b:.6g}, change {c:.6g}, change/base {ratio}")
     digests = {r[3] for rs in runs.values() for r in rs}
     digest_ok = len(digests) == 1 and None not in digests
     fails_ok = all(b[1] == c[1] for b, c in zip(runs["base"], runs["change"]))
+    record["checks_passed"] = ok
+    record["digests_matched"] = digest_ok
+    record["failed_counts_matched"] = fails_ok
     print(f"sim_digest {'matched: ' + digests.pop() if digest_ok else 'DIFFERS'}; "
           f"failed-check counts {'matched' if fails_ok else 'DIFFER'}")
+    if args.json:
+        append_record(args.json, record)
+        print(f"perf_ab: appended this run's record to {args.json}")
     return 0 if ok and digest_ok and fails_ok else 1
 
 

@@ -102,7 +102,7 @@ class BfsWorkload : public Workload {
       RelaxEdges(edges, levels, &next, 0, kEdges);
       MergeFrontier(&levels, &next);
     }
-    return {{1, std::move(levels)}};
+    return Outputs({{1, std::move(levels)}});
   }
 
  private:

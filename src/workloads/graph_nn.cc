@@ -95,7 +95,7 @@ class NnWorkload : public Workload {
     std::vector<float> topk;
     ComputeDistances(inst.buffer(0), inst.buffer(1), &dist, 0, kPoints);
     SelectTopK(dist, &topk);
-    return {{3, std::move(topk)}};
+    return Outputs({{3, std::move(topk)}});
   }
 };
 

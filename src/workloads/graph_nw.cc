@@ -86,7 +86,7 @@ class NwWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kBands * kL, 0.0f);
     AlignBands(inst.buffer(0), inst.buffer(1), &ref, 0, kBands);
-    return {{2, std::move(ref)}};
+    return Outputs({{2, std::move(ref)}});
   }
 };
 

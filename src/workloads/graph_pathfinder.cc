@@ -77,7 +77,7 @@ class PathfinderWorkload : public Workload {
       StepRow(inst.buffer(0), prev, &next, r, 0, kCols);
       std::swap(prev, next);
     }
-    return {{1, std::move(prev)}};
+    return Outputs({{1, std::move(prev)}});
   }
 
  private:

@@ -80,7 +80,7 @@ class WordcountWorkload : public Workload {
     for (std::size_t i = 0; i < kTokens; ++i) {
       counts[Classify(tokens[i])] += 1.0f;
     }
-    return {{1, std::move(counts)}};
+    return Outputs({{1, std::move(counts)}});
   }
 };
 

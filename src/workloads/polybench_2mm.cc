@@ -103,7 +103,7 @@ class TwoMmWorkload : public Workload {
     std::vector<float> d = inst.buffer(5);
     FirstProduct(inst.buffer(0), inst.buffer(1), &tmp, 0, kN);
     SecondProduct(tmp, inst.buffer(2), &d, 0, kN);
-    return {{3, std::move(d)}};
+    return Outputs({{3, std::move(d)}});
   }
 };
 

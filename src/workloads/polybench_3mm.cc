@@ -87,7 +87,7 @@ class ThreeMmWorkload : public Workload {
     MatmulRows(inst.buffer(0), inst.buffer(1), &e, kN, 0, kN);
     MatmulRows(inst.buffer(2), inst.buffer(3), &f, kN, 0, kN);
     MatmulRows(e, f, &g, kN, 0, kN);
-    return {{6, std::move(g)}};
+    return Outputs({{6, std::move(g)}});
   }
 };
 

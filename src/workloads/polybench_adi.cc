@@ -113,7 +113,7 @@ class AdiWorkload : public Workload {
     // (buffer 2), which survives untouched after the run.
     std::vector<float> u(kN * kN, 0.0f);
     Sweep2(inst.buffer(2), &u, 0, kN);
-    return {{0, std::move(u)}};
+    return Outputs({{0, std::move(u)}});
   }
 };
 

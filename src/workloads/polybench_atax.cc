@@ -29,16 +29,9 @@ class AtaxWorkload : public Workload {
     m0.stream_factor = 1.0;
     m0.func_iterations = kN;  // rows
     m0.body = [](AppInstance& inst, std::size_t begin, std::size_t end) {
-      const std::vector<float>& a = inst.buffer(0);
-      const std::vector<float>& x = inst.buffer(1);
       std::vector<float>& tmp = inst.buffer(2);
-      for (std::size_t i = begin; i < end; ++i) {
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < kN; ++j) {
-          acc += a[i * kN + j] * x[j];
-        }
-        tmp[i] = acc;
-      }
+      RowDots(inst.buffer(0).data(), inst.buffer(1).data(), kN, begin, end,
+              [&tmp](std::size_t i, float acc) { tmp[i] = acc; });
     };
     spec_.microblocks.push_back(m0);
 
@@ -100,7 +93,7 @@ class AtaxWorkload : public Workload {
         y[j] += a[i * kN + j] * tmp[i];
       }
     }
-    return {{3, std::move(y)}};
+    return Outputs({{3, std::move(y)}});
   }
 };
 

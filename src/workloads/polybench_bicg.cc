@@ -26,16 +26,9 @@ class BicgWorkload : public Workload {
     m0.reuse_window_bytes = kN * sizeof(float) * 2;
     m0.func_iterations = kN;
     m0.body = [](AppInstance& inst, std::size_t begin, std::size_t end) {
-      const std::vector<float>& a = inst.buffer(0);
-      const std::vector<float>& p = inst.buffer(1);
       std::vector<float>& q = inst.buffer(3);
-      for (std::size_t i = begin; i < end; ++i) {
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < kN; ++j) {
-          acc += a[i * kN + j] * p[j];
-        }
-        q[i] = acc;
-      }
+      RowDots(inst.buffer(0).data(), inst.buffer(1).data(), kN, begin, end,
+              [&q](std::size_t i, float acc) { q[i] = acc; });
     };
     spec_.microblocks.push_back(m0);
 
@@ -96,7 +89,7 @@ class BicgWorkload : public Workload {
       }
       q[i] = acc;
     }
-    return {{3, std::move(q)}, {4, std::move(s)}};
+    return Outputs({{3, std::move(q)}, {4, std::move(s)}});
   }
 };
 

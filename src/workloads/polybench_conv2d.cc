@@ -71,7 +71,7 @@ class Conv2dWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kN * kN, 0.0f);
     ConvRows(inst.buffer(0), &ref, 0, kN);
-    return {{1, std::move(ref)}};
+    return Outputs({{1, std::move(ref)}});
   }
 };
 

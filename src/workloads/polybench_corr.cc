@@ -17,25 +17,33 @@ constexpr std::size_t kNSamples = 256;
 constexpr std::size_t kM = 256;
 constexpr float kEps = 0.1f;
 
+// The column reductions below run in row order: each output keeps a sum
+// in a per-column accumulator and adds its term from every sample i in
+// ascending order, so it sums exactly what a walk down the column would,
+// while the inner loop runs along a row and vectorizes.
 void Means(const std::vector<float>& data, std::vector<float>* mean) {
-  for (std::size_t j = 0; j < kM; ++j) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < kNSamples; ++i) {
-      acc += data[i * kM + j];
+  float acc[kM] = {};
+  for (std::size_t i = 0; i < kNSamples; ++i) {
+    for (std::size_t j = 0; j < kM; ++j) {
+      acc[j] += data[i * kM + j];
     }
-    (*mean)[j] = acc / static_cast<float>(kNSamples);
+  }
+  for (std::size_t j = 0; j < kM; ++j) {
+    (*mean)[j] = acc[j] / static_cast<float>(kNSamples);
   }
 }
 
 void Stddevs(const std::vector<float>& data, const std::vector<float>& mean,
              std::vector<float>* sd, std::size_t begin, std::size_t end) {
-  for (std::size_t j = begin; j < end; ++j) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < kNSamples; ++i) {
+  float acc[kM] = {};
+  for (std::size_t i = 0; i < kNSamples; ++i) {
+    for (std::size_t j = begin; j < end; ++j) {
       const float d = data[i * kM + j] - mean[j];
-      acc += d * d;
+      acc[j] += d * d;
     }
-    const float v = std::sqrt(acc / static_cast<float>(kNSamples));
+  }
+  for (std::size_t j = begin; j < end; ++j) {
+    const float v = std::sqrt(acc[j] / static_cast<float>(kNSamples));
     (*sd)[j] = v <= kEps ? 1.0f : v;
   }
 }
@@ -53,16 +61,15 @@ void Normalize(std::vector<float>* data, const std::vector<float>& mean,
 void CorrRows(const std::vector<float>& data, std::vector<float>* corr, std::size_t begin,
               std::size_t end) {
   for (std::size_t j1 = begin; j1 < end; ++j1) {
-    (*corr)[j1 * kM + j1] = 1.0f;
+    float acc[kM] = {};
+    for (std::size_t i = 0; i < kNSamples; ++i) {
+      const float d1 = data[i * kM + j1];
+      for (std::size_t j2 = 0; j2 < kM; ++j2) {
+        acc[j2] += d1 * data[i * kM + j2];
+      }
+    }
     for (std::size_t j2 = 0; j2 < kM; ++j2) {
-      if (j1 == j2) {
-        continue;
-      }
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < kNSamples; ++i) {
-        acc += data[i * kM + j1] * data[i * kM + j2];
-      }
-      (*corr)[j1 * kM + j2] = acc;
+      (*corr)[j1 * kM + j2] = j2 == j1 ? 1.0f : acc[j2];
     }
   }
 }
@@ -153,7 +160,7 @@ class CorrWorkload : public Workload {
     Stddevs(data, mean, &sd, 0, kM);
     Normalize(&data, mean, sd, 0, kNSamples);
     CorrRows(data, &corr, 0, kM);
-    return {{3, std::move(corr), 5e-4f}};
+    return Outputs({{3, std::move(corr), 5e-4f}});
   }
 };
 

@@ -37,15 +37,21 @@ void CenterRows(std::vector<float>* data, const std::vector<float>& mean, std::s
   }
 }
 
+// Row j1 of the covariance in row order: cov[j1][j2] sums data[i][j1] *
+// data[i][j2] over samples i in ascending order, one accumulator per j2, so
+// the inner loop runs along a data row and vectorizes.
 void CovRows(const std::vector<float>& data, std::vector<float>* cov, std::size_t begin,
              std::size_t end) {
   for (std::size_t j1 = begin; j1 < end; ++j1) {
-    for (std::size_t j2 = 0; j2 < kM; ++j2) {
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < kNSamples; ++i) {
-        acc += data[i * kM + j1] * data[i * kM + j2];
+    float acc[kM] = {};
+    for (std::size_t i = 0; i < kNSamples; ++i) {
+      const float d1 = data[i * kM + j1];
+      for (std::size_t j2 = 0; j2 < kM; ++j2) {
+        acc[j2] += d1 * data[i * kM + j2];
       }
-      (*cov)[j1 * kM + j2] = acc / static_cast<float>(kNSamples - 1);
+    }
+    for (std::size_t j2 = 0; j2 < kM; ++j2) {
+      (*cov)[j1 * kM + j2] = acc[j2] / static_cast<float>(kNSamples - 1);
     }
   }
 }
@@ -121,7 +127,7 @@ class CovarWorkload : public Workload {
     ColumnMeans(data, &mean);
     CenterRows(&data, mean, 0, kNSamples);
     CovRows(data, &cov, 0, kM);
-    return {{2, std::move(cov), 5e-4f}};
+    return Outputs({{2, std::move(cov), 5e-4f}});
   }
 };
 

@@ -125,7 +125,7 @@ class FdtdWorkload : public Workload {
     ApplyFict(inst.buffer(0), &ey);
     UpdateFields(&ex, &ey, hz, 0, kN);
     UpdateHz(&hz, ex, ey, 0, kN);
-    return {{1, std::move(ex)}, {2, std::move(ey)}, {3, std::move(hz)}};
+    return Outputs({{1, std::move(ex)}, {2, std::move(ey)}, {3, std::move(hz)}});
   }
 };
 

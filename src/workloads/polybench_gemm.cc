@@ -72,7 +72,7 @@ class GemmWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> c = inst.buffer(3);
     GemmRows(inst.buffer(0), inst.buffer(1), &c, 0, kN);
-    return {{2, std::move(c)}};
+    return Outputs({{2, std::move(c)}});
   }
 };
 

@@ -72,7 +72,7 @@ class GesummvWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> y(kN, 0.0f);
     GesummvRows(inst, &y, 0, kN);
-    return {{3, std::move(y)}};
+    return Outputs({{3, std::move(y)}});
   }
 };
 

@@ -12,20 +12,24 @@ namespace {
 
 constexpr std::size_t kN = 768;
 
+// x1[i] and x2[i] for rows [begin, end). Each sum runs over j in ascending
+// order from 0.0f: x1's as eight-row dot products, x2's in row order (row j
+// of A, scaled by y2[j], is added to every open sum), so no column of A is
+// walked with a stride of kN.
 void MvtRows(const AppInstance& inst, std::vector<float>* x1, std::vector<float>* x2,
              std::size_t begin, std::size_t end) {
   const std::vector<float>& a = inst.buffer(0);
-  const std::vector<float>& y1 = inst.buffer(1);
   const std::vector<float>& y2 = inst.buffer(2);
-  for (std::size_t i = begin; i < end; ++i) {
-    float acc1 = 0.0f;
-    float acc2 = 0.0f;
-    for (std::size_t j = 0; j < kN; ++j) {
-      acc1 += a[i * kN + j] * y1[j];
-      acc2 += a[j * kN + i] * y2[j];
+  RowDots(a.data(), inst.buffer(1).data(), kN, begin, end,
+          [x1](std::size_t i, float acc1) { (*x1)[i] += acc1; });
+  float acc2[kN] = {};
+  for (std::size_t j = 0; j < kN; ++j) {
+    for (std::size_t i = begin; i < end; ++i) {
+      acc2[i - begin] += a[j * kN + i] * y2[j];
     }
-    (*x1)[i] += acc1;
-    (*x2)[i] += acc2;
+  }
+  for (std::size_t i = begin; i < end; ++i) {
+    (*x2)[i] += acc2[i - begin];
   }
 }
 
@@ -78,7 +82,7 @@ class MvtWorkload : public Workload {
     std::vector<float> x1(kN, 0.0f);
     std::vector<float> x2(kN, 0.0f);
     MvtRows(inst, &x1, &x2, 0, kN);
-    return {{3, std::move(x1)}, {4, std::move(x2)}};
+    return Outputs({{3, std::move(x1)}, {4, std::move(x2)}});
   }
 };
 

@@ -12,15 +12,25 @@ constexpr std::size_t kN = 192;
 constexpr float kAlpha = 1.5f;
 constexpr float kBeta = 1.2f;
 
+// C[i][j] = beta C[i][j] + alpha * sum over k of (A[i][k] B[j][k] +
+// B[i][k] A[j][k]). Each sum runs over k in ascending order from 0.0f;
+// reading B[j][k] and A[j][k] from transposes lets all of row i's sums
+// advance together, vectorized over j.
 void Syr2kRows(const std::vector<float>& a, const std::vector<float>& b,
                std::vector<float>* c, std::size_t begin, std::size_t end) {
+  const std::vector<float> at = Transpose(a, kN);
+  const std::vector<float> bt = Transpose(b, kN);
   for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t j = 0; j < kN; ++j) {
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < kN; ++k) {
-        acc += a[i * kN + k] * b[j * kN + k] + b[i * kN + k] * a[j * kN + k];
+    float acc[kN] = {};
+    for (std::size_t k = 0; k < kN; ++k) {
+      const float aik = a[i * kN + k];
+      const float bik = b[i * kN + k];
+      for (std::size_t j = 0; j < kN; ++j) {
+        acc[j] += aik * bt[k * kN + j] + bik * at[k * kN + j];
       }
-      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc;
+    }
+    for (std::size_t j = 0; j < kN; ++j) {
+      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc[j];
     }
   }
 }
@@ -70,7 +80,7 @@ class Syr2kWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> c = inst.buffer(3);
     Syr2kRows(inst.buffer(0), inst.buffer(1), &c, 0, kN);
-    return {{2, std::move(c)}};
+    return Outputs({{2, std::move(c)}});
   }
 };
 

@@ -12,15 +12,22 @@ constexpr std::size_t kN = 192;
 constexpr float kAlpha = 1.5f;
 constexpr float kBeta = 1.2f;
 
+// C[i][j] = beta C[i][j] + alpha * sum over k of A[i][k] A[j][k]. Each sum
+// runs over k in ascending order from 0.0f; reading A[j][k] from the
+// transpose lets all of row i's sums advance together, vectorized over j.
 void SyrkRows(const std::vector<float>& a, std::vector<float>* c, std::size_t begin,
               std::size_t end) {
+  const std::vector<float> at = Transpose(a, kN);
   for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t j = 0; j < kN; ++j) {
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < kN; ++k) {
-        acc += a[i * kN + k] * a[j * kN + k];
+    float acc[kN] = {};
+    for (std::size_t k = 0; k < kN; ++k) {
+      const float aik = a[i * kN + k];
+      for (std::size_t j = 0; j < kN; ++j) {
+        acc[j] += aik * at[k * kN + j];
       }
-      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc;
+    }
+    for (std::size_t j = 0; j < kN; ++j) {
+      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc[j];
     }
   }
 }
@@ -68,7 +75,7 @@ class SyrkWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> c = inst.buffer(2);
     SyrkRows(inst.buffer(0), &c, 0, kN);
-    return {{1, std::move(c)}};
+    return Outputs({{1, std::move(c)}});
   }
 };
 

@@ -77,7 +77,7 @@ class SyntheticWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kElems, 0.0f);
     Transform(inst.buffer(0), &ref, 0, kElems);
-    return {{1, std::move(ref)}};
+    return Outputs({{1, std::move(ref)}});
   }
 };
 

@@ -58,7 +58,7 @@ class BullyWriterWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kBullyElems, 0.0f);
     Saxpyish(inst.buffer(0), &ref, 0, kBullyElems);
-    return {{1, std::move(ref)}};
+    return Outputs({{1, std::move(ref)}});
   }
 };
 
@@ -102,7 +102,7 @@ class LatencyProbeWorkload : public Workload {
   std::vector<Expected> Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kProbeElems, 0.0f);
     Saxpyish(inst.buffer(0), &ref, 0, kProbeElems);
-    return {{1, std::move(ref)}};
+    return Outputs({{1, std::move(ref)}});
   }
 };
 

@@ -1,19 +1,36 @@
 #include "src/workloads/workload.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/sim/log.h"
 
 namespace fabacus {
 
+// |a - b| <= rel_tol * max(|a|, |b|, 1), tested as three comparisons: a
+// rounded product is monotone in its operand, so rel_tol * max(...) is the
+// largest of the three products and the disjunction is the same predicate.
+// The loop has no data-dependent branch inside a block (a branch on which
+// of the three is largest mispredicts on outputs near +-1), so it
+// vectorizes. A NaN or infinity on either side fails.
 bool NearlyEqual(const std::vector<float>& a, const std::vector<float>& b, float rel_tol) {
   if (a.size() != b.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const float diff = std::fabs(a[i] - b[i]);
-    const float scale = std::max({std::fabs(a[i]), std::fabs(b[i]), 1.0f});
-    if (diff > rel_tol * scale) {
+  constexpr std::size_t kBlock = 1024;
+  constexpr float kMaxFinite = std::numeric_limits<float>::max();
+  for (std::size_t begin = 0; begin < a.size(); begin += kBlock) {
+    const std::size_t end = std::min(a.size(), begin + kBlock);
+    int within = 1;  // an int, not a bool, so the AND-reduction vectorizes
+    for (std::size_t i = begin; i < end; ++i) {
+      const float x = std::fabs(a[i]);
+      const float y = std::fabs(b[i]);
+      const float diff = std::fabs(a[i] - b[i]);
+      within &= (x <= kMaxFinite) & (y <= kMaxFinite) &
+                ((diff <= rel_tol * x) | (diff <= rel_tol * y) | (diff <= rel_tol));
+    }
+    if (!within) {
       return false;
     }
   }

@@ -4,12 +4,23 @@
 //  * the Table-2 model parameters (input MB, LD/ST ratio, B/KI, microblock
 //    structure with serial flags) driving the timing model, and
 //  * a functional implementation: Prepare() fills real input buffers,
-//    microblock bodies compute real outputs, Reference() recomputes them with
-//    an independent reference implementation, and Verify() compares the two.
+//    microblock bodies compute real outputs, Reference() recomputes them
+//    from the inputs, and Verify() compares the two.
+//
+// Reference() is not an independent implementation. Only ATAX, BICG and
+// wordcount compute it with separately written loops; the other 16 registry
+// workloads call the kernel's own stage functions (GemmRows, CovRows, ...).
+// So Verify() proves that the data survived flash and that every screen ran
+// over its range, not that the math is right. The math is pinned instead by
+// tests/golden/WorkloadOutputs.json: hashes of every buffer and Reference()
+// vector of every registry workload, at three seeds and three screen
+// fanouts, which a kernel rewrite must reproduce bit for bit.
 #ifndef SRC_WORKLOADS_WORKLOAD_H_
 #define SRC_WORKLOADS_WORKLOAD_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,10 +69,21 @@ class Workload {
   bool compute_intensive() const { return spec_.bki < 10.0; }
 
  protected:
+  // Reference()'s result with each entry moved in. A braced
+  // `return {{buffer, std::move(values)}}` would copy every vector out of
+  // its initializer_list, whose elements are const.
+  template <std::size_t N>
+  static std::vector<Expected> Outputs(Expected (&&entries)[N]) {
+    return std::vector<Expected>(std::make_move_iterator(entries),
+                                 std::make_move_iterator(entries + N));
+  }
+
   KernelSpec spec_;
 };
 
-// Approximate float comparison behind Workload::Matches().
+// Approximate float comparison behind Workload::Matches(): true when `a` and
+// `b` have the same size and every pair of elements is finite and differs by
+// at most rel_tol * max(|a[i]|, |b[i]|, 1).
 bool NearlyEqual(const std::vector<float>& a, const std::vector<float>& b,
                  float rel_tol = 1e-4f);
 

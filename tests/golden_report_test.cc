@@ -6,12 +6,15 @@
 // shows up as a failing diff listing exactly which fields moved. Three
 // real-device fleets pin the FleetReport JSON the same way, including the
 // install-cache hit path (slot reset + memoized reference, docs/FLEET.md).
+// WorkloadOutputs.json pins every registry workload's functional outputs bit
+// for bit.
 //
 // Refreshing after an intentional change:
 //   scripts/update_goldens.sh        (or FABACUS_UPDATE_GOLDENS=1, see below)
 // then review the golden diff like any other code change.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,6 +26,7 @@
 #include "src/fleet/fleet.h"
 #include "src/sim/json.h"
 #include "src/workloads/tenant_mix.h"
+#include "tests/test_util.h"
 
 #ifndef FABACUS_GOLDEN_DIR
 #error "build must define FABACUS_GOLDEN_DIR (see tests/CMakeLists.txt)"
@@ -199,6 +203,58 @@ INSTANTIATE_TEST_SUITE_P(Fleets, GoldenFleetReport,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+// FNV-1a over the bytes of `v`, as 16 hex digits.
+template <typename T>
+std::string Fnv1aHex(const std::vector<T>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// Every registry workload, run functionally at three seeds and three screen
+// fanouts: a hash of every buffer after the microblocks ran and of every
+// Reference() vector, one line per run. A rewrite of the kernel math that
+// keeps each output's summation order leaves the file unchanged
+// (docs/PERFORMANCE.md, "Kernel math").
+TEST(GoldenWorkloadOutputs, MatchesCheckedInHashes) {
+  std::string doc = "{";
+  const char* separator = "\n";
+  for (const Workload* wl : WorkloadRegistry::Get().all()) {
+    for (std::uint64_t seed : {1, 7, 20181}) {
+      for (int fanout : {1, 5, 8}) {
+        AppInstance inst(0, 0, &wl->spec(), 1.0 / 256);
+        Rng rng(seed);
+        wl->Prepare(inst, rng);
+        RunFunctionally(*wl, &inst, fanout);
+        const std::vector<Workload::Expected> expected = wl->Reference(inst);
+        EXPECT_TRUE(Workload::Matches(inst, expected))
+            << wl->name() << " seed " << seed << " fanout " << fanout;
+
+        doc += separator;
+        separator = ",\n";
+        doc += "\"" + wl->name() + " seed=" + std::to_string(seed) +
+               " fanout=" + std::to_string(fanout) + "\": {\"buffers\": [";
+        for (std::size_t b = 0; b < inst.buffers().size(); ++b) {
+          doc += (b > 0 ? ", \"" : "\"") + Fnv1aHex(inst.buffers()[b]) + "\"";
+        }
+        doc += "], \"int_state\": \"" + Fnv1aHex(inst.int_state()) + "\", \"reference\": {";
+        for (std::size_t e = 0; e < expected.size(); ++e) {
+          doc += (e > 0 ? ", \"" : "\"") + std::to_string(expected[e].buffer) + "\": \"" +
+                 Fnv1aHex(expected[e].values) + "\"";
+        }
+        doc += "}}";
+      }
+    }
+  }
+  doc += "\n}";
+  CheckGolden("WorkloadOutputs", doc);
+}
 
 }  // namespace
 }  // namespace fabacus

@@ -100,12 +100,30 @@ class RandomWorkload : public Workload {
         ref[i] = ref[i] * 0.5f + in[i] + static_cast<float>(m + 1);
       }
     }
-    return {{1, std::move(ref)}};
+    return Outputs({{1, std::move(ref)}});
   }
 
  private:
   static constexpr std::size_t kElems = 4096;
 };
+
+// Runs a kernel functionally: every microblock in order, each split into
+// `fanout` screen slices executed sequentially (any order within a
+// microblock must be valid).
+inline void RunFunctionally(const Workload& wl, AppInstance* inst, int fanout) {
+  for (int m = 0; m < wl.spec().num_microblocks(); ++m) {
+    const MicroblockSpec& spec = wl.spec().microblocks[static_cast<std::size_t>(m)];
+    const int screens = spec.serial ? 1 : fanout;
+    for (int s = screens - 1; s >= 0; --s) {  // reverse order on purpose
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      ScreenFuncRange(*inst, m, s, screens, &begin, &end);
+      if (spec.body) {
+        spec.body(*inst, begin, end);
+      }
+    }
+  }
+}
 
 // Runs `workload` end to end on a fresh FlashAbacus device under `kind`.
 // Returns the run result; `instances` receives the executed instances so the

@@ -4,11 +4,14 @@
 // install-cache hits rely on; validate the Table-2 characteristics and mixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/workloads/tenant_mix.h"
@@ -18,22 +21,18 @@
 namespace fabacus {
 namespace {
 
-// Runs a kernel functionally: every microblock in order, each split into
-// `fanout` screen slices executed sequentially (any order within a
-// microblock must be valid).
-void RunFunctionally(const Workload& wl, AppInstance* inst, int fanout) {
-  for (int m = 0; m < wl.spec().num_microblocks(); ++m) {
-    const MicroblockSpec& spec = wl.spec().microblocks[static_cast<std::size_t>(m)];
-    const int screens = spec.serial ? 1 : fanout;
-    for (int s = screens - 1; s >= 0; --s) {  // reverse order on purpose
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      ScreenFuncRange(*inst, m, s, screens, &begin, &end);
-      if (spec.body) {
-        spec.body(*inst, begin, end);
-      }
+// Bit-level equality of every buffer (float == would equate 0.0 and -0.0).
+void ExpectSameBuffers(const AppInstance& actual, const AppInstance& expected) {
+  ASSERT_EQ(actual.buffers().size(), expected.buffers().size());
+  for (std::size_t b = 0; b < expected.buffers().size(); ++b) {
+    const std::vector<float>& x = actual.buffers()[b];
+    const std::vector<float>& y = expected.buffers()[b];
+    ASSERT_EQ(x.size(), y.size()) << "buffer " << b;
+    if (!x.empty()) {  // an empty vector's data() may be null, invalid for memcmp
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(float)), 0) << "buffer " << b;
     }
   }
+  EXPECT_EQ(actual.int_state(), expected.int_state());
 }
 
 class WorkloadFunctionalTest : public ::testing::TestWithParam<std::string> {};
@@ -49,15 +48,22 @@ TEST_P(WorkloadFunctionalTest, BodiesMatchReference) {
 }
 
 TEST_P(WorkloadFunctionalTest, ScreenSplitInvariantToFanout) {
-  // The same kernel computed with 1, 3 and 8 screens per microblock must
-  // produce identical outputs (screens are data-independent by construction).
+  // The same kernel computed with 1, 3, 5 and 8 screens per microblock must
+  // produce bit-identical outputs: screens are data-independent by
+  // construction, and every output sums its terms in one order whatever
+  // range a screen covers (5 leaves row blocks with a tail).
   const Workload* wl = WorkloadRegistry::Get().Find(GetParam());
-  for (int fanout : {1, 3, 8}) {
-    Rng rng(77);
-    AppInstance inst(0, 0, &wl->spec(), 1.0 / 256);
-    wl->Prepare(inst, rng);
-    RunFunctionally(*wl, &inst, fanout);
-    EXPECT_TRUE(wl->Verify(inst)) << "fanout " << fanout;
+  Rng rng(77);
+  AppInstance whole(0, 0, &wl->spec(), 1.0 / 256);
+  wl->Prepare(whole, rng);
+  RunFunctionally(*wl, &whole, 1);
+  for (int fanout : {3, 5, 8}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    Rng split_rng(77);
+    AppInstance split(0, 0, &wl->spec(), 1.0 / 256);
+    wl->Prepare(split, split_rng);
+    RunFunctionally(*wl, &split, fanout);
+    ExpectSameBuffers(split, whole);
   }
 }
 
@@ -72,20 +78,6 @@ std::vector<const Workload*> ContractWorkloads() {
     all.push_back(w.get());
   }
   return all;
-}
-
-// Bit-level equality of every buffer (float == would equate 0.0 and -0.0).
-void ExpectSameBuffers(const AppInstance& actual, const AppInstance& expected) {
-  ASSERT_EQ(actual.buffers().size(), expected.buffers().size());
-  for (std::size_t b = 0; b < expected.buffers().size(); ++b) {
-    const std::vector<float>& x = actual.buffers()[b];
-    const std::vector<float>& y = expected.buffers()[b];
-    ASSERT_EQ(x.size(), y.size()) << "buffer " << b;
-    if (!x.empty()) {  // an empty vector's data() may be null, invalid for memcmp
-      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(float)), 0) << "buffer " << b;
-    }
-  }
-  EXPECT_EQ(actual.int_state(), expected.int_state());
 }
 
 class WorkloadContractTest : public ::testing::TestWithParam<const Workload*> {};
@@ -174,6 +166,120 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadFunctionalTest,
                            }
                            return name;
                          });
+
+// |a - b| <= rel_tol * max(|a|, |b|, 1) written directly, with a branch on
+// the max: the oracle for NearlyEqual wherever both inputs are finite.
+bool ScalarNearlyEqual(float a, float b, float rel_tol) {
+  const float diff = std::fabs(a - b);
+  const float scale = std::max({std::fabs(a), std::fabs(b), 1.0f});
+  return !(diff > rel_tol * scale);
+}
+
+TEST(NearlyEqual, NonFiniteOnEitherSideFailsMatches) {
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const Workload* wl = WorkloadRegistry::Get().Find("2DCON");
+  Rng rng(11);
+  AppInstance inst(0, 0, &wl->spec(), 1.0 / 256);
+  wl->Prepare(inst, rng);
+  RunFunctionally(*wl, &inst, 4);
+  const std::vector<Workload::Expected> memo = wl->Reference(inst);
+  ASSERT_EQ(memo.size(), 1u);
+  ASSERT_TRUE(Workload::Matches(inst, memo));
+  const std::size_t out = static_cast<std::size_t>(memo[0].buffer);
+  const std::size_t n = memo[0].values.size();
+  // First element, one inside a later block, and the last.
+  for (std::size_t at : {std::size_t{0}, n / 2 + 3, n - 1}) {
+    for (float bad : {kNan, kInf, -kInf}) {
+      SCOPED_TRACE("element " + std::to_string(at) + " = " + std::to_string(bad));
+      AppInstance output = inst;
+      output.buffer(out)[at] = bad;
+      EXPECT_FALSE(Workload::Matches(output, memo)) << "non-finite output";
+      std::vector<Workload::Expected> expected = memo;
+      expected[0].values[at] = bad;
+      EXPECT_FALSE(Workload::Matches(inst, expected)) << "non-finite expected value";
+      EXPECT_FALSE(Workload::Matches(output, expected)) << "the same value on both sides";
+    }
+  }
+  for (float bad : {kNan, kInf, -kInf}) {
+    EXPECT_FALSE(NearlyEqual({bad}, {1.0f}));
+    EXPECT_FALSE(NearlyEqual({1.0f}, {bad}));
+    EXPECT_FALSE(NearlyEqual({bad}, {bad}));
+  }
+}
+
+TEST(NearlyEqual, AgreesWithScalarPredicateOnFiniteGrid) {
+  const float kMax = std::numeric_limits<float>::max();
+  const float kMinNormal = std::numeric_limits<float>::min();
+  const float kSubnormal = std::numeric_limits<float>::denorm_min();
+  std::vector<float> bases = {0.0f,       -0.0f,           1.0f,        -1.0f,
+                              kSubnormal, -kSubnormal,     kMinNormal,  1e-39f,
+                              1e-30f,     0.5f,            2.0f,        1e30f,
+                              -1e30f,     kMax,            -kMax,       kMax / 2};
+  for (float one : {1.0f, -1.0f}) {  // a few ulps either side of +-1
+    float below = one;
+    float above = one;
+    for (int u = 0; u < 3; ++u) {
+      below = std::nextafter(below, 0.0f);
+      above = std::nextafter(above, 2.0f * one);
+      bases.push_back(below);
+      bases.push_back(above);
+    }
+  }
+  Rng rng(20181);
+  for (int i = 0; i < 64; ++i) {
+    bases.push_back(rng.NextFloat(-2.0f, 2.0f));
+    bases.push_back(rng.NextFloat(-1.0f, 1.0f) * 1e20f);
+  }
+
+  int compared = 0;
+  int at_tolerance = 0;
+  for (float rel_tol : {1e-4f, 5e-4f}) {
+    for (float a : bases) {
+      // b steps through a few ulps around a +- rel_tol * max(|a|, 1), in both
+      // directions, so some pairs differ by exactly the tolerance.
+      const float scale = std::max(std::fabs(a), 1.0f);
+      for (float sign : {1.0f, -1.0f}) {
+        for (float mult : {0.0f, 0.5f, 1.0f, 1.5f, 2.0f}) {
+          float b = a + sign * mult * rel_tol * scale;
+          for (int u = 0; u < 3; ++u) {
+            b = std::nextafter(b, sign * std::numeric_limits<float>::infinity());
+          }
+          for (int step = 0; step < 7; ++step) {
+            if (std::isfinite(b) && std::isfinite(a - b)) {
+              const float diff = std::fabs(a - b);
+              const float tol = rel_tol * std::max({std::fabs(a), std::fabs(b), 1.0f});
+              at_tolerance += diff == tol;
+              for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+                EXPECT_EQ(NearlyEqual({x}, {y}, rel_tol), ScalarNearlyEqual(x, y, rel_tol))
+                    << x << " vs " << y << " at rel_tol " << rel_tol;
+                ++compared;
+              }
+            }
+            b = std::nextafter(b, -sign * std::numeric_limits<float>::infinity());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 5000);
+  EXPECT_GT(at_tolerance, 0) << "the grid must reach differences exactly at the tolerance";
+
+  // Whole vectors across block boundaries: one pair out of tolerance
+  // anywhere fails the vector.
+  std::vector<float> x(2500);
+  for (float& v : x) {
+    v = rng.NextFloat(-2.0f, 2.0f);
+  }
+  EXPECT_TRUE(NearlyEqual(x, x));
+  for (std::size_t at : {std::size_t{0}, std::size_t{1023}, std::size_t{1024}, x.size() - 1}) {
+    std::vector<float> y = x;
+    y[at] += 1e-2f;
+    EXPECT_FALSE(NearlyEqual(x, y)) << "element " << at;
+    EXPECT_FALSE(NearlyEqual(y, x)) << "element " << at;
+  }
+  EXPECT_FALSE(NearlyEqual(x, std::vector<float>(x.begin(), x.end() - 1)));
+}
 
 TEST(WorkloadRegistry, Table2CharacteristicsMatchPaper) {
   struct Expected {
