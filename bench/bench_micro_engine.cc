@@ -1,13 +1,11 @@
 // bench_micro_engine: engine-level performance of the simulation core.
 //
-// Three measurements (see docs/PERFORMANCE.md):
+// Two measurements (see docs/PERFORMANCE.md):
 //  1. Event-churn throughput (events/sec) of the event queue on an
 //     ONFi-flavoured self-scheduling workload, at a near-idle (64) and a
 //     loaded (16384) in-flight population.
 //  2. End-to-end simulated-ticks-per-wall-second and events/sec for a real
 //     workload on one device.
-//  3. Sweep-runner scaling: wall time for a fixed batch of independent
-//     simulations at 1..N threads.
 //
 // Output includes machine-parsable lines of the form
 //     PERF <metric> <label> <value>
@@ -20,13 +18,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/sweep_runner.h"
 
 namespace fabacus {
 namespace {
@@ -102,7 +96,7 @@ struct Churn {
   }
 };
 
-// Best of `reps` fresh runs (the first acts as warmup for the slab pool).
+// Best of `reps` fresh runs.
 double ChurnEventsPerSec(std::uint64_t total, int reps, int inflight) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
@@ -161,30 +155,5 @@ int main() {
            20);
   Perf("events_per_sec", "device", static_cast<double>(run.events_executed) / run.wall_seconds);
   Perf("sim_ticks_per_wall_second", "calendar", run.sim_ticks / run.wall_seconds);
-
-  PrintHeader("Engine micro-bench 3: sweep-runner scaling (8 independent sims)");
-  BenchOptions small;
-  small.model_scale = kBenchScale / 4;  // keep the scaling probe quick
-  PrintRow({"threads", "wall(s)", "speedup"}, 12);
-  double serial_s = 0.0;
-  for (int threads : {1, 2, 4}) {
-    SweepRunner pool(threads);
-    std::vector<std::function<BenchRun()>> jobs;
-    for (int i = 0; i < 8; ++i) {
-      jobs.emplace_back(
-          [atax, small] { return RunFlashAbacusSystem({atax}, 2, SchedulerKind::kInterDynamic,
-                                                      small); });
-    }
-    const Clock::time_point t0 = Clock::now();
-    pool.Run(std::move(jobs));
-    const double secs = Seconds(t0, Clock::now());
-    if (threads == 1) {
-      serial_s = secs;
-    }
-    PrintRow({Fmt(threads, 0), Fmt(secs, 3), Fmt(serial_s / secs, 2) + "x"}, 12);
-    std::printf("PERF sweep_wall_seconds threads_%d %.3f\n", threads, secs);
-  }
-  std::printf("(hardware threads: %d; scaling is bounded by physical cores)\n",
-              SweepRunner::DefaultThreads());
   return 0;
 }

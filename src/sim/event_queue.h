@@ -2,8 +2,8 @@
 // break ties so same-tick events fire in scheduling order, which keeps runs
 // deterministic.
 //
-// EventQueue is a calendar queue (R. Brown, CACM '88) over non-allocating
-// EventFn callbacks. Events hash into time buckets of power-of-two width;
+// EventQueue is a calendar queue (R. Brown, CACM '88) over EventFn
+// callbacks. Events hash into time buckets of power-of-two width;
 // pushes are a sorted insert into one small bucket and pops walk a cursor
 // across bucket windows, so both are O(1) amortized for the clustered event
 // spacings a flash simulation produces (1 us command overheads, 81 us tR,
@@ -46,14 +46,14 @@ class EventQueue {
       // the known next-to-fire.
       SeatCursorAt(when);
       cached_next_ = cur_bucket_;
-    } else if (cached_next_ != kNoBucket &&
-               when < buckets_[cached_next_].front().when) {
-      // The new event beats the cached front, making it the new global
-      // minimum: move the cursor (forward — `when >= cur_window_` here) and
-      // the cache straight to it.
-      SeatCursorAt(when);
-      cached_next_ = cur_bucket_;
     }
+    // Otherwise the cursor and a valid cache stay put. A valid cache is the
+    // cursor's bucket, and its front lies inside the cursor window. A push at
+    // or past that front sorts behind it (seq is monotonic), and an earlier
+    // push lands in the same window and bucket, ahead of the old front, so
+    // the cache still names the global minimum. In the dominant
+    // pop→handler→push(now + delay) pattern the next Pop therefore skips the
+    // cursor scan entirely.
     Bucket& b = buckets_[BucketIndex(when)];
     // Hot path: simulated delays are non-decreasing within a window, so the
     // common insert position is the end — O(1), no memmove.
@@ -72,11 +72,6 @@ class EventQueue {
     if (!daemon) {
       ++non_daemon_count_;
     }
-    // Note the cache was NOT invalidated above in the common case: a
-    // same-tick push sorts behind the cached front (seq is monotonic, and
-    // same tick means same bucket) and a later push cannot displace the
-    // minimum. In the dominant pop→handler→push(now + delay) pattern the
-    // next Pop therefore skips the cursor scan entirely.
     if (size_ >= (buckets_.size() << 1) && buckets_.size() < (1u << kMaxBucketShift)) {
       Rebuild();
     }

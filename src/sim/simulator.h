@@ -1,10 +1,9 @@
 // The simulation kernel: owns the clock and the event queue, and runs events
-// in (when, seq) order until the queue drains (or a time/event budget is hit).
+// in (when, seq) order until the queue drains (or a deadline is reached).
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -51,12 +50,7 @@ class Simulator : public Snapshottable {
   // whose invariants depend on a scheduled continuation (queues, daemons).
   void Halt() { queue_.Clear(); }
 
-  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_executed() const { return events_executed_; }
-
-  // Safety valve: aborts the run loop after this many events (guards against
-  // accidental event storms in tests). Default effectively unlimited.
-  void set_max_events(std::uint64_t n) { max_events_ = n; }
 
   // True when only daemon events remain — the quiescence condition for
   // checkpointing. Event callbacks are closures and are never serialized;
@@ -78,7 +72,6 @@ class Simulator : public Snapshottable {
   EventQueue queue_;
   Tick now_ = 0;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t max_events_ = std::numeric_limits<std::uint64_t>::max();
 };
 
 }  // namespace fabacus

@@ -34,25 +34,6 @@ void Histogram::LoadState(StateReader& r) {
   sorted_valid_ = false;
 }
 
-void TimeSeries::SaveState(StateWriter& w) const {
-  w.U64(samples_.size());
-  for (const Sample& s : samples_) {
-    w.U64(s.time);
-    w.F64(s.value);
-  }
-}
-
-void TimeSeries::LoadState(StateReader& r) {
-  const std::uint64_t n = r.U64();
-  samples_.clear();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    Sample s;
-    s.time = r.U64();
-    s.value = r.F64();
-    samples_.push_back(s);
-  }
-}
-
 void BusyTracker::Enter(Tick now) {
   if (depth_ == 0) {
     open_since_ = now;
@@ -354,36 +335,6 @@ void LogHistogram::LoadState(StateReader& r) {
   if (r.ok() && total != count_) {
     r.Fail("LogHistogram bucket counts disagree with total");
   }
-}
-
-// --- TimeSeries -------------------------------------------------------------
-
-std::vector<double> TimeSeries::Rebucket(Tick horizon, std::size_t buckets) const {
-  FAB_CHECK_GT(buckets, 0u);
-  std::vector<double> out(buckets, 0.0);
-  std::vector<std::size_t> counts(buckets, 0);
-  if (horizon == 0) {
-    return out;
-  }
-  for (const Sample& s : samples_) {
-    if (s.time >= horizon) {
-      continue;
-    }
-    const std::size_t b = static_cast<std::size_t>(
-        static_cast<unsigned long long>(s.time) * buckets / horizon);
-    out[b] += s.value;
-    ++counts[b];
-  }
-  double last = 0.0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    if (counts[b] > 0) {
-      out[b] /= static_cast<double>(counts[b]);
-      last = out[b];
-    } else {
-      out[b] = last;
-    }
-  }
-  return out;
 }
 
 // --- BoundedTimeSeries ------------------------------------------------------

@@ -3,7 +3,6 @@
 //  * BusyTracker       — integrates busy time of a resource (utilization, energy).
 //  * Histogram         — exact latency distributions (stores every sample).
 //  * LogHistogram      — bounded mergeable log-scale sketch for fleet scale.
-//  * TimeSeries        — (time, value) samples for the Fig-15 style traces.
 //  * BoundedTimeSeries — constant-memory coarsening time series for fleets.
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
@@ -198,35 +197,14 @@ class LogHistogram {
   std::vector<std::uint64_t> counts_;  // empty until first Record/Merge
 };
 
-class TimeSeries {
- public:
-  struct Sample {
-    Tick time;
-    double value;
-  };
-
-  void Record(Tick time, double value) { samples_.push_back({time, value}); }
-  const std::vector<Sample>& samples() const { return samples_; }
-  bool empty() const { return samples_.empty(); }
-
-  // Averages samples into fixed-width buckets over [0, horizon); buckets with
-  // no samples inherit the previous bucket's value (zero-order hold).
-  std::vector<double> Rebucket(Tick horizon, std::size_t buckets) const;
-
-  // Checkpoint/restore.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
-
- private:
-  std::vector<Sample> samples_;
-};
-
 // Constant-memory (time, value) series: at most max_bins equal-width bins of
 // (sum, count). The bin width starts at one tick and doubles — merging
 // adjacent bin pairs — whenever a sample lands past the covered range, so an
 // unbounded request stream keeps a fixed-resolution summary instead of one
-// Sample per event. Rebucket matches TimeSeries::Rebucket semantics
-// (count-weighted averages + zero-order hold) at the bin granularity.
+// sample per event. Rebucket averages the samples that fall in each output
+// bucket (count-weighted, each bin at its midpoint) and holds the last value
+// through empty buckets (zero-order hold), so at horizons no finer than the
+// bin width it matches an exact per-sample average.
 class BoundedTimeSeries {
  public:
   static constexpr std::size_t kDefaultMaxBins = 256;

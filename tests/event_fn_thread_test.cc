@@ -1,12 +1,13 @@
-// Cross-thread lifetime tests for EventFn's slab allocator. A partitioned
-// fleet run builds shard simulators on the caller thread, serves them on
-// SweepRunner workers (which execute, and so destroy, events the caller's
-// pool allocated) and destroys them back on the caller, after the worker
-// threads have exited with their own allocations still pending. Remote frees
-// route back to the owning pool's free list; the last outstanding chunk keeps
-// a dead thread's pool alive.
+// Cross-thread lifetime tests for heap-backed EventFns. A partitioned fleet
+// run builds shard simulators on the caller thread, serves them on
+// SweepRunner workers (which execute, and so destroy, events the caller
+// built) and destroys them back on the caller, after the worker threads have
+// exited with their own events still pending. Every event must run once and
+// have its capture destroyed exactly once, whichever thread drops it; the
+// tsan CI job runs this file under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <utility>
@@ -17,13 +18,25 @@
 namespace fabacus {
 namespace {
 
-// A capture fat enough (and non-trivially-copyable enough) to force the slab
-// path — EventFn inlines only trivially-copyable captures up to 32 bytes.
+// Destructions of every live capture, across all threads.
+std::atomic<int> g_payload_dtors{0};
+
+// A capture fat enough (and non-trivially-copyable enough) to force the heap
+// path — EventFn inlines only trivially-copyable captures up to 32 bytes. A
+// moved-from payload has no data, so only the live copy counts its death.
 struct FatPayload {
+  FatPayload() = default;
+  FatPayload(FatPayload&&) noexcept = default;
+  FatPayload& operator=(FatPayload&&) noexcept = default;
+  ~FatPayload() {
+    if (!data.empty()) {
+      g_payload_dtors.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
   std::vector<std::uint64_t> data;
 };
 
-EventFn MakeSlabBacked(std::uint64_t tag, std::uint64_t* sink) {
+EventFn MakeHeapBacked(std::uint64_t tag, std::uint64_t* sink) {
   FatPayload p;
   p.data = {tag, tag * 3, tag * 7, tag * 11, tag * 13, tag * 17};
   return EventFn([p = std::move(p), sink] {
@@ -37,6 +50,7 @@ EventFn MakeSlabBacked(std::uint64_t tag, std::uint64_t* sink) {
 
 TEST(EventFnThread, AllocateHereExecuteAndDestroyThere) {
   constexpr int kEvents = 200;
+  const int dtors_before = g_payload_dtors.load();
   std::uint64_t sink = 0;
   std::vector<EventFn> events;
   events.reserve(kEvents);
@@ -44,10 +58,10 @@ TEST(EventFnThread, AllocateHereExecuteAndDestroyThere) {
   for (int i = 0; i < kEvents; ++i) {
     const std::uint64_t tag = static_cast<std::uint64_t>(i) + 1;
     expect += tag * (1 + 3 + 7 + 11 + 13 + 17);
-    events.push_back(MakeSlabBacked(tag, &sink));
+    events.push_back(MakeHeapBacked(tag, &sink));
   }
-  // Execute and destroy every event on a different thread: each destruction
-  // is a remote free that must land back on this thread's pool.
+  // Execute and destroy every event on a different thread: each `delete`
+  // frees memory this thread allocated.
   std::thread t([&events, &sink] {
     for (EventFn& fn : events) {
       fn();
@@ -57,63 +71,41 @@ TEST(EventFnThread, AllocateHereExecuteAndDestroyThere) {
   });
   t.join();
   EXPECT_EQ(sink, expect);
+  EXPECT_EQ(g_payload_dtors.load() - dtors_before, kEvents);
 }
 
-TEST(EventFnThread, PoolOutlivesItsAllocatingThread) {
+TEST(EventFnThread, OutlivesItsBuildingThread) {
   std::uint64_t sink = 0;
   std::vector<EventFn> events;
-  // Allocate on a short-lived thread, then let that thread exit while the
-  // events are still alive. The pool must survive (refcounted by its
-  // outstanding chunks) until the main thread destroys the last one.
+  const int dtors_before = g_payload_dtors.load();
+  // Build on a short-lived thread, then let that thread exit while the
+  // events are still alive; the main thread runs and destroys them.
   std::thread producer([&events, &sink] {
     for (int i = 0; i < 64; ++i) {
-      events.push_back(MakeSlabBacked(static_cast<std::uint64_t>(i) + 1, &sink));
+      events.push_back(MakeHeapBacked(static_cast<std::uint64_t>(i) + 1, &sink));
     }
   });
   producer.join();
   for (EventFn& fn : events) {
     fn();
   }
-  events.clear();  // frees chunks of a pool whose owner thread is gone
+  EXPECT_EQ(g_payload_dtors.load(), dtors_before);
+  events.clear();  // frees memory allocated by a thread that has exited
   std::uint64_t expect = 0;
   for (int i = 0; i < 64; ++i) {
     expect += (static_cast<std::uint64_t>(i) + 1) * (1 + 3 + 7 + 11 + 13 + 17);
   }
   EXPECT_EQ(sink, expect);
-}
-
-TEST(EventFnThread, PingPongReusesChunksAcrossThreads) {
-  // Round-trips: main allocates, worker destroys, repeat. After the first
-  // rounds the owner's freelist is fed entirely by drained remote frees, so
-  // the pool's live-chunk count must stay flat instead of growing.
-  std::uint64_t sink = 0;
-  for (int round = 0; round < 8; ++round) {
-    std::vector<EventFn> events;
-    for (int i = 0; i < 32; ++i) {
-      events.push_back(MakeSlabBacked(static_cast<std::uint64_t>(round * 100 + i), &sink));
-    }
-    const std::size_t live_before_free = internal::EventSlabPool::LiveChunks();
-    EXPECT_GE(live_before_free, 32u);
-    std::thread t([events = std::move(events)]() mutable { events.clear(); });
-    t.join();
-    // The remote frees are drained lazily (on the owner's next refill), so
-    // all we require here is that repeated rounds do not leak: the live
-    // count right after allocation stays bounded by one slab's worth.
-  }
-  std::vector<EventFn> probe;
-  for (int i = 0; i < 32; ++i) {
-    probe.push_back(MakeSlabBacked(1, &sink));
-  }
-  EXPECT_LE(internal::EventSlabPool::LiveChunks(), 512u)
-      << "chunks freed remotely were never reused";
-  probe.clear();
+  EXPECT_EQ(g_payload_dtors.load() - dtors_before, 64);
 }
 
 TEST(EventFnThread, ManyThreadsChurnConcurrently) {
-  // Each thread allocates its own events and hands them to the next thread
-  // (ring) for execution+destruction — every free is remote, all concurrent.
+  // Each thread builds its own events and hands them to the next thread
+  // (ring) for execution+destruction — every free is on a thread other than
+  // the allocating one, and all run concurrently.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 100;
+  const int dtors_before = g_payload_dtors.load();
   std::vector<std::vector<EventFn>> handoff(kThreads);
   std::vector<std::uint64_t> sinks(kThreads, 0);
   {
@@ -122,7 +114,7 @@ TEST(EventFnThread, ManyThreadsChurnConcurrently) {
       producers.emplace_back([t, &handoff, &sinks] {
         for (int i = 0; i < kPerThread; ++i) {
           handoff[static_cast<std::size_t>(t)].push_back(
-              MakeSlabBacked(static_cast<std::uint64_t>(i) + 1,
+              MakeHeapBacked(static_cast<std::uint64_t>(i) + 1,
                              &sinks[static_cast<std::size_t>(t)]));
         }
       });
@@ -153,6 +145,7 @@ TEST(EventFnThread, ManyThreadsChurnConcurrently) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(sinks[static_cast<std::size_t>(t)], expect) << "thread " << t;
   }
+  EXPECT_EQ(g_payload_dtors.load() - dtors_before, kThreads * kPerThread);
 }
 
 }  // namespace

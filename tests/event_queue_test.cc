@@ -17,8 +17,8 @@ namespace fabacus {
 namespace {
 
 // The storage-class contract the engine's performance rests on: hot-path
-// lambdas (pointers, ids, ticks) must stay inline; fat or non-trivial
-// captures ride the slab.
+// lambdas (pointers, ids, ticks) must stay inline; fat, non-trivial or
+// over-aligned captures go to the heap.
 struct FourWords {
   void* p[4];
 };
@@ -57,34 +57,95 @@ TEST(EventFn, MoveTransfersOwnership) {
   EXPECT_EQ(hits, 1);
 }
 
-TEST(EventFn, OversizedCallableUsesSlabAndFrees) {
-  const std::size_t before = internal::EventSlabPool::LiveChunks();
+// Counts how often the one live copy of a capture is destroyed. Moving hands
+// the count on, so a moved-from shell's destructor adds nothing.
+class DtorCount {
+ public:
+  explicit DtorCount(int* dtors) : dtors_(dtors) {}
+  DtorCount(DtorCount&& other) noexcept : dtors_(std::exchange(other.dtors_, nullptr)) {}
+  DtorCount(const DtorCount&) = delete;
+  DtorCount& operator=(const DtorCount&) = delete;
+  DtorCount& operator=(DtorCount&&) = delete;
+  ~DtorCount() {
+    if (dtors_ != nullptr) {
+      ++*dtors_;
+    }
+  }
+
+ private:
+  int* dtors_;
+};
+
+TEST(EventFn, OversizedCallableRunsAndIsDestroyedOnce) {
+  int hits = 0;
+  int dtors = 0;
   {
     FiveWords fat{};
-    int hits = 0;
     int* p = &hits;
-    EventFn fn([fat, p] {
+    auto f = [fat, count = DtorCount(&dtors), p] {
       (void)fat;
       ++*p;
-    });
-    EXPECT_EQ(internal::EventSlabPool::LiveChunks(), before + 1);
-    fn();
-    EXPECT_EQ(hits, 1);
+    };
+    static_assert(sizeof(f) > EventFn::kInlineBytes);
+    EventFn a(std::move(f));
+    a();
+    EventFn b(std::move(a));
+    EXPECT_FALSE(static_cast<bool>(a));
+    b();
+    EventFn c;
+    c = std::move(b);
+    c();
+    EXPECT_EQ(hits, 3);
+    EXPECT_EQ(dtors, 0) << "the capture died while an EventFn still held it";
   }
-  EXPECT_EQ(internal::EventSlabPool::LiveChunks(), before);
+  EXPECT_EQ(dtors, 1);
 }
 
-TEST(EventFn, NonTrivialCaptureDestructsOnSlab) {
-  const std::size_t before = internal::EventSlabPool::LiveChunks();
+TEST(EventFn, NonTrivialCaptureIsDestroyedOnceByItsLastHolder) {
   int hits = 0;
+  int dtors = 0;
   {
     std::function<void()> inner = [&hits] { ++hits; };
-    EventFn fn([inner] { inner(); });
-    EXPECT_EQ(internal::EventSlabPool::LiveChunks(), before + 1);
+    EventFn fn([inner, count = DtorCount(&dtors)] { inner(); });
+    fn();
+    EventFn moved(std::move(fn));
+    moved();
+    EXPECT_EQ(dtors, 0);
+    // Assigning over a heap-backed EventFn destroys the capture it held.
+    moved = EventFn([] {});
+    EXPECT_EQ(dtors, 1);
+  }
+  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(dtors, 1);
+}
+
+// An over-aligned capture never fits inline, and the heap copy must still
+// honour its alignment: reading a misaligned capture is undefined behaviour.
+struct alignas(64) CacheLine {
+  unsigned char bytes[64];
+};
+
+TEST(EventFn, OverAlignedCaptureKeepsItsAlignment) {
+  int misaligned = 0;
+  int* bad = &misaligned;
+  std::vector<EventFn> fns;
+  for (int i = 0; i < 64; ++i) {
+    CacheLine line{};
+    auto f = [line, bad] {
+      // Read back through a volatile: the optimizer would otherwise fold the
+      // check away from the type's declared alignment.
+      const volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(&line);
+      if (addr % alignof(CacheLine) != 0) {
+        ++*bad;
+      }
+    };
+    static_assert(!EventFn::kFitsInline<decltype(f)>);
+    fns.emplace_back(std::move(f));
+  }
+  for (EventFn& fn : fns) {
     fn();
   }
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(internal::EventSlabPool::LiveChunks(), before);
+  EXPECT_EQ(misaligned, 0);
 }
 
 TEST(CalendarQueue, SameTickFiresInSchedulingOrder) {
@@ -150,6 +211,29 @@ TEST(CalendarQueue, CursorRewindsForEarlierPushAfterDrain) {
   EXPECT_EQ(q.NextTime(), 3 * kUs);
   q.Pop(&when)();
   EXPECT_EQ(when, 3 * kUs);
+}
+
+TEST(CalendarQueue, EarlierPushInsideCursorWindowFiresFirst) {
+  // The cursor and the next-event cache sit on the window holding the lone
+  // pending event. Pushes between the window start and that event land in
+  // the same bucket, ahead of it, and must fire first, in scheduling order.
+  EventQueue q;
+  const Tick window = 2 * q.bucket_width();
+  const Tick last = window + q.bucket_width() - 1;
+  std::vector<int> order;
+  q.Push(last, [&order] { order.push_back(2); });
+  ASSERT_EQ(q.NextTime(), last);
+  q.Push(window + 1, [&order] { order.push_back(0); });
+  q.Push(window + 1, [&order] { order.push_back(1); });
+  EXPECT_EQ(q.NextTime(), window + 1);
+  Tick when = 0;
+  q.Pop(&when)();
+  EXPECT_EQ(when, window + 1);
+  q.Pop(&when)();
+  EXPECT_EQ(when, window + 1);
+  q.Pop(&when)();
+  EXPECT_EQ(when, last);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(CalendarQueue, SparseFarFutureEventsFound) {

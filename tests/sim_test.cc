@@ -109,8 +109,8 @@ TEST(Histogram, PercentilesAndMoments) {
   EXPECT_NEAR(h.Percentile(99), 99.01, 0.01);
 }
 
-TEST(TimeSeries, RebucketHoldsLastValue) {
-  TimeSeries ts;
+TEST(BoundedTimeSeries, RebucketHoldsLastValue) {
+  BoundedTimeSeries ts;
   ts.Record(0, 1.0);
   ts.Record(450, 3.0);
   const std::vector<double> buckets = ts.Rebucket(1000, 10);

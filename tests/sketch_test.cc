@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -183,19 +184,45 @@ TEST(BoundedTimeSeries, CoarsensInsteadOfGrowing) {
   EXPECT_EQ(ts.bin_width() & (ts.bin_width() - 1), Tick{0});
 }
 
+// The exact oracle BoundedTimeSeries approximates: every sample before
+// `horizon` averaged into its output bucket, and each empty bucket holding the
+// previous bucket's value (zero-order hold).
+std::vector<double> ExactRebucket(const std::vector<std::pair<Tick, double>>& samples,
+                                  Tick horizon, std::size_t buckets) {
+  std::vector<double> out(buckets, 0.0);
+  std::vector<std::size_t> counts(buckets, 0);
+  for (const auto& [time, value] : samples) {
+    if (time < horizon) {
+      const std::size_t b = static_cast<std::size_t>(time * buckets / horizon);
+      out[b] += value;
+      ++counts[b];
+    }
+  }
+  double last = 0.0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    if (counts[b] > 0) {
+      out[b] /= static_cast<double>(counts[b]);
+      last = out[b];
+    } else {
+      out[b] = last;
+    }
+  }
+  return out;
+}
+
 TEST(BoundedTimeSeries, RebucketMatchesExactSeriesAtBinResolution) {
-  TimeSeries exact;
+  std::vector<std::pair<Tick, double>> exact;
   BoundedTimeSeries bounded(256);
   Rng rng(11);
   for (Tick t = 0; t < 1000; t += 10) {
     const double v = static_cast<double>(rng.Next() % 100);
-    exact.Record(t, v);
+    exact.emplace_back(t, v);
     bounded.Record(t, v);
   }
   // With horizon/buckets no finer than the bin width, both series reduce to
   // the same count-weighted bucket averages.
   ASSERT_LE(bounded.bin_width(), Tick{250});
-  const std::vector<double> a = exact.Rebucket(1000, 4);
+  const std::vector<double> a = ExactRebucket(exact, 1000, 4);
   const std::vector<double> b = bounded.Rebucket(1000, 4);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
