@@ -6,6 +6,8 @@
 // exhausted, stalling the write path.
 #include <cstdio>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/sim/stats.h"
@@ -84,7 +86,7 @@ GcOutcome RunOverwriteChurn(bool background_gc) {
 
   // A latency-sensitive reader probes a 64 KB group every 5 ms while the
   // churn runs: the victim of any reclamation happening on its critical path.
-  Histogram read_lat;
+  std::vector<double> read_lat;
   bool stop_reader = false;
   std::function<void()> reader = [&]() {
     if (stop_reader) {
@@ -96,7 +98,7 @@ GcOutcome RunOverwriteChurn(bool background_gc) {
     req.flash_addr = probe_addr;
     req.model_bytes = group_bytes;
     req.on_complete = [&, issued](Tick t, IoStatus) {
-      read_lat.Record(TicksToUs(t - issued));
+      read_lat.push_back(TicksToUs(t - issued));
       if (done < kPasses) {
         sim.Schedule(5 * kMs, reader);
       }
@@ -113,11 +115,10 @@ GcOutcome RunOverwriteChurn(bool background_gc) {
   out.migrated = dev.storengine().groups_migrated();
   out.erases = dev.backbone().erases();
   out.foreground = dev.flashvisor().foreground_reclaims();
-  if (read_lat.count() > 0) {
-    out.read_mean_us = read_lat.Mean();
-    out.read_p99_us = read_lat.Percentile(99);
-    out.read_max_us = read_lat.Max();
-  }
+  const HistogramSummary lat = SummarizeSamples(std::move(read_lat));
+  out.read_mean_us = lat.mean;
+  out.read_p99_us = lat.p99;
+  out.read_max_us = lat.max;
   return out;
 }
 

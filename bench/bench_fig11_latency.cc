@@ -14,13 +14,13 @@ namespace {
 
 void PrintLatencyRow(BenchJson* json, const std::string& label,
                      const std::vector<BenchRun>& runs) {
-  const double simd_avg = runs[0].result.kernel_latency_ms.Mean();
+  const double simd_avg = runs[0].result.KernelLatencyMs().mean;
   std::vector<std::string> row{label};
   for (const BenchRun& r : runs) {
     json->AddRun(label, r);
-    const Histogram& h = r.result.kernel_latency_ms;
-    row.push_back(Fmt(h.Max() / simd_avg, 2) + "/" + Fmt(h.Mean() / simd_avg, 2) + "/" +
-                  Fmt(h.Min() / simd_avg, 2));
+    const HistogramSummary h = r.result.KernelLatencyMs();
+    row.push_back(Fmt(h.max / simd_avg, 2) + "/" + Fmt(h.mean / simd_avg, 2) + "/" +
+                  Fmt(h.min / simd_avg, 2));
   }
   PrintRow(row, 18);
 }

@@ -279,7 +279,7 @@ void BenchJson::AddRun(const std::string& label, const BenchRun& run) {
   // order here is the JSON contract (docs/OBSERVABILITY.md): goldens and
   // external tooling byte-compare these documents.
   const EnergyBreakdown e = run.result.EnergySummary();
-  const Histogram& lat = run.result.kernel_latency_ms;
+  const HistogramSummary lat = run.result.KernelLatencyMs();
   const double wall = run.wall_seconds;
   Row row;
   row.label = label;
@@ -301,16 +301,14 @@ void BenchJson::AddRun(const std::string& label, const BenchRun& run) {
                      {"data_movement_j", e.data_movement_j},
                      {"computation_j", e.computation_j},
                      {"storage_access_j", e.storage_access_j}}};
-  FieldGroup latency{"kernel_latency_ms",
-                     {{"count", static_cast<double>(lat.count())}}};
-  if (lat.count() > 0) {
-    latency.fields.insert(latency.fields.end(),
-                          {{"min", lat.Min()},
-                           {"mean", lat.Mean()},
-                           {"p50", lat.Percentile(50)},
-                           {"p95", lat.Percentile(95)},
-                           {"p99", lat.Percentile(99)},
-                           {"max", lat.Max()}});
+  FieldGroup latency{"kernel_latency_ms", {{"count", static_cast<double>(lat.count)}}};
+  if (lat.count > 0) {
+    latency.fields.insert(latency.fields.end(), {{"min", lat.min},
+                                                 {"mean", lat.mean},
+                                                 {"p50", lat.p50},
+                                                 {"p95", lat.p95},
+                                                 {"p99", lat.p99},
+                                                 {"max", lat.max}});
   }
   row.groups.push_back(std::move(energy));
   row.groups.push_back(std::move(latency));

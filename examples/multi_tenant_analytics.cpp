@@ -82,7 +82,7 @@ int main() {
     }
     std::printf("%-10s %-12.2f %-12.1f %-12.2f %-10.1f %s\n", SchedulerKindName(kind),
                 TicksToMs(result.makespan), result.throughput_mb_s,
-                result.kernel_latency_ms.Mean(), result.worker_utilization * 100.0,
+                result.KernelLatencyMs().mean, result.worker_utilization * 100.0,
                 all_ok ? "" : "VERIFY-FAILED");
   }
   std::printf("\nIntraO3 fills idle LWPs with screens borrowed across tenants, so one\n"

@@ -34,9 +34,9 @@ void Report(const RunReport& r, bool verified) {
   std::printf("system:      %s\n", r.system.c_str());
   std::printf("makespan:    %.2f ms\n", TicksToMs(r.makespan));
   std::printf("throughput:  %.1f MB/s\n", r.throughput_mb_s);
-  std::printf("latency:     avg %.2f ms, max %.2f ms, min %.2f ms\n",
-              r.kernel_latency_ms.Mean(), r.kernel_latency_ms.Max(),
-              r.kernel_latency_ms.Min());
+  const HistogramSummary lat = r.KernelLatencyMs();
+  std::printf("latency:     avg %.2f ms, max %.2f ms, min %.2f ms\n", lat.mean, lat.max,
+              lat.min);
   std::printf("utilization: %.1f%%\n", r.worker_utilization * 100.0);
   std::printf("energy:      %.3f J  (move %.3f / compute %.3f / storage %.3f)\n",
               r.EnergySummary().total_j, r.EnergySummary().data_movement_j, r.EnergySummary().computation_j,

@@ -962,7 +962,6 @@ void FlashAbacus::FinishInstance(RunState* rs, AppInstance* inst, Tick when) {
   inst->complete_time = when;
   inst->done = true;
   rs->result.completion_times.push_back(when - rs->start_time);
-  rs->result.kernel_latency_ms.Record(TicksToMs(when - inst->submit_time));
   tenants_->OnComplete(inst->tenant, TicksToMs(when - inst->submit_time), when);
   --rs->instances_remaining;
   MaybeFinishRun(rs);

@@ -1,8 +1,6 @@
 #include "src/core/lwp.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/sim/log.h"
 
@@ -48,13 +46,6 @@ Lwp::ScreenTiming Lwp::ExecuteScreen(Tick now, const ScreenWork& work) {
     mem_ns = std::max(dram_done, xbar_done) - start;
   }
 
-  // Set FAB_LWP_DEBUG=1 to trace per-screen cost-model decisions.
-  static const bool debug = std::getenv("FAB_LWP_DEBUG") != nullptr;
-  if (debug) {
-    std::fprintf(stderr,
-                 "lwp%d screen start=%.2fms compute=%.2fms mem=%.2fms dram_bytes=%.3e\n", id_,
-                 start / 1e6, compute_ns / 1e6, mem_ns / 1e6, traffic.l2_to_dram_bytes);
-  }
   const Tick longer = std::max(compute_ns, mem_ns);
   const Tick shorter = std::min(compute_ns, mem_ns);
   const Tick duration =

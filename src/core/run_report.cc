@@ -1,5 +1,7 @@
 #include "src/core/run_report.h"
 
+#include <utility>
+
 #include "src/sim/json.h"
 
 namespace fabacus {
@@ -13,26 +15,6 @@ constexpr TraceTag kSummaryTags[] = {
     TraceTag::kGc,         TraceTag::kFlashChan,
 };
 
-void WriteSummary(JsonWriter* w, const HistogramSummary& s) {
-  w->BeginObject();
-  w->Field("count", static_cast<double>(s.count));
-  if (s.count > 0) {
-    w->Field("min", s.min)
-        .Field("mean", s.mean)
-        .Field("p50", s.p50)
-        .Field("p95", s.p95)
-        .Field("p99", s.p99)
-        .Field("max", s.max);
-  }
-  w->EndObject();
-}
-
-void WriteHistogramSummary(JsonWriter* w, const Histogram& h) {
-  // Summarize() sorts once for all six statistics; values are identical to
-  // per-statistic queries, so goldens only see the schema_version change.
-  WriteSummary(w, h.Summarize());
-}
-
 }  // namespace
 
 EnergyBreakdown RunReport::EnergySummary() const {
@@ -42,6 +24,15 @@ EnergyBreakdown RunReport::EnergySummary() const {
   b.storage_access_j = energy.BucketJoules(EnergyBucket::kStorageAccess);
   b.total_j = energy.TotalJoules();
   return b;
+}
+
+HistogramSummary RunReport::KernelLatencyMs() const {
+  std::vector<double> ms;
+  ms.reserve(completion_times.size());
+  for (Tick t : completion_times) {
+    ms.push_back(TicksToMs(t));
+  }
+  return SummarizeSamples(std::move(ms));
 }
 
 void RunReport::WriteJson(JsonWriter* w) const {
@@ -54,7 +45,7 @@ void RunReport::WriteJson(JsonWriter* w) const {
   w->Field("worker_utilization", worker_utilization);
 
   w->Key("kernel_latency_ms");
-  WriteHistogramSummary(w, kernel_latency_ms);
+  WriteSummaryJson(w, KernelLatencyMs());
 
   w->Key("completion_times_ms").BeginArray();
   for (Tick t : completion_times) {
@@ -74,7 +65,7 @@ void RunReport::WriteJson(JsonWriter* w) const {
     w->Field("kernels_submitted", static_cast<double>(t.kernels_submitted));
     w->Field("kernels_completed", static_cast<double>(t.kernels_completed));
     w->Key("latency_ms");
-    WriteSummary(w, t.latency_ms);
+    WriteSummaryJson(w, t.latency_ms);
     w->Field("work_instructions", t.work_instructions);
     w->Field("first_submit_ns", static_cast<double>(t.first_submit));
     w->Field("last_complete_ns", static_cast<double>(t.last_complete));

@@ -1,9 +1,10 @@
 // RunReport: the outcome of one accelerated run (one workload set, one
 // scheduler), bundling everything the paper's evaluation reads — makespan and
-// throughput, per-instance latency histogram and completion times, the energy
-// decomposition, the full tagged interval trace, and a MetricsSnapshot of
-// every component counter/gauge/histogram. Serializes to versioned JSON
-// (schema_version pins the layout; see docs/OBSERVABILITY.md).
+// throughput, per-instance completion times (Fig 12's CDFs, and through
+// KernelLatencyMs() Fig 11's per-kernel latency), the energy decomposition,
+// the full tagged interval trace, and a MetricsSnapshot of every component
+// counter/gauge/histogram. Serializes to versioned JSON (schema_version pins
+// the layout; see docs/OBSERVABILITY.md).
 #ifndef SRC_CORE_RUN_REPORT_H_
 #define SRC_CORE_RUN_REPORT_H_
 
@@ -34,8 +35,9 @@ struct RunReport {
   Tick makespan = 0;
   double input_bytes = 0.0;   // modelled bytes processed (all instances)
   double throughput_mb_s = 0.0;
-  Histogram kernel_latency_ms;         // per-instance submit->complete
-  std::vector<Tick> completion_times;  // for the Fig-12 CDFs
+  // Per-instance completion, relative to the run's start, in completion
+  // order: the Fig-12 CDFs.
+  std::vector<Tick> completion_times;
   double worker_utilization = 0.0;     // mean across worker LWPs
   // Per-tenant QoS rows (docs/QOS.md) and the Jain's-index fairness summary.
   // Empty / identity values on single-tenant devices.
@@ -46,6 +48,10 @@ struct RunReport {
   MetricsSnapshot metrics;  // every component counter/gauge at run end
 
   EnergyBreakdown EnergySummary() const;
+  // Per-instance submit->complete latency (Fig 11), summarized exactly. Run
+  // stamps every instance's submit time with the run's start tick, so each
+  // completion time is that instance's latency.
+  HistogramSummary KernelLatencyMs() const;
 
   // Serializes the report (metrics snapshot, energy decomposition, latency
   // summary, completion times, per-tag trace summary) as versioned JSON.

@@ -76,12 +76,6 @@ struct FaultConfig {
 
   // Scripted faults, applied when simulation time reaches each entry's tick.
   std::vector<FaultPlanEntry> plan;
-
-  bool AnyRandomFaults() const {
-    return read_error_base > 0.0 || read_error_wear_slope > 0.0 ||
-           program_failure_rate > 0.0 || erase_failure_rate > 0.0 ||
-           die_stall_rate > 0.0;
-  }
 };
 
 // Per-read fault outcome: how many retry rungs the controller must walk

@@ -216,16 +216,6 @@ std::uint64_t FlashBackbone::BlockGroupWear(int block) const {
   return w;
 }
 
-Tick FlashBackbone::ArrayBusyTime(Tick now) const {
-  Tick busy = 0;
-  for (const auto& ctrl : controllers_) {
-    for (int p = 0; p < config_.packages_per_channel; ++p) {
-      busy = std::max(busy, ctrl->package(p).BusyTime(now));
-    }
-  }
-  return busy;
-}
-
 void FlashBackbone::set_bus_observer(FlashController::BusObserver obs) {
   for (auto& ctrl : controllers_) {
     ctrl->set_bus_observer(obs);

@@ -115,8 +115,6 @@ class FlashBackbone : public Snapshottable {
   std::uint64_t torn_groups() const { return torn_groups_.value(); }
   double bytes_read() const { return bytes_read_; }
   double bytes_programmed() const { return bytes_programmed_; }
-  // Peak package utilization, a proxy for flash-array activity (energy model).
-  Tick ArrayBusyTime(Tick now) const;
 
   // Observer invoked once per device operation with its (issue, completion)
   // interval — the energy model and Fig-15 traces are built from these.

@@ -90,7 +90,6 @@ class FlashController : public Snapshottable {
   int channel() const { return channel_; }
   double bus_bytes_moved() const { return bus_.bytes_moved(); }
   Tick BusBusyTime(Tick now) const { return bus_.BusyTime(now); }
-  double BusUtilization(Tick now) const { return bus_.Utilization(now); }
   const TagQueue& tags() const { return tags_; }
 
   // Observer invoked with (channel, start, end) for every NV-DDR2 bus data

@@ -31,20 +31,6 @@ std::uint64_t InstanceSeed(std::uint64_t base, int shard, int workload, std::siz
   return z;
 }
 
-void WriteHistogramSummary(JsonWriter* w, const HistogramSummary& s) {
-  w->BeginObject();
-  w->Field("count", static_cast<double>(s.count));
-  if (s.count > 0) {
-    w->Field("min", s.min)
-        .Field("mean", s.mean)
-        .Field("p50", s.p50)
-        .Field("p95", s.p95)
-        .Field("p99", s.p99)
-        .Field("max", s.max);
-  }
-  w->EndObject();
-}
-
 constexpr std::size_t kQueueDepthBuckets = 32;
 
 // Synthetic service model: nanoseconds of device time per modelled megabyte
@@ -197,9 +183,9 @@ struct FleetSim::ServeLoop {
   std::uint64_t stream_seq_hi = 0;  // one past the last generator arrival seq
   int stream_base_id = -1;          // id of the window's first arrival
   // Retirement hooks (lockstep): fold each terminal request into the fleet's
-  // streaming aggregates the moment it resolves, and — when recycling is safe
-  // (no hedge timers holding stale pointers) — return its pool slot to a free
-  // list so an unbounded request stream runs in O(in-flight) memory.
+  // report the moment it resolves, and — when recycling is safe (no hedge
+  // timers holding stale pointers) — return its pool slot to a free list so
+  // an unbounded request stream runs in O(in-flight) memory.
   bool retire_inline = false;
   bool recycle = false;
   std::vector<FleetRequest*> free_list;
@@ -339,7 +325,7 @@ struct FleetSim::ServeLoop {
   }
 
   // A request reached a terminal outcome on the lockstep path: stream it into
-  // the fleet aggregates now instead of retaining it for a post-run walk.
+  // the fleet's report now instead of retaining it for a post-run walk.
   void Retire(FleetRequest* r) {
     if (!retire_inline) {
       return;
@@ -450,7 +436,7 @@ struct FleetSim::ServeLoop {
       // A displaced duplicate dies quietly; the primary still carries the
       // logical request.
       r->cancelled = true;
-      ++fleet->tally_.hedges_cancelled;
+      ++fleet->report_.hedges_cancelled;
       return;
     }
     if (CopyAlive(r->hedge_peer)) {
@@ -584,7 +570,7 @@ struct FleetSim::ServeLoop {
       logical->outcome = FleetRequest::Outcome::kServed;
       logical->complete = copy->complete;
       logical->device = s->index;
-      ++fleet->tally_.hedges_won;
+      ++fleet->report_.hedges_won;
     } else {
       Cancel(copy->hedge_peer, now);
       copy->outcome = FleetRequest::Outcome::kServed;
@@ -614,7 +600,7 @@ struct FleetSim::ServeLoop {
     FAB_CHECK(!r->is_hedge);
     if (r->retries < fleet->config_.max_request_retries) {
       ++r->retries;
-      ++fleet->tally_.request_retries;
+      ++fleet->report_.request_retries;
       r->cancelled = false;
       r->hedged = false;
       r->hedge_peer = nullptr;
@@ -643,7 +629,7 @@ struct FleetSim::ServeLoop {
       return;
     }
     c->cancelled = true;
-    ++fleet->tally_.hedges_cancelled;
+    ++fleet->report_.hedges_cancelled;
     if (c->queued_on >= 0) {
       ShardByIndex(c->queued_on)->queue.Remove(c, now);
       c->queued_on = -1;
@@ -694,7 +680,7 @@ struct FleetSim::ServeLoop {
     r->hedged = true;
     r->hedge_peer = dup;
     dup->hedge_peer = r;
-    ++fleet->tally_.hedges_issued;
+    ++fleet->report_.hedges_issued;
     if (!admitted->busy) {
       StartBatch(admitted, now);
     }
@@ -710,7 +696,7 @@ struct FleetSim::ServeLoop {
         if (s->down) {
           return;
         }
-        ++fleet->tally_.events_applied;
+        ++fleet->report_.fault_events_applied;
         s->stall_until = std::max(s->stall_until, now + e.duration);
         s->stall_factor = e.stall_factor;
         break;
@@ -718,7 +704,7 @@ struct FleetSim::ServeLoop {
         if (s->down) {
           return;
         }
-        ++fleet->tally_.events_applied;
+        ++fleet->report_.fault_events_applied;
         const NandConfig& nand = fleet->config_.device.nand;
         const int ch = ((e.kill_channel % nand.channels) + nand.channels) % nand.channels;
         if (e.kill_whole_channel) {
@@ -732,11 +718,11 @@ struct FleetSim::ServeLoop {
         break;
       }
       case FleetFaultEvent::Kind::kCrash:
-        ++fleet->tally_.events_applied;
+        ++fleet->report_.fault_events_applied;
         CrashShard(s, now, /*permanent=*/false, e.duration);
         break;
       case FleetFaultEvent::Kind::kDeath:
-        ++fleet->tally_.events_applied;
+        ++fleet->report_.fault_events_applied;
         CrashShard(s, now, /*permanent=*/true, 0);
         break;
     }
@@ -746,14 +732,14 @@ struct FleetSim::ServeLoop {
     if (s->down) {
       if (permanent && !s->dead) {
         s->dead = true;  // the pending recovery event will find it dead
-        ++fleet->tally_.deaths;
+        ++fleet->report_.deaths;
       }
       return;
     }
-    ++fleet->tally_.crashes;
+    ++fleet->report_.crashes;
     s->stats.crashes += 1;
     if (permanent) {
-      ++fleet->tally_.deaths;
+      ++fleet->report_.deaths;
     }
     s->down = true;
     s->dead = permanent;
@@ -774,7 +760,7 @@ struct FleetSim::ServeLoop {
       r->in_flight = false;
       r->is_probe = false;  // the force-open breaker takes no probe votes
       s->stats.torn += 1;
-      ++fleet->tally_.torn_in_flight;
+      ++fleet->report_.torn_in_flight;
       if (r->cancelled) {
         continue;
       }
@@ -791,7 +777,7 @@ struct FleetSim::ServeLoop {
       if (r->cancelled) {
         continue;
       }
-      ++fleet->tally_.failover_reroutes;
+      ++fleet->report_.failover_reroutes;
       PushArrivalAt(r, now);
     }
     if (!permanent) {
@@ -806,7 +792,7 @@ struct FleetSim::ServeLoop {
     s->down = false;
     s->stats.down_ns += now - s->down_since;
     s->stats.recoveries += 1;
-    ++fleet->tally_.recoveries;
+    ++fleet->report_.recoveries;
     if (fleet->config_.faults.recovery == FleetFaultConfig::Recovery::kSnapshot &&
         !s->checkpoint.empty()) {
       RestoreShardCheckpoint(s);
@@ -1286,8 +1272,8 @@ FleetReport FleetSim::Run() {
   // The lazily-built registry must exist before any worker threads read it.
   WorkloadRegistry::Get();
 
-  agg_.served_by_workload.assign(traffic_->mix().size(), 0);
-  agg_.client_latency_ms.resize(static_cast<std::size_t>(config_.traffic.num_clients));
+  served_by_workload_.assign(traffic_->mix().size(), 0);
+  report_.client_latency_ms.resize(static_cast<std::size_t>(config_.traffic.num_clients));
 
   std::deque<FleetRequest> pool;
   const bool partitioned = config_.execution == FleetConfig::Execution::kPartitioned ||
@@ -1372,69 +1358,52 @@ FleetReport FleetSim::Run() {
 
 void FleetSim::RetireRequest(const FleetRequest& r) {
   FAB_CHECK(!r.is_hedge) << "hedge duplicates are not client load";
-  ++agg_.offered;
+  ++report_.offered;
   const std::size_t pri = static_cast<std::size_t>(r.priority);
-  ++agg_.offered_by_priority[pri];
-  agg_.route_retries += static_cast<std::uint64_t>(r.route_retries);
+  ++report_.offered_by_priority[pri];
+  report_.route_retries += static_cast<std::uint64_t>(r.route_retries);
   if (r.outcome == FleetRequest::Outcome::kShed) {
-    ++agg_.shed;
-    ++agg_.shed_by_priority[pri];
-    agg_.makespan = std::max(agg_.makespan, r.arrival);
+    ++report_.shed;
+    ++report_.shed_by_priority[pri];
+    report_.makespan = std::max(report_.makespan, r.arrival);
     return;
   }
   if (r.outcome == FleetRequest::Outcome::kFailed) {
-    ++agg_.failed;
-    ++agg_.failed_by_priority[pri];
-    agg_.makespan = std::max(agg_.makespan, std::max(r.arrival, r.complete));
+    ++report_.failed;
+    ++report_.failed_by_priority[pri];
+    report_.makespan = std::max(report_.makespan, std::max(r.arrival, r.complete));
     return;
   }
   FAB_CHECK(r.outcome == FleetRequest::Outcome::kServed)
       << "request " << r.id << " neither served, failed nor shed";
-  ++agg_.served;
-  ++agg_.served_by_priority[pri];
-  ++agg_.served_by_workload[static_cast<std::size_t>(r.workload_idx)];
-  agg_.makespan = std::max(agg_.makespan, r.complete);
+  ++report_.served;
+  ++report_.served_by_priority[pri];
+  ++served_by_workload_[static_cast<std::size_t>(r.workload_idx)];
+  report_.makespan = std::max(report_.makespan, r.complete);
   const double lat_ms = TicksToMs(r.complete - r.arrival);
   if (lat_ms > config_.slo_ms) {
-    ++agg_.slo_violations;
+    ++report_.slo_violations;
   }
-  agg_.latency_ms.Record(lat_ms);
-  agg_.priority_latency_ms[pri].Record(lat_ms);
-  agg_.client_latency_ms[static_cast<std::size_t>(r.client_id)].Record(lat_ms);
+  report_.latency_ms.Record(lat_ms);
+  report_.priority_latency_ms[pri].Record(lat_ms);
+  report_.client_latency_ms[static_cast<std::size_t>(r.client_id)].Record(lat_ms);
   shards_[static_cast<std::size_t>(r.device)]->stats.latency_ms.Record(lat_ms);
 }
 
 FleetReport FleetSim::Finalize(const std::string& execution) {
-  FleetReport rep;
+  FleetReport rep = std::move(report_);
   rep.policy = PlacementPolicyName(config_.policy);
   rep.traffic_model = TrafficModelName(config_.traffic.model);
   rep.scheduler = SchedulerKindName(config_.scheduler);
   rep.execution = execution;
   rep.num_devices = config_.num_devices;
 
-  rep.offered = agg_.offered;
-  rep.served = agg_.served;
-  rep.shed = agg_.shed;
-  rep.failed = agg_.failed;
-  rep.route_retries = agg_.route_retries;
-  rep.slo_violations = agg_.slo_violations;
-  rep.makespan = agg_.makespan;
-  for (int p = 0; p < kNumPriorities; ++p) {
-    rep.offered_by_priority[p] = agg_.offered_by_priority[p];
-    rep.served_by_priority[p] = agg_.served_by_priority[p];
-    rep.shed_by_priority[p] = agg_.shed_by_priority[p];
-    rep.failed_by_priority[p] = agg_.failed_by_priority[p];
-    rep.priority_latency_ms[p] = agg_.priority_latency_ms[p];
-  }
-  rep.latency_ms = agg_.latency_ms;
-  rep.client_latency_ms = std::move(agg_.client_latency_ms);
-
   // Served bytes reduce over per-workload served counts: an integer reduction
   // in mix order, exact however the requests were retired.
   double served_bytes = 0.0;
-  for (std::size_t wi = 0; wi < agg_.served_by_workload.size(); ++wi) {
+  for (std::size_t wi = 0; wi < served_by_workload_.size(); ++wi) {
     const KernelSpec& spec = traffic_->mix()[wi]->spec();
-    served_bytes += static_cast<double>(agg_.served_by_workload[wi]) * spec.model_input_mb *
+    served_bytes += static_cast<double>(served_by_workload_[wi]) * spec.model_input_mb *
                     1024.0 * 1024.0 * config_.device.model_scale;
   }
   // A resumed fleet reports its serving window only: the clock floor
@@ -1448,17 +1417,6 @@ FleetReport FleetSim::Finalize(const std::string& execution) {
   const double seconds = TicksToSeconds(rep.makespan);
   rep.throughput_rps = seconds > 0.0 ? static_cast<double>(rep.served) / seconds : 0.0;
   rep.served_mb_s = seconds > 0.0 ? served_bytes / (1024.0 * 1024.0) / seconds : 0.0;
-
-  rep.fault_events_applied = tally_.events_applied;
-  rep.crashes = tally_.crashes;
-  rep.deaths = tally_.deaths;
-  rep.recoveries = tally_.recoveries;
-  rep.torn_in_flight = tally_.torn_in_flight;
-  rep.failover_reroutes = tally_.failover_reroutes;
-  rep.request_retries = tally_.request_retries;
-  rep.hedges_issued = tally_.hedges_issued;
-  rep.hedges_won = tally_.hedges_won;
-  rep.hedges_cancelled = tally_.hedges_cancelled;
 
   for (auto& shard : shards_) {
     shard->stats.utilization =
@@ -1607,18 +1565,18 @@ void FleetReport::WriteJson(JsonWriter* w) const {
         .Field("shed", static_cast<double>(shed_by_priority[p]))
         .Field("failed", static_cast<double>(failed_by_priority[p]));
     w->Key("latency_ms");
-    WriteHistogramSummary(w, priority_latency_ms[p].Summarize());
+    WriteSummaryJson(w, priority_latency_ms[p].Summarize());
     w->EndObject();
   }
   w->EndArray();
 
   w->Key("latency_ms");
-  WriteHistogramSummary(w, latency_ms.Summarize());
+  WriteSummaryJson(w, latency_ms.Summarize());
 
   w->Key("clients").BeginArray();
   for (std::size_t c = 0; c < client_latency_ms.size(); ++c) {
     w->BeginObject().Field("client", static_cast<double>(c)).Key("latency_ms");
-    WriteHistogramSummary(w, client_latency_ms[c].Summarize());
+    WriteSummaryJson(w, client_latency_ms[c].Summarize());
     w->EndObject();
   }
   w->EndArray();
@@ -1653,9 +1611,9 @@ void FleetReport::WriteJson(JsonWriter* w) const {
         .Field("health_latency_ewma_ms", st.health_latency_ewma_ms)
         .Field("health_error_ewma", st.health_error_ewma);
     w->Key("latency_ms");
-    WriteHistogramSummary(w, st.latency_ms.Summarize());
+    WriteSummaryJson(w, st.latency_ms.Summarize());
     w->Key("batch_ms");
-    WriteHistogramSummary(w, st.batch_ms.Summarize());
+    WriteSummaryJson(w, st.batch_ms.Summarize());
     w->Key("queue_depth").BeginObject();
     w->Field("samples", static_cast<double>(st.queue_depth.samples()));
     w->Key("series").BeginArray();

@@ -174,8 +174,9 @@ struct FleetReport {
   std::uint64_t failed_by_priority[kNumPriorities] = {0, 0, 0};
 
   // Latency sketches: bounded mergeable LogHistograms, O(1) memory per
-  // sketch regardless of request count. Percentiles carry the sketch's
-  // <=1/64 relative quantization error; count/min/max are exact.
+  // sketch regardless of request count. count/min/max are exact; a
+  // percentile is within 1/64 of the exact one when the two samples around
+  // its rank share a bucket (docs/OBSERVABILITY.md "Streaming sketches").
   LogHistogram latency_ms;                      // all served requests
   LogHistogram priority_latency_ms[kNumPriorities];  // served, per class
   std::vector<FleetDeviceStats> devices;        // indexed by shard
@@ -230,12 +231,13 @@ class FleetSim {
   // the per-shard crash-recovery checkpoints.
   static void WriteInstallCache(const Shard& shard, StateWriter& w);
   void ReadInstallCache(Shard* shard, StateReader& r) const;
-  // Folds one finished (served / shed / failed) request into the streaming
-  // aggregates. Sketch counts, min/max and the fixed-point sums are all
-  // order-invariant, so the lockstep loop retiring in completion order and
-  // the partitioned path retiring in id order produce byte-identical
-  // reports. Single-threaded callers only.
+  // Folds one finished (served / shed / failed) request into report_.
+  // Sketch counts, min/max and the fixed-point sums are all order-invariant,
+  // so the lockstep loop retiring in completion order and the partitioned
+  // path retiring in id order produce byte-identical reports.
+  // Single-threaded callers only.
   void RetireRequest(const FleetRequest& r);
+  // Moves report_ out and fills in its derived fields.
   FleetReport Finalize(const std::string& execution);
 
   FleetConfig config_;
@@ -243,45 +245,17 @@ class FleetSim {
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Fault-tolerance tallies, written by the (single-threaded) lockstep loop
-  // and folded into the report by Finalize.
-  struct FaultTally {
-    std::uint64_t events_applied = 0;
-    std::uint64_t crashes = 0;
-    std::uint64_t deaths = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t torn_in_flight = 0;
-    std::uint64_t failover_reroutes = 0;
-    std::uint64_t request_retries = 0;
-    std::uint64_t hedges_issued = 0;
-    std::uint64_t hedges_won = 0;
-    std::uint64_t hedges_cancelled = 0;
-  };
-  FaultTally tally_;
-  // Streaming request aggregates, fed one retired request at a time by
-  // RetireRequest. Replaces the old post-hoc walk over every retained
-  // request: memory is O(devices + clients + priorities), not O(requests).
-  struct Agg {
-    std::uint64_t offered = 0;
-    std::uint64_t served = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t route_retries = 0;
-    std::uint64_t slo_violations = 0;
-    std::uint64_t offered_by_priority[kNumPriorities] = {0, 0, 0};
-    std::uint64_t served_by_priority[kNumPriorities] = {0, 0, 0};
-    std::uint64_t shed_by_priority[kNumPriorities] = {0, 0, 0};
-    std::uint64_t failed_by_priority[kNumPriorities] = {0, 0, 0};
-    Tick makespan = 0;  // absolute last-activity tick
-    // Served-request count per mix workload: served bytes reduce to
-    // sum(count[w] * bytes[w]) in mix order — exact and order-invariant,
-    // where a per-request double sum would depend on retirement order.
-    std::vector<std::uint64_t> served_by_workload;
-    LogHistogram latency_ms;
-    LogHistogram priority_latency_ms[kNumPriorities];
-    std::vector<LogHistogram> client_latency_ms;  // indexed by client id
-  };
-  Agg agg_;
+  // The report under construction. RetireRequest and the lockstep serve
+  // loop count into it as requests and faults resolve; its makespan holds
+  // the absolute last-activity tick until Finalize. Memory is
+  // O(devices + clients + priorities), not O(requests). Partitioned shards
+  // never write it from their worker threads: they run no hedges, retries
+  // or faults, and their requests retire after the loop, on one thread.
+  FleetReport report_;
+  // Served-request count per mix workload: served bytes reduce to
+  // sum(count[w] * bytes[w]) in mix order — exact and order-invariant,
+  // where a per-request double sum would depend on retirement order.
+  std::vector<std::uint64_t> served_by_workload_;
   // Clock floor of a resumed fleet: arrivals shift past it and report
   // windows subtract it, so a warm-started run reads like a fresh one.
   Tick resume_base_ = 0;

@@ -66,13 +66,7 @@ IoReplayResult ReplayIoTrace(Simulator* sim, Flashvisor* fv,
       const bool is_write = e.is_write;
       req.on_complete = [issued, is_write, &result, latest](Tick done, IoStatus) {
         const double us = TicksToUs(done - issued);
-        if (is_write) {
-          result.write_latency_us.Record(us);
-          ++result.writes;
-        } else {
-          result.read_latency_us.Record(us);
-          ++result.reads;
-        }
+        (is_write ? result.write_latency_us : result.read_latency_us).push_back(us);
         *latest = std::max(*latest, done);
       };
       if (is_write) {

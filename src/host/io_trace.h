@@ -35,10 +35,10 @@ bool ParseIoTrace(const std::string& text, std::vector<IoTraceEntry>* out,
                   std::string* error);
 
 struct IoReplayResult {
-  Histogram read_latency_us;
-  Histogram write_latency_us;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
+  // Per-request latency in completion order, one entry per completed read or
+  // write; SummarizeSamples turns either into its statistics.
+  std::vector<double> read_latency_us;
+  std::vector<double> write_latency_us;
   Tick makespan = 0;
   double read_mb = 0.0;
   double write_mb = 0.0;

@@ -30,7 +30,6 @@ class NvmeSsd {
 
   // Creates (or truncates) a file of `bytes`; returns false when full.
   bool CreateFile(const std::string& name, std::uint64_t bytes);
-  bool HasFile(const std::string& name) const { return files_.count(name) != 0; }
   std::uint64_t FileSize(const std::string& name) const;
 
   // Pre-populates a file without consuming device time (dataset staging

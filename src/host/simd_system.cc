@@ -62,19 +62,6 @@ std::string SimdSystem::FileName(const AppInstance& inst, int section_idx) {
          "_s" + std::to_string(section_idx);
 }
 
-std::uint64_t SimdSystem::SectionModelBytes(const AppInstance& inst,
-                                            const DataSection& s) const {
-  (void)this;
-  std::uint64_t func_bytes = 0;
-  if (s.spec->buffer_index >= 0) {
-    func_bytes = inst.buffer(s.spec->buffer_index).size() * sizeof(float);
-  }
-  const double model = inst.model_input_bytes() * s.spec->model_fraction;
-  return std::max<std::uint64_t>(std::max<std::uint64_t>(static_cast<std::uint64_t>(model),
-                                                         func_bytes),
-                                 1);
-}
-
 void SimdSystem::InstallData(AppInstance* inst) {
   inst->sections().clear();
   int idx = 0;
@@ -236,7 +223,6 @@ void SimdSystem::FinishCompute(SimdSystem::RunState* rs, AppInstance* inst, Tick
     inst->complete_time = sim_->Now();
     inst->done = true;
     rs->result.completion_times.push_back(sim_->Now() - rs->start_time);
-    rs->result.kernel_latency_ms.Record(TicksToMs(sim_->Now() - inst->submit_time));
     RunNextInstance(rs);
   });
 }

@@ -82,7 +82,6 @@ class SimdSystem {
   void RunNextInstance(RunState* rs);
   void RunMicroblock(RunState* rs, AppInstance* inst, int mblk, Tick ready);
   void FinishCompute(RunState* rs, AppInstance* inst, Tick when);
-  std::uint64_t SectionModelBytes(const AppInstance& inst, const DataSection& s) const;
   void FinalizeResult(RunState* rs);
   void RegisterMetrics();
 

@@ -38,17 +38,7 @@ void MetricsSnapshot::WriteJson(JsonWriter* w) const {
   for (const MetricSample& s : samples_) {
     w->Key(s.name);
     if (s.kind == MetricSample::Kind::kHistogram) {
-      w->BeginObject();
-      w->Field("count", s.value);
-      if (s.value > 0) {
-        w->Field("min", s.min)
-            .Field("mean", s.mean)
-            .Field("p50", s.p50)
-            .Field("p95", s.p95)
-            .Field("p99", s.p99)
-            .Field("max", s.max);
-      }
-      w->EndObject();
+      WriteSummaryJson(w, s.summary);
     } else {
       w->Value(s.value);
     }
@@ -79,15 +69,6 @@ void MetricsRegistry::RegisterGauge(const std::string& name, std::function<doubl
   entries_.emplace(name, std::move(e));
 }
 
-void MetricsRegistry::RegisterHistogram(const std::string& name, const Histogram* histogram) {
-  CheckNew(name);
-  FAB_CHECK(histogram != nullptr) << name;
-  Entry e;
-  e.kind = MetricSample::Kind::kHistogram;
-  e.histogram = histogram;
-  entries_.emplace(name, std::move(e));
-}
-
 void MetricsRegistry::RegisterHistogram(const std::string& name, const LogHistogram* sketch) {
   CheckNew(name);
   FAB_CHECK(sketch != nullptr) << name;
@@ -111,23 +92,10 @@ MetricsSnapshot MetricsRegistry::Snapshot(Tick now) const {
       case MetricSample::Kind::kGauge:
         s.value = e.gauge(now);
         break;
-      case MetricSample::Kind::kHistogram: {
-        // Summarize() sorts the exact histogram once for all six statistics
-        // (and is free for sketches); values are identical to querying each
-        // statistic separately, so report bytes do not change.
-        const HistogramSummary sum =
-            e.sketch != nullptr ? e.sketch->Summarize() : e.histogram->Summarize();
-        s.value = static_cast<double>(sum.count);
-        if (sum.count > 0) {
-          s.min = sum.min;
-          s.mean = sum.mean;
-          s.p50 = sum.p50;
-          s.p95 = sum.p95;
-          s.p99 = sum.p99;
-          s.max = sum.max;
-        }
+      case MetricSample::Kind::kHistogram:
+        s.summary = e.sketch->Summarize();
+        s.value = static_cast<double>(s.summary.count);
         break;
-      }
     }
     snap.samples_.push_back(std::move(s));
   }

@@ -6,7 +6,7 @@
 // serializes to JSON. See docs/OBSERVABILITY.md for the naming scheme.
 //
 // Ownership: the registry stores *references* — components keep owning their
-// Counter/Histogram members (so standalone component tests need no registry)
+// Counter/LogHistogram members (so standalone component tests need no registry)
 // and must outlive the registry they registered with. Gauges are callbacks
 // sampled at Snapshot() time; they receive the snapshot's `now` so
 // time-derived values (busy time, utilization) stay consistent across the
@@ -34,13 +34,8 @@ struct MetricSample {
   Kind kind = Kind::kCounter;
   // Counter/gauge reading; for histograms, the sample count.
   double value = 0.0;
-  // Histogram summary; meaningful only when kind == kHistogram and value > 0.
-  double min = 0.0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
+  // Distribution summary; meaningful only when kind == kHistogram.
+  HistogramSummary summary;
 };
 
 // An immutable, name-sorted capture of every registered metric at one instant.
@@ -58,8 +53,8 @@ class MetricsSnapshot {
   // Names matching a "prefix/" hierarchy level (e.g. "storengine/").
   std::vector<std::string> NamesWithPrefix(const std::string& prefix) const;
 
-  // Serializes as one JSON object: {"name": value, ...}; histograms become
-  // {"count":..,"min":..,"mean":..,"p50":..,"p95":..,"p99":..,"max":..}.
+  // Serializes as one JSON object: {"name": value, ...}; a histogram's value
+  // is its WriteSummaryJson object.
   void WriteJson(JsonWriter* w) const;
 
  private:
@@ -77,9 +72,8 @@ class MetricsRegistry {
   // sharing one metric name would corrupt every report built on top.
   void RegisterCounter(const std::string& name, const Counter* counter);
   void RegisterGauge(const std::string& name, std::function<double(Tick)> fn);
-  void RegisterHistogram(const std::string& name, const Histogram* histogram);
-  // LogHistogram sketches snapshot to the same sample shape (count/min/mean/
-  // p50/p95/p99/max) as exact histograms.
+  // A sketch snapshots to its HistogramSummary (count/min/mean/p50/p95/p99/
+  // max).
   void RegisterHistogram(const std::string& name, const LogHistogram* sketch);
 
   bool Has(const std::string& name) const { return entries_.count(name) != 0; }
@@ -94,7 +88,6 @@ class MetricsRegistry {
     MetricSample::Kind kind;
     const Counter* counter = nullptr;
     std::function<double(Tick)> gauge;
-    const Histogram* histogram = nullptr;
     const LogHistogram* sketch = nullptr;
   };
   void CheckNew(const std::string& name) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "src/sim/json.h"
 #include "src/sim/snapshot.h"
 
 namespace fabacus {
@@ -25,13 +26,6 @@ void BusyTracker::LoadState(StateReader& r) {
     r.Fail("BusyTracker depth is negative");
     depth_ = 0;
   }
-}
-
-void Histogram::SaveState(StateWriter& w) const { w.VecF64(samples_); }
-
-void Histogram::LoadState(StateReader& r) {
-  samples_ = r.VecF64();
-  sorted_valid_ = false;
 }
 
 void BusyTracker::Enter(Tick now) {
@@ -70,66 +64,44 @@ double BusyTracker::Utilization(Tick now) const {
   return static_cast<double>(BusyTime(now)) / static_cast<double>(now);
 }
 
-double Histogram::Min() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double Histogram::Max() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double Histogram::Mean() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  const double sum = std::accumulate(samples_.begin(), samples_.end(), 0.0);
-  return sum / static_cast<double>(samples_.size());
-}
-
-const std::vector<double>& Histogram::Sorted() const {
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    ++sort_count_;
-    sorted_valid_ = true;
-  }
-  return sorted_;
-}
-
-double Histogram::Percentile(double p) const {
-  FAB_CHECK_GE(p, 0.0);
-  FAB_CHECK_LE(p, 100.0);
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  const std::vector<double>& sorted = Sorted();
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-HistogramSummary Histogram::Summarize() const {
+HistogramSummary SummarizeSamples(std::vector<double> samples) {
   HistogramSummary s;
-  s.count = samples_.size();
-  if (s.count == 0) {
+  s.count = samples.size();
+  if (samples.empty()) {
     return s;
   }
-  const std::vector<double>& sorted = Sorted();
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.mean = Mean();
-  s.p50 = Percentile(50.0);
-  s.p95 = Percentile(95.0);
-  s.p99 = Percentile(99.0);
+  // Summed before the sort: double addition is not associative, and the
+  // reports' mean is the recording-order sum.
+  s.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
+           static_cast<double>(samples.size());
+  std::sort(samples.begin(), samples.end());
+  s.min = samples.front();
+  s.max = samples.back();
+  const auto percentile = [&samples](double p) {
+    const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
+    const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+  };
+  s.p50 = percentile(50.0);
+  s.p95 = percentile(95.0);
+  s.p99 = percentile(99.0);
   return s;
+}
+
+void WriteSummaryJson(JsonWriter* w, const HistogramSummary& s) {
+  w->BeginObject();
+  w->Field("count", static_cast<double>(s.count));
+  if (s.count > 0) {
+    w->Field("min", s.min)
+        .Field("mean", s.mean)
+        .Field("p50", s.p50)
+        .Field("p95", s.p95)
+        .Field("p99", s.p99)
+        .Field("max", s.max);
+  }
+  w->EndObject();
 }
 
 // --- LogHistogram -----------------------------------------------------------
@@ -231,7 +203,7 @@ double LogHistogram::Percentile(double p) const {
   if (p >= 100.0) {
     return max_;
   }
-  // Same rank convention as Histogram::Percentile (0-indexed, linear), but
+  // Same rank convention as SummarizeSamples (0-indexed, linear), but
   // interpolated within the containing bucket instead of between samples.
   const double rank = p / 100.0 * static_cast<double>(count_ - 1);
   std::uint64_t cum = 0;

@@ -1,7 +1,9 @@
 // Statistics primitives shared by all simulator components:
 //  * Counter           — monotonically increasing event/byte counts.
 //  * BusyTracker       — integrates busy time of a resource (utilization, energy).
-//  * Histogram         — exact latency distributions (stores every sample).
+//  * HistogramSummary  — count/min/mean/p50/p95/p99/max of one distribution:
+//    SummarizeSamples computes it exactly from samples a report already
+//    holds, and WriteSummaryJson is the one JSON writer for it.
 //  * LogHistogram      — bounded mergeable log-scale sketch for fleet scale.
 //  * BoundedTimeSeries — constant-memory coarsening time series for fleets.
 #ifndef SRC_SIM_STATS_H_
@@ -17,6 +19,7 @@
 
 namespace fabacus {
 
+class JsonWriter;
 class StateReader;
 class StateWriter;
 
@@ -72,9 +75,9 @@ class BusyTracker {
   int depth_ = 0;
 };
 
-// One-pass distribution summary shared by the exact Histogram and the
-// LogHistogram sketch. count == 0 means "no samples" and every statistic is
-// 0.0 — report writers emit it instead of crashing on an empty shard.
+// Distribution summary shared by SummarizeSamples and the LogHistogram
+// sketch. count == 0 means "no samples" and every statistic is 0.0 — report
+// writers emit it instead of crashing on an empty shard.
 struct HistogramSummary {
   std::uint64_t count = 0;
   double min = 0.0;
@@ -85,51 +88,27 @@ struct HistogramSummary {
   double max = 0.0;
 };
 
-class Histogram {
- public:
-  void Record(double v) {
-    samples_.push_back(v);
-    sorted_valid_ = false;
-  }
-  std::size_t count() const { return samples_.size(); }
-  // Empty-safe: every statistic returns 0.0 when no samples were recorded
-  // (a shard that dies before serving anything must not abort the report).
-  double Min() const;
-  double Max() const;
-  double Mean() const;
-  // p in [0, 100].
-  double Percentile(double p) const;
-  // min/mean/p50/p95/p99/max in one pass over a single sorted copy.
-  HistogramSummary Summarize() const;
-  const std::vector<double>& samples() const { return samples_; }
-  void Reset() {
-    samples_.clear();
-    sorted_valid_ = false;
-  }
+// Exact summary of `samples`, which it sorts in place (hence by value). The
+// mean sums the samples in the given order, before the sort, so a caller
+// that passes them in recording order gets the same bits on every run.
+// Percentile p reads the 0-indexed rank p/100 * (count - 1) and interpolates
+// linearly between the two samples around it.
+HistogramSummary SummarizeSamples(std::vector<double> samples);
 
-  // Number of times the sorted cache was (re)built — Percentile/Summarize
-  // share one sort per batch of queries; sim_test pins this down.
-  std::uint64_t sort_count() const { return sort_count_; }
-
-  // Checkpoint/restore of the raw sample vector (insertion order matters for
-  // byte-identical SaveState bytes; the sorted view is a cache, never saved).
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
-
- private:
-  const std::vector<double>& Sorted() const;
-
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
-  mutable std::uint64_t sort_count_ = 0;
-};
+// Writes `s` as {"count": n} when empty, else as
+// {"count","min","mean","p50","p95","p99","max"}: the JSON shape of every
+// distribution in every report.
+void WriteSummaryJson(JsonWriter* w, const HistogramSummary& s);
 
 // Bounded, mergeable streaming histogram: HDR-style log-linear buckets.
 // Each power-of-two octave of the value range splits into kSubBuckets
-// equal-width linear sub-buckets, so the relative quantization error of any
-// reconstructed quantile is at most 1/kSubBuckets (= 1/64 ≈ 1.6%, documented
-// as ≤ 2% in docs/OBSERVABILITY.md). min/max/count are exact; the sum behind
+// equal-width linear sub-buckets. A reconstructed quantile is within
+// 1/kSubBuckets (= 1/64 ≈ 1.6%) of the exact one only when the two samples
+// around its rank share a bucket: Percentile interpolates inside the bucket
+// that holds the lower of them, never toward the next sample, so with few
+// samples a high percentile reads near the *smaller* value (two samples of
+// 21.06 and 35.95 give a p99 of 21.25, where the exact p99 is 35.80; see
+// docs/OBSERVABILITY.md). min/max/count are exact; the sum behind
 // Mean() accumulates in 128-bit fixed point (2^-20 units ≈ 1 ns for values
 // in ms), so every statistic is *fully order-invariant*: recording or
 // merging the same samples in any order — completion order on a lockstep
@@ -147,8 +126,6 @@ class LogHistogram {
   static constexpr int kMaxExp2 = 22;
   static constexpr int kSubBuckets = 64;
   static constexpr int kNumBuckets = (kMaxExp2 - kMinExp2 + 1) * kSubBuckets;
-  // Max relative error of a reconstructed quantile vs. the exact sample.
-  static constexpr double kMaxRelativeError = 1.0 / kSubBuckets;
   // Fixed-point scale of the mean sum: integer addition is associative and
   // commutative where double addition is not, which is what makes Mean()
   // independent of record/merge order.

@@ -1,7 +1,10 @@
 // End-to-end heterogeneous tests: multiple different applications offloaded
 // together (the paper's multi-kernel story), scheduler orderings under mixes,
-// and configuration variants (worker counts, streaming fraction).
+// configuration variants (worker counts, streaming fraction), and the
+// per-kernel latency summary every system reports.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "tests/test_util.h"
 
@@ -24,23 +27,30 @@ struct MixOutcome {
   }
 };
 
-MixOutcome RunMix(int mix, int per_app, SchedulerKind kind,
-                  FlashAbacusConfig cfg = TestDeviceConfig()) {
-  Simulator sim;
-  FlashAbacus dev(&sim, cfg);
+// Prepares `per_app` instances of every app from one seeded stream; returns
+// the raw pointers a Run takes.
+std::vector<AppInstance*> PrepareApps(MixOutcome* out, int per_app, double model_scale) {
   Rng rng(42);
-  MixOutcome out;
-  out.apps = WorkloadRegistry::Get().Mix(mix);
   std::vector<AppInstance*> raw;
-  for (std::size_t a = 0; a < out.apps.size(); ++a) {
+  for (std::size_t a = 0; a < out->apps.size(); ++a) {
     for (int i = 0; i < per_app; ++i) {
-      out.instances.push_back(std::make_unique<AppInstance>(static_cast<int>(a), i,
-                                                            &out.apps[a]->spec(),
-                                                            cfg.model_scale));
-      out.apps[a]->Prepare(*out.instances.back(), rng);
-      raw.push_back(out.instances.back().get());
+      out->instances.push_back(std::make_unique<AppInstance>(static_cast<int>(a), i,
+                                                             &out->apps[a]->spec(),
+                                                             model_scale));
+      out->apps[a]->Prepare(*out->instances.back(), rng);
+      raw.push_back(out->instances.back().get());
     }
   }
+  return raw;
+}
+
+MixOutcome RunApps(std::vector<const Workload*> apps, int per_app, SchedulerKind kind,
+                   FlashAbacusConfig cfg = TestDeviceConfig()) {
+  Simulator sim;
+  FlashAbacus dev(&sim, cfg);
+  MixOutcome out;
+  out.apps = std::move(apps);
+  const std::vector<AppInstance*> raw = PrepareApps(&out, per_app, cfg.model_scale);
   for (AppInstance* inst : raw) {
     dev.InstallData(inst, [](Tick) {});
   }
@@ -53,6 +63,64 @@ MixOutcome RunMix(int mix, int per_app, SchedulerKind kind,
   return out;
 }
 
+MixOutcome RunMix(int mix, int per_app, SchedulerKind kind,
+                  FlashAbacusConfig cfg = TestDeviceConfig()) {
+  return RunApps(WorkloadRegistry::Get().Mix(mix), per_app, kind, cfg);
+}
+
+MixOutcome RunAppsOnSimd(std::vector<const Workload*> apps, int per_app) {
+  SimdConfig cfg;
+  cfg.model_scale = 1.0 / 256.0;
+  Simulator sim;
+  SimdSystem simd(&sim, cfg);
+  MixOutcome out;
+  out.apps = std::move(apps);
+  const std::vector<AppInstance*> raw = PrepareApps(&out, per_app, cfg.model_scale);
+  for (AppInstance* inst : raw) {
+    simd.InstallData(inst);
+  }
+  simd.Run(raw, [&](RunReport r) {
+    out.result = std::move(r);
+    out.run_done = true;
+  });
+  sim.Run();
+  return out;
+}
+
+// RunReport::KernelLatencyMs() summarizes completion times measured from the
+// run's start. It must equal the exact summary of every instance's own
+// submit->complete latency, taken in completion order (the mean's summation
+// order), to the bit.
+void ExpectKernelLatencyMatchesInstances(const MixOutcome& out) {
+  std::vector<const AppInstance*> by_completion;
+  for (const auto& inst : out.instances) {
+    by_completion.push_back(inst.get());
+  }
+  std::stable_sort(by_completion.begin(), by_completion.end(),
+                   [](const AppInstance* a, const AppInstance* b) {
+                     return a->complete_time < b->complete_time;
+                   });
+  std::vector<double> latency_ms;
+  for (const AppInstance* inst : by_completion) {
+    latency_ms.push_back(TicksToMs(inst->complete_time - inst->submit_time));
+  }
+  const HistogramSummary want = SummarizeSamples(latency_ms);
+  const HistogramSummary got = out.result.KernelLatencyMs();
+  EXPECT_EQ(got.count, out.instances.size());
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_LT(got.min, got.max) << "instances should finish at different ticks";
+}
+
+std::vector<const Workload*> TwoAppMix() {
+  return {WorkloadRegistry::Get().Find("ATAX"), WorkloadRegistry::Get().Find("GESUM")};
+}
+
 class MixSchedulerTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 TEST_P(MixSchedulerTest, Mx1AllKernelsVerify) {
@@ -60,6 +128,12 @@ TEST_P(MixSchedulerTest, Mx1AllKernelsVerify) {
   ASSERT_TRUE(out.run_done);
   EXPECT_TRUE(out.AllVerified());
   EXPECT_EQ(out.result.completion_times.size(), 6u);
+}
+
+TEST_P(MixSchedulerTest, KernelLatencyIsEachInstancesSubmitToComplete) {
+  const MixOutcome out = RunApps(TwoAppMix(), 3, GetParam());
+  ASSERT_TRUE(out.run_done);
+  ExpectKernelLatencyMatchesInstances(out);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, MixSchedulerTest,
@@ -70,6 +144,12 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, MixSchedulerTest,
                          [](const ::testing::TestParamInfo<SchedulerKind>& info) {
                            return SchedulerKindName(info.param);
                          });
+
+TEST(E2eHeterogeneous, SimdKernelLatencyIsEachInstancesSubmitToComplete) {
+  const MixOutcome out = RunAppsOnSimd(TwoAppMix(), 3);
+  ASSERT_TRUE(out.run_done);
+  ExpectKernelLatencyMatchesInstances(out);
+}
 
 TEST(E2eHeterogeneous, IntraO3AtLeastMatchesInterDyOnMixes) {
   // Paper §5.1: IntraO3 outperforms InterDy by ~15% on heterogeneous

@@ -16,7 +16,7 @@ namespace {
 TEST(MetricsRegistry, RegistersAndSamplesAllKinds) {
   Counter c;
   c.Add(3);
-  Histogram h;
+  LogHistogram h;
   h.Record(1.0);
   h.Record(2.0);
   h.Record(3.0);
@@ -37,9 +37,10 @@ TEST(MetricsRegistry, RegistersAndSamplesAllKinds) {
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->kind, MetricSample::Kind::kHistogram);
   EXPECT_DOUBLE_EQ(lat->value, 3.0);  // sample count
-  EXPECT_DOUBLE_EQ(lat->min, 1.0);
-  EXPECT_DOUBLE_EQ(lat->mean, 2.0);
-  EXPECT_DOUBLE_EQ(lat->max, 3.0);
+  EXPECT_EQ(lat->summary.count, 3u);
+  EXPECT_DOUBLE_EQ(lat->summary.min, 1.0);
+  EXPECT_DOUBLE_EQ(lat->summary.mean, 2.0);
+  EXPECT_DOUBLE_EQ(lat->summary.max, 3.0);
 
   // The registry holds references: later mutations show up in new snapshots.
   c.Add(7);
@@ -80,7 +81,7 @@ TEST(MetricsRegistry, SnapshotIsNameSortedAndDeterministic) {
 TEST(MetricsRegistry, SnapshotJsonRoundTrips) {
   Counter c;
   c.Add(5);
-  Histogram h;
+  LogHistogram h;
   h.Record(2.5);
   MetricsRegistry reg;
   reg.RegisterCounter("dev/events", &c);

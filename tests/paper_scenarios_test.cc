@@ -53,7 +53,7 @@ TEST(PaperFig5, DynamicRunsSecondKernelsInParallel) {
   // Fig 5c: k1 and k3 run on the idle LWPs, cutting their latency; the whole
   // batch finishes in about half the static time (4 kernels, 6 workers).
   EXPECT_LT(dy.makespan, st.makespan * 2 / 3);
-  EXPECT_LT(dy.kernel_latency_ms.Max(), st.kernel_latency_ms.Max() * 0.7);
+  EXPECT_LT(dy.KernelLatencyMs().max, st.KernelLatencyMs().max * 0.7);
 }
 
 TEST(PaperFig7, IntraSchedulingCutsSingleKernelLatency) {

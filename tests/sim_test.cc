@@ -97,16 +97,18 @@ TEST(BusyTracker, OpenIntervalCountsUpToNow) {
   EXPECT_EQ(t.BusyTime(150), 50u);
 }
 
-TEST(Histogram, PercentilesAndMoments) {
-  Histogram h;
+TEST(SummarizeSamples, PercentilesAndMoments) {
+  std::vector<double> samples;
   for (int i = 1; i <= 100; ++i) {
-    h.Record(i);
+    samples.push_back(i);
   }
-  EXPECT_DOUBLE_EQ(h.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.Max(), 100.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
-  EXPECT_NEAR(h.Percentile(50), 50.5, 0.01);
-  EXPECT_NEAR(h.Percentile(99), 99.01, 0.01);
+  const HistogramSummary s = SummarizeSamples(samples);
+  EXPECT_EQ(s.count, 100u);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 100.0);
+  EXPECT_DOUBLE_EQ(s.mean, 50.5);
+  EXPECT_NEAR(s.p50, 50.5, 0.01);
+  EXPECT_NEAR(s.p99, 99.01, 0.01);
 }
 
 TEST(BoundedTimeSeries, RebucketHoldsLastValue) {

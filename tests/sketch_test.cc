@@ -1,7 +1,8 @@
 // Locks down the bounded streaming-sketch layer (docs/OBSERVABILITY.md
 // "Streaming sketches"): LogHistogram merge/order invariance, the quantile
-// error bound against the exact Histogram, empty/single-sample edges,
-// checkpoint round-trips, and BoundedTimeSeries coarsening.
+// error bound against exact percentiles, empty/single-sample edges,
+// checkpoint round-trips, and BoundedTimeSeries coarsening; plus the
+// empty-safe exact summary, SummarizeSamples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,16 @@
 
 namespace fabacus {
 namespace {
+
+// Exact percentile p of ascending `sorted`: the linear closest-rank rule
+// SummarizeSamples uses, at any p.
+double ExactPercentile(const std::vector<double>& sorted, double p) {
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
+  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
 
 // Seeded latency-shaped samples: a log-uniform spread over ~5 decades, the
 // regime the log-scale buckets are sized for.
@@ -72,19 +83,20 @@ TEST(LogHistogram, RecordAndMergeOrderInvariant) {
   EXPECT_TRUE(SketchesIdentical(m1, forward));
 }
 
-TEST(LogHistogram, QuantileErrorBoundedVsExactHistogram) {
+TEST(LogHistogram, QuantileErrorBoundedVsExactPercentiles) {
   const std::vector<double> samples = LatencySamples(21, 5000);
-  Histogram exact;
   LogHistogram sketch;
   for (double v : samples) {
-    exact.Record(v);
     sketch.Record(v);
   }
-  EXPECT_DOUBLE_EQ(sketch.Min(), exact.Min());
-  EXPECT_DOUBLE_EQ(sketch.Max(), exact.Max());
-  EXPECT_NEAR(sketch.Mean(), exact.Mean(), exact.Mean() * 1e-6);
+  const HistogramSummary exact = SummarizeSamples(samples);
+  EXPECT_DOUBLE_EQ(sketch.Min(), exact.min);
+  EXPECT_DOUBLE_EQ(sketch.Max(), exact.max);
+  EXPECT_NEAR(sketch.Mean(), exact.mean, exact.mean * 1e-6);
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
   for (double p : {1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9}) {
-    const double e = exact.Percentile(p);
+    const double e = ExactPercentile(sorted, p);
     const double s = sketch.Percentile(p);
     // Documented bound: 1/kSubBuckets = 1/64 ~ 1.6% relative quantization
     // error; 3% here leaves slop for interpolation at bucket edges.
@@ -259,38 +271,13 @@ TEST(BoundedTimeSeries, SaveLoadRoundTrip) {
   EXPECT_FALSE(r2.ok());
 }
 
-TEST(Histogram, EmptySafeStatistics) {
-  Histogram h;
-  EXPECT_DOUBLE_EQ(h.Min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(99), 0.0);
-  const HistogramSummary s = h.Summarize();
+TEST(SummarizeSamples, EmptySafeStatistics) {
+  const HistogramSummary s = SummarizeSamples({});
   EXPECT_EQ(s.count, 0u);
+  EXPECT_DOUBLE_EQ(s.min, 0.0);
   EXPECT_DOUBLE_EQ(s.max, 0.0);
-}
-
-TEST(Histogram, SortsOncePerQueryBatch) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) {
-    h.Record(static_cast<double>(99 - i));
-  }
-  EXPECT_EQ(h.sort_count(), 0u);
-  // A batch of queries shares one sorted copy — the old implementation
-  // re-sorted the full sample vector on every Percentile call.
-  h.Percentile(50);
-  h.Percentile(95);
-  h.Percentile(99);
-  const HistogramSummary s = h.Summarize();
-  EXPECT_EQ(h.sort_count(), 1u);
-  EXPECT_DOUBLE_EQ(s.p50, h.Percentile(50));
-  EXPECT_EQ(h.sort_count(), 1u);
-  // New samples invalidate the cache exactly once.
-  h.Record(1000.0);
-  h.Percentile(50);
-  h.Percentile(99);
-  EXPECT_EQ(h.sort_count(), 2u);
-  EXPECT_DOUBLE_EQ(h.Max(), 1000.0);
+  EXPECT_DOUBLE_EQ(s.mean, 0.0);
+  EXPECT_DOUBLE_EQ(s.p99, 0.0);
 }
 
 }  // namespace

@@ -58,20 +58,16 @@ int main(int argc, char** argv) {
 
   const IoReplayResult r = ReplayIoTrace(&sim, &fv, entries);
   std::printf("\nmakespan: %.3f ms\n", TicksToMs(r.makespan));
-  std::printf("reads:  %6llu (%8.1f MB)", static_cast<unsigned long long>(r.reads),
-              r.read_mb);
-  if (r.reads > 0) {
-    std::printf("  lat us: avg %8.1f p99 %8.1f max %8.1f",
-                r.read_latency_us.Mean(), r.read_latency_us.Percentile(99),
-                r.read_latency_us.Max());
-  }
-  std::printf("\nwrites: %6llu (%8.1f MB)", static_cast<unsigned long long>(r.writes),
-              r.write_mb);
-  if (r.writes > 0) {
-    std::printf("  lat us: avg %8.1f p99 %8.1f max %8.1f",
-                r.write_latency_us.Mean(), r.write_latency_us.Percentile(99),
-                r.write_latency_us.Max());
-  }
+  const auto print_side = [](const char* label, const std::vector<double>& lat_us, double mb) {
+    const HistogramSummary s = SummarizeSamples(lat_us);
+    std::printf("%s %6llu (%8.1f MB)", label, static_cast<unsigned long long>(s.count), mb);
+    if (s.count > 0) {
+      std::printf("  lat us: avg %8.1f p99 %8.1f max %8.1f", s.mean, s.p99, s.max);
+    }
+  };
+  print_side("reads: ", r.read_latency_us, r.read_mb);
+  std::printf("\n");
+  print_side("writes:", r.write_latency_us, r.write_mb);
   std::printf("\nflash: %llu group reads, %llu programs, %llu erases, %llu fg reclaims\n",
               static_cast<unsigned long long>(backbone.reads()),
               static_cast<unsigned long long>(backbone.programs()),
