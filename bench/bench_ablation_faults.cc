@@ -6,64 +6,25 @@
 // retries, patrol scrub) costs in makespan versus what it absorbs: every
 // configuration still completes and verifies.
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/sim/rng.h"
-#include "src/sim/simulator.h"
 
 namespace fabacus {
 namespace {
 
-struct FaultOutcome {
-  RunReport report;
-  bool verified = true;
-  bool completed = false;
-};
-
-FaultOutcome RunWithFaults(const FaultConfig& fault) {
-  Simulator sim;
+BenchRun RunWithFaults(const FaultConfig& fault) {
   FlashAbacusConfig cfg = FlashAbacusConfig::Paper();
   cfg.model_scale = kBenchScale;
   cfg.nand.fault = fault;
-  FlashAbacus dev(&sim, cfg);
-
-  std::vector<const Workload*> apps;
-  apps.push_back(WorkloadRegistry::Get().Find("ATAX"));
-  apps.push_back(WorkloadRegistry::Get().Find("GESUM"));
-  Rng rng(42);
-  std::vector<std::unique_ptr<AppInstance>> owned;
-  std::vector<AppInstance*> raw;
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    for (int i = 0; i < 2; ++i) {
-      auto inst = std::make_unique<AppInstance>(static_cast<int>(a), i, &apps[a]->spec(),
-                                                cfg.model_scale);
-      apps[a]->Prepare(*inst, rng);
-      raw.push_back(inst.get());
-      owned.push_back(std::move(inst));
-    }
-  }
-  for (AppInstance* inst : raw) {
-    dev.InstallData(inst, [](Tick) {});
-  }
-  sim.Run();
-
-  FaultOutcome out;
-  dev.Run(raw, SchedulerKind::kIntraOutOfOrder, [&](RunReport r) {
-    out.report = std::move(r);
-    out.completed = true;
-  });
-  sim.Run();
-  for (const auto& inst : owned) {
-    out.verified =
-        out.verified && apps[static_cast<std::size_t>(inst->app_id())]->Verify(*inst);
-  }
-  return out;
+  return RunFlashAbacusSystem(
+      {WorkloadRegistry::Get().Find("ATAX"), WorkloadRegistry::Get().Find("GESUM")}, 2,
+      SchedulerKind::kIntraOutOfOrder, cfg);
 }
 
-double Metric(const FaultOutcome& o, const std::string& name) {
-  return o.report.metrics.Has(name) ? o.report.metrics.Value(name) : 0.0;
+double Metric(const BenchRun& run, const std::string& name) {
+  return run.result.metrics.Has(name) ? run.result.metrics.Value(name) : 0.0;
 }
 
 }  // namespace
@@ -102,31 +63,30 @@ int main() {
   PrintRow({"device", "makespan(ms)", "retries", "uncorr", "prog-fail", "host-retry",
             "verified"},
            13);
-  std::vector<std::function<FaultOutcome()>> jobs;
+  std::vector<std::function<BenchRun()>> jobs;
   for (const Step& s : steps) {
     jobs.emplace_back([&s] { return RunWithFaults(s.fault); });
   }
-  const std::vector<FaultOutcome> outcomes = SweepRunner().Run(std::move(jobs));
+  const std::vector<BenchRun> runs = SweepRunner().Run(std::move(jobs));
   BenchJson json("bench_ablation_faults");
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
     const Step& s = steps[i];
-    const FaultOutcome& o = outcomes[i];
-    PrintRow({s.label, Fmt(TicksToMs(o.report.makespan), 2),
-              Fmt(Metric(o, "flash/read_retries"), 0),
-              Fmt(Metric(o, "flash/uncorrectable_reads"), 0),
-              Fmt(Metric(o, "flashvisor/program_failure_reallocs"), 0),
-              Fmt(Metric(o, "host/io_retries"), 0),
-              o.completed && o.verified ? "yes" : "NO"},
+    const BenchRun& run = runs[i];
+    PrintRow({s.label, Fmt(TicksToMs(run.result.makespan), 2),
+              Fmt(Metric(run, "flash/read_retries"), 0),
+              Fmt(Metric(run, "flash/uncorrectable_reads"), 0),
+              Fmt(Metric(run, "flashvisor/program_failure_reallocs"), 0),
+              Fmt(Metric(run, "host/io_retries"), 0), run.verified ? "yes" : "NO"},
              13);
     json.AddScalarRow(s.label, "IntraO3",
-                      {{"makespan_ms", TicksToMs(o.report.makespan)},
-                       {"read_retries", Metric(o, "flash/read_retries")},
-                       {"uncorrectable_reads", Metric(o, "flash/uncorrectable_reads")},
+                      {{"makespan_ms", TicksToMs(run.result.makespan)},
+                       {"read_retries", Metric(run, "flash/read_retries")},
+                       {"uncorrectable_reads", Metric(run, "flash/uncorrectable_reads")},
                        {"program_failure_reallocs",
-                        Metric(o, "flashvisor/program_failure_reallocs")},
-                       {"host_io_retries", Metric(o, "host/io_retries")},
-                       {"energy_total_j", o.report.EnergySummary().total_j},
-                       {"verified", o.completed && o.verified ? 1.0 : 0.0}});
+                        Metric(run, "flashvisor/program_failure_reallocs")},
+                       {"host_io_retries", Metric(run, "host/io_retries")},
+                       {"energy_total_j", run.result.EnergySummary().total_j},
+                       {"verified", run.verified ? 1.0 : 0.0}});
   }
   std::printf("\nEvery configuration completes and verifies: correctable errors cost\n"
               "retry-ladder latency, program failures cost re-allocated block groups,\n"

@@ -9,13 +9,10 @@
 //  2. Re-run ATAX end to end with the measured per-group translation costs
 //     plugged into Flashvisor, showing the throughput impact.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/mapping_cache.h"
-#include "src/sim/rng.h"
-#include "src/sim/simulator.h"
 
 namespace fabacus {
 namespace {
@@ -59,27 +56,11 @@ Tick MeasuredMeanCost(const Residency& r, const std::vector<std::uint64_t>& trac
 }
 
 double RunAtaxWithTranslateCost(Tick per_group) {
-  const Workload* wl = WorkloadRegistry::Get().Find("ATAX");
-  Simulator sim;
   FlashAbacusConfig cfg = FlashAbacusConfig::Paper();
   cfg.flashvisor.per_group_translate = per_group;
-  FlashAbacus dev(&sim, cfg);
-  Rng rng(42);
-  std::vector<std::unique_ptr<AppInstance>> owned;
-  std::vector<AppInstance*> raw;
-  for (int i = 0; i < 6; ++i) {
-    owned.push_back(std::make_unique<AppInstance>(0, i, &wl->spec(), cfg.model_scale));
-    wl->Prepare(*owned.back(), rng);
-    raw.push_back(owned.back().get());
-  }
-  for (AppInstance* inst : raw) {
-    dev.InstallData(inst, [](Tick) {});
-  }
-  sim.Run();
-  double mbs = 0.0;
-  dev.Run(raw, SchedulerKind::kIntraOutOfOrder, [&](RunReport r) { mbs = r.throughput_mb_s; });
-  sim.Run();
-  return mbs;
+  return RunFlashAbacusSystem({WorkloadRegistry::Get().Find("ATAX")}, 6,
+                              SchedulerKind::kIntraOutOfOrder, cfg)
+      .result.throughput_mb_s;
 }
 
 }  // namespace

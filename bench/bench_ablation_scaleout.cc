@@ -5,44 +5,21 @@
 // point where the flash backbone (not compute) becomes the bottleneck.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/sim/rng.h"
-#include "src/sim/simulator.h"
 
 namespace fabacus {
 namespace {
 
 RunReport RunMixAtScale(const std::vector<const Workload*>& mix, int lwps) {
-  Simulator sim;
   FlashAbacusConfig cfg = FlashAbacusConfig::Paper();
   cfg.num_lwps = lwps;  // 2 reserved for Flashvisor/Storengine
   // Scaling out means adding LWPs *into the network*: give the tier-1
   // crossbar a port per LWP plus the memory port (the paper's 12-port fabric
   // only covers the 8-LWP baseline, and Validate() rejects fewer).
   cfg.tier1.ports = std::max(cfg.tier1.ports, lwps + 1);
-  FlashAbacus dev(&sim, cfg);
-  Rng rng(42);
-  std::vector<std::unique_ptr<AppInstance>> owned;
-  std::vector<AppInstance*> raw;
-  for (std::size_t a = 0; a < mix.size(); ++a) {
-    for (int i = 0; i < 2; ++i) {
-      owned.push_back(std::make_unique<AppInstance>(static_cast<int>(a), i,
-                                                    &mix[a]->spec(), cfg.model_scale));
-      mix[a]->Prepare(*owned.back(), rng);
-      raw.push_back(owned.back().get());
-    }
-  }
-  for (AppInstance* inst : raw) {
-    dev.InstallData(inst, [](Tick) {});
-  }
-  sim.Run();
-  RunReport result;
-  dev.Run(raw, SchedulerKind::kIntraOutOfOrder, [&](RunReport r) { result = std::move(r); });
-  sim.Run();
-  return result;
+  return RunFlashAbacusSystem(mix, 2, SchedulerKind::kIntraOutOfOrder, cfg).result;
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ BenchRun RunFlashAbacusSystem(const std::vector<const Workload*>& apps, int inst
   if (!done) {
     std::fprintf(stderr, "ERROR: %s run did not complete\n", run.system.c_str());
   }
-  run.verified = VerifyAll(apps, set);
+  run.verified = done && VerifyAll(apps, set);
   meter.Finish(sim);
   return run;
 }
@@ -140,7 +140,7 @@ BenchRun RunFlashAbacusSystemTenants(const std::vector<const Workload*>& apps,
   if (!done) {
     std::fprintf(stderr, "ERROR: %s tenant run did not complete\n", run.system.c_str());
   }
-  run.verified = true;
+  run.verified = done;
   for (const AppInstance* inst : admitted) {
     run.verified =
         run.verified && apps[static_cast<std::size_t>(inst->app_id())]->Verify(*inst);
@@ -173,7 +173,7 @@ BenchRun RunSimdSystem(const std::vector<const Workload*>& apps, int instances_p
   if (!done) {
     std::fprintf(stderr, "ERROR: SIMD run did not complete\n");
   }
-  run.verified = VerifyAll(apps, set);
+  run.verified = done && VerifyAll(apps, set);
   meter.Finish(sim);
   return run;
 }

@@ -34,8 +34,8 @@ inline constexpr double kBenchScale = 1.0 / 16.0;
 struct BenchRun {
   std::string system;
   RunReport result;
-  // The instances' verification outcome (true = every output matched its
-  // reference implementation).
+  // The instances' verification outcome (true = the run completed and every
+  // output matched its reference implementation).
   bool verified = true;
   // Host-side cost of producing this run (engine observability; satellite
   // metrics of docs/PERFORMANCE.md). Simulated ticks are the final simulator

@@ -34,8 +34,11 @@ bool ExecutionChain::IsLoadDone(const AppInstance* inst) const {
   return apps_[static_cast<std::size_t>(FindApp(inst))].load_done;
 }
 
-bool ExecutionChain::ReadyScreenOfApp(App& app, int app_idx, ScreenRef* out) {
-  (void)app_idx;
+ExecutionChain::App& ExecutionChain::Visit(const std::vector<int>* order, std::size_t k) {
+  return apps_[order == nullptr ? k : static_cast<std::size_t>((*order)[k])];
+}
+
+bool ExecutionChain::ReadyScreenOfApp(App& app, ScreenRef* out) {
   if (!app.load_done || app.current >= static_cast<int>(app.nodes.size())) {
     return false;
   }
@@ -50,47 +53,27 @@ bool ExecutionChain::ReadyScreenOfApp(App& app, int app_idx, ScreenRef* out) {
   return true;
 }
 
-bool ExecutionChain::NextReadyScreen(ScreenRef* out) {
-  for (std::size_t i = 0; i < apps_.size(); ++i) {
-    if (ReadyScreenOfApp(apps_[i], static_cast<int>(i), out)) {
+bool ExecutionChain::NextReadyScreen(ScreenRef* out, const std::vector<int>* order) {
+  FAB_CHECK(order == nullptr || order->size() == apps_.size());
+  for (std::size_t k = 0; k < apps_.size(); ++k) {
+    if (ReadyScreenOfApp(Visit(order, k), out)) {
       return true;
     }
   }
   return false;
 }
 
-bool ExecutionChain::NextReadyScreenInOrder(ScreenRef* out) {
-  // The strict in-order policy: find the earliest app with an incomplete
+bool ExecutionChain::NextReadyScreenInOrder(ScreenRef* out, const std::vector<int>* order) {
+  FAB_CHECK(order == nullptr || order->size() == apps_.size());
+  // The strict in-order policy: find the first app with an incomplete
   // microblock; only its current microblock may dispatch. If its screens are
   // exhausted (but still running) nothing else may start.
-  for (auto& app : apps_) {
+  for (std::size_t k = 0; k < apps_.size(); ++k) {
+    App& app = Visit(order, k);
     if (app.current >= static_cast<int>(app.nodes.size())) {
-      continue;  // app finished; look at the next one
+      continue;  // app finished; the barrier moves to the next app
     }
-    return ReadyScreenOfApp(app, 0, out);
-  }
-  return false;
-}
-
-bool ExecutionChain::NextReadyScreenOrdered(const std::vector<int>& order, ScreenRef* out) {
-  FAB_CHECK_EQ(order.size(), apps_.size());
-  for (int i : order) {
-    if (ReadyScreenOfApp(apps_[static_cast<std::size_t>(i)], i, out)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ExecutionChain::NextReadyScreenInOrderOrdered(const std::vector<int>& order,
-                                                   ScreenRef* out) {
-  FAB_CHECK_EQ(order.size(), apps_.size());
-  for (int i : order) {
-    App& app = apps_[static_cast<std::size_t>(i)];
-    if (app.current >= static_cast<int>(app.nodes.size())) {
-      continue;  // app finished; the barrier moves to the next preferred app
-    }
-    return ReadyScreenOfApp(app, 0, out);
+    return ReadyScreenOfApp(app, out);
   }
   return false;
 }

@@ -30,22 +30,19 @@ class ExecutionChain {
   void MarkLoadDone(AppInstance* inst);
   bool IsLoadDone(const AppInstance* inst) const;
 
+  // Both walkers visit apps in `order`, a permutation of arrival indices
+  // (the weighted-fair preference order, docs/QOS.md), or in arrival order
+  // when `order` is null.
+  //
   // Out-of-order policy (IntraO3): the next undispatched screen of *any* app
-  // whose load is done and whose chain permits it (FIFO by arrival order,
-  // then microblock, then screen). Returns false when nothing is ready.
-  bool NextReadyScreen(ScreenRef* out);
+  // whose load is done and whose chain permits it (first app in visiting
+  // order, then microblock, then screen). Returns false when nothing is
+  // ready.
+  bool NextReadyScreen(ScreenRef* out, const std::vector<int>* order = nullptr);
 
-  // In-order policy (IntraIo): screens only from the globally-first
-  // incomplete microblock (strict barrier across apps).
-  bool NextReadyScreenInOrder(ScreenRef* out);
-
-  // Weighted-fair variants (docs/QOS.md): same dependency rules, but apps
-  // are visited in the caller-supplied preference `order` (a permutation of
-  // arrival indices) instead of arrival order. The in-order variant keeps
-  // its strict barrier — only the first unfinished app in preference order
-  // may dispatch.
-  bool NextReadyScreenOrdered(const std::vector<int>& order, ScreenRef* out);
-  bool NextReadyScreenInOrderOrdered(const std::vector<int>& order, ScreenRef* out);
+  // In-order policy (IntraIo): screens only from the current microblock of
+  // the first unfinished app in visiting order (strict barrier across apps).
+  bool NextReadyScreenInOrder(ScreenRef* out, const std::vector<int>* order = nullptr);
 
   void OnDispatched(const ScreenRef& ref);
   // Returns true when this completion finished the instance's last microblock.
@@ -72,7 +69,9 @@ class ExecutionChain {
   };
 
   int FindApp(const AppInstance* inst) const;
-  bool ReadyScreenOfApp(App& app, int app_idx, ScreenRef* out);
+  // The app visited `k`-th: apps_[(*order)[k]], or apps_[k] without an order.
+  App& Visit(const std::vector<int>* order, std::size_t k);
+  bool ReadyScreenOfApp(App& app, ScreenRef* out);
 
   std::vector<App> apps_;  // arrival order
 };

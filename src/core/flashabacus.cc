@@ -699,64 +699,41 @@ void FlashAbacus::TryDispatch(RunState* rs) {
   }
 }
 
+bool FlashAbacus::PrefersTenant(TenantId a, TenantId b) const {
+  if (a == b) {
+    return false;
+  }
+  const bool la = tenants_->latency_class(a);
+  const bool lb = tenants_->latency_class(b);
+  if (la != lb) {
+    return la;
+  }
+  const double va = tenants_->virtual_time(a);
+  const double vb = tenants_->virtual_time(b);
+  if (va != vb) {
+    return va < vb;
+  }
+  return a < b;
+}
+
 std::vector<int> FlashAbacus::TenantDispatchOrder(const RunState* rs) const {
-  // Preference order over the run's instances: latency-class tenants first,
-  // then least tenant virtual time, then tenant id; stable sort keeps the
-  // submission order within a tenant.
+  // Stable, so instances of one tenant keep their submission order.
   std::vector<int> order(rs->instances.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<int>(i);
   }
   std::stable_sort(order.begin(), order.end(), [this, rs](int a, int b) {
-    const TenantId ta = rs->instances[static_cast<std::size_t>(a)]->tenant;
-    const TenantId tb = rs->instances[static_cast<std::size_t>(b)]->tenant;
-    if (ta == tb) {
-      return false;
-    }
-    const bool la = tenants_->latency_class(ta);
-    const bool lb = tenants_->latency_class(tb);
-    if (la != lb) {
-      return la;
-    }
-    const double va = tenants_->virtual_time(ta);
-    const double vb = tenants_->virtual_time(tb);
-    if (va != vb) {
-      return va < vb;
-    }
-    return ta < tb;
+    return PrefersTenant(rs->instances[static_cast<std::size_t>(a)]->tenant,
+                         rs->instances[static_cast<std::size_t>(b)]->tenant);
   });
   return order;
 }
 
-std::size_t FlashAbacus::PickPendingKernel(const RunState* rs,
-                                           const std::deque<PendingKernel>& q) const {
-  (void)rs;
-  // Same key as TenantDispatchOrder, applied to one inter-kernel queue:
-  // latency class, then least virtual time, then tenant id, then FIFO.
+std::size_t FlashAbacus::PickPendingKernel(const std::deque<PendingKernel>& q) const {
+  // The earliest-queued kernel of the most preferred tenant.
   std::size_t best = 0;
   for (std::size_t i = 1; i < q.size(); ++i) {
-    const TenantId ti = q[i].inst->tenant;
-    const TenantId tb = q[best].inst->tenant;
-    if (ti == tb) {
-      continue;  // FIFO within a tenant
-    }
-    const bool li = tenants_->latency_class(ti);
-    const bool lb = tenants_->latency_class(tb);
-    if (li != lb) {
-      if (li) {
-        best = i;
-      }
-      continue;
-    }
-    const double vi = tenants_->virtual_time(ti);
-    const double vb = tenants_->virtual_time(tb);
-    if (vi != vb) {
-      if (vi < vb) {
-        best = i;
-      }
-      continue;
-    }
-    if (ti < tb) {
+    if (PrefersTenant(q[i].inst->tenant, q[best].inst->tenant)) {
       best = i;
     }
   }
@@ -789,7 +766,7 @@ void FlashAbacus::DispatchInterKernel(RunState* rs) {
     if (q.empty()) {
       continue;
     }
-    const std::size_t pick = tenants_->weighted_fair() ? PickPendingKernel(rs, q) : 0;
+    const std::size_t pick = tenants_->weighted_fair() ? PickPendingKernel(q) : 0;
     const PendingKernel pk = q[pick];
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
     rs->worker_free[w] = false;
@@ -863,19 +840,19 @@ void FlashAbacus::DispatchIntraKernel(RunState* rs) {
     if (worker < 0) {
       return;
     }
-    ScreenRef ref;
-    bool found;
+    // Re-rank every iteration under weighted-fair QoS: each dispatch advances
+    // the tenant's virtual time, which can flip the preference before the
+    // next free worker.
+    std::vector<int> order;
+    const std::vector<int>* visit = nullptr;
     if (tenants_->weighted_fair()) {
-      // Re-rank every iteration: each dispatch advances the tenant's virtual
-      // time, which can flip the preference before the next free worker.
-      const std::vector<int> order = TenantDispatchOrder(rs);
-      found = rs->kind == SchedulerKind::kIntraInOrder
-                  ? rs->chain.NextReadyScreenInOrderOrdered(order, &ref)
-                  : rs->chain.NextReadyScreenOrdered(order, &ref);
-    } else {
-      found = rs->kind == SchedulerKind::kIntraInOrder ? rs->chain.NextReadyScreenInOrder(&ref)
-                                                       : rs->chain.NextReadyScreen(&ref);
+      order = TenantDispatchOrder(rs);
+      visit = &order;
     }
+    ScreenRef ref;
+    const bool found = rs->kind == SchedulerKind::kIntraInOrder
+                           ? rs->chain.NextReadyScreenInOrder(&ref, visit)
+                           : rs->chain.NextReadyScreen(&ref, visit);
     if (!found) {
       return;
     }

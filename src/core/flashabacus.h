@@ -193,13 +193,16 @@ class FlashAbacus {
   void DispatchIntraKernel(RunState* rs);
   void RunWholeKernel(RunState* rs, AppInstance* inst, int worker, int start_mblk = 0);
   void RunKernelMicroblock(RunState* rs, AppInstance* inst, int worker, int mblk);
-  // Weighted-fair helpers (docs/QOS.md). The preference order ranks run
-  // instances latency-class first, then least virtual time, then tenant id,
-  // then arrival. PickPendingKernel applies the same key to an inter queue;
-  // ShouldPreemptInter decides whether a worker yields at a microblock
-  // boundary to a queued latency-class kernel.
+  // Weighted-fair helpers (docs/QOS.md). PrefersTenant is the one preference
+  // key: true when tenant `a` goes strictly before `b` (latency class first,
+  // then least virtual time, then tenant id). TenantDispatchOrder ranks the
+  // run's instances by it, arrival breaking ties; PickPendingKernel picks by
+  // it from an inter queue, FIFO breaking ties; ShouldPreemptInter decides
+  // whether a worker yields at a microblock boundary to a queued
+  // latency-class kernel.
+  bool PrefersTenant(TenantId a, TenantId b) const;
   std::vector<int> TenantDispatchOrder(const RunState* rs) const;
-  std::size_t PickPendingKernel(const RunState* rs, const std::deque<PendingKernel>& q) const;
+  std::size_t PickPendingKernel(const std::deque<PendingKernel>& q) const;
   bool ShouldPreemptInter(const RunState* rs, const AppInstance* inst, int worker) const;
   void ExecuteScreenOn(RunState* rs, const ScreenRef& ref, int worker);
   void StreamTail(RunState* rs, AppInstance* inst, DataSection* section, std::uint64_t addr,

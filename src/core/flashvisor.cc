@@ -188,14 +188,14 @@ void Flashvisor::HandleIo(IoRequest req, std::function<void(Tick)> core_done) {
     // the flash operations themselves proceed in the controllers.
     core_done(end);
     if (req.type == IoRequest::Type::kRead) {
-      DoRead(std::move(req), end);
+      DoRead(std::move(req));
     } else {
-      DoWrite(std::move(req), end);
+      DoWrite(std::move(req));
     }
   });
 }
 
-void Flashvisor::DoRead(IoRequest req, Tick service_end) {
+void Flashvisor::DoRead(IoRequest req) {
   const std::uint64_t group_bytes = backbone_->config().GroupBytes();
   const std::uint64_t first_lg = req.flash_addr / group_bytes;
   const std::uint64_t n_groups =
@@ -275,12 +275,11 @@ void Flashvisor::DoRead(IoRequest req, Tick service_end) {
     });
   };
 
-  (void)service_end;
   lock_.Acquire(first_lg, last_lg, LockMode::kRead,
                 [work = std::move(work)](RangeLock::LockId id) mutable { work(id); }, tenant);
 }
 
-void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
+void Flashvisor::DoWrite(IoRequest req) {
   const std::uint64_t group_bytes = backbone_->config().GroupBytes();
   const std::uint64_t first_lg = req.flash_addr / group_bytes;
   const std::uint64_t n_groups =
@@ -353,7 +352,6 @@ void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
     sim_->ScheduleAt(flash_done, [this, lock_id]() { lock_.Release(lock_id); });
   };
 
-  (void)service_end;
   lock_.Acquire(first_lg, last_lg, LockMode::kWrite,
                 [work = std::move(work)](RangeLock::LockId id) mutable { work(id); }, tenant);
 }

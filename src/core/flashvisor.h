@@ -203,8 +203,8 @@ class Flashvisor : public Snapshottable {
 
  private:
   void HandleIo(IoRequest req, std::function<void(Tick)> core_done);
-  void DoRead(IoRequest req, Tick service_end);
-  void DoWrite(IoRequest req, Tick service_end);
+  void DoRead(IoRequest req);
+  void DoWrite(IoRequest req);
   void RetireActiveBlockGroup();
   void SealActiveBlockGroup(Tick now);
   void EnsureActiveBlockGroup(Tick now);

@@ -24,12 +24,8 @@ void Storengine::Start() {
   if (config_.enable_background_gc) {
     ScheduleNextGc();
   }
-  if (config_.enable_journaling) {
-    ScheduleNextJournal();
-  }
-  if (config_.enable_scrub) {
-    ScheduleNextScrub();
-  }
+  ScheduleNextJournal();
+  ScheduleNextScrub();
 }
 
 void Storengine::ScheduleNextGc() {

@@ -30,12 +30,10 @@ struct StorengineConfig {
   std::size_t gc_high_watermark = 8;
   Tick per_group_cpu = 200;   // ns of Storengine core time per migrated group
   Tick pass_fixed_cpu = 2000; // ns per GC pass / journal dump orchestration
-  bool enable_journaling = true;
   bool enable_background_gc = true;
   // Patrol scrubber: refresh-migrates (1) valid data stranded in retired
   // block groups and (2) sealed block groups whose wear or accumulated
   // correctable-error count crossed the refresh thresholds.
-  bool enable_scrub = true;
   Tick scrub_interval = 400 * kMs;
   double scrub_wear_ratio = 0.85;          // of NandConfig::endurance_cycles
   std::uint32_t scrub_error_threshold = 4; // correctable errors per block group

@@ -1,11 +1,15 @@
 // Tests for the multi-app execution chain: microblock ordering, screen
-// readiness under the in-order and out-of-order policies, and completion
-// bookkeeping (paper §4.2, Figure 8).
+// readiness under the in-order and out-of-order policies, walks in a
+// weighted-fair preference order, and completion bookkeeping (paper §4.2,
+// Figure 8).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "src/core/execution_chain.h"
+#include "src/sim/rng.h"
 #include "src/workloads/workload.h"
 
 namespace fabacus {
@@ -142,6 +146,114 @@ TEST_F(ChainFixture, AllComputeDoneAcrossManyApps) {
     chain_.OnScreenComplete(ref);
   }
   EXPECT_TRUE(chain_.AllComputeDone());
+}
+
+
+TEST_F(ChainFixture, PreferenceOrderDispatchesPreferredReadyAppFirst) {
+  AppInstance* a = AddApp("GESUM", 2);
+  AppInstance* b = AddApp("GESUM", 2);
+  AppInstance* c = AddApp("GESUM", 2, /*load_done=*/false);
+  const std::vector<int> order = {2, 1, 0};
+  ScreenRef ref;
+  ASSERT_TRUE(chain_.NextReadyScreen(&ref));
+  EXPECT_EQ(ref.inst, a);  // no order: arrival order
+  // c is preferred but still loading, so the walk takes the next preferred app.
+  ASSERT_TRUE(chain_.NextReadyScreen(&ref, &order));
+  EXPECT_EQ(ref.inst, b);
+  chain_.MarkLoadDone(c);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(chain_.NextReadyScreen(&ref, &order));
+    EXPECT_EQ(ref.inst, c);
+    chain_.OnDispatched(ref);
+  }
+  // Every screen of c is in flight: out-of-order borrows from b, not a.
+  ASSERT_TRUE(chain_.NextReadyScreen(&ref, &order));
+  EXPECT_EQ(ref.inst, b);
+}
+
+TEST_F(ChainFixture, InOrderBarrierFollowsPreferenceOrder) {
+  AppInstance* a = AddApp("GESUM", 2);  // single microblock
+  AppInstance* b = AddApp("GESUM", 2);
+  AppInstance* c = AddApp("GESUM", 2);
+  const std::vector<int> order = {1, 2, 0};
+  ScreenRef ref;
+  ASSERT_TRUE(chain_.NextReadyScreenInOrder(&ref));
+  EXPECT_EQ(ref.inst, a);  // no order: the barrier sits at the first arrival
+  ScreenRef refs[2];
+  for (ScreenRef& r : refs) {
+    ASSERT_TRUE(chain_.NextReadyScreenInOrder(&r, &order));
+    EXPECT_EQ(r.inst, b);
+    chain_.OnDispatched(r);
+  }
+  // b's screens are in flight: the barrier holds a and c, though both are ready.
+  EXPECT_FALSE(chain_.NextReadyScreenInOrder(&ref, &order));
+  EXPECT_FALSE(chain_.OnScreenComplete(refs[0]));
+  EXPECT_FALSE(chain_.NextReadyScreenInOrder(&ref, &order));
+  EXPECT_TRUE(chain_.OnScreenComplete(refs[1]));
+  // b is finished: the barrier moves to the next preferred unfinished app.
+  ASSERT_TRUE(chain_.NextReadyScreenInOrder(&ref, &order));
+  EXPECT_EQ(ref.inst, c);
+  ASSERT_TRUE(chain_.NextReadyScreenInOrder(&ref));
+  EXPECT_EQ(ref.inst, a);
+}
+
+// An explicit arrival order must walk exactly like no order, step for step,
+// under both policies: two chains over the same instances are driven by one
+// seeded stream of load completions, dispatches and screen completions.
+TEST(ChainOrderTest, ArrivalOrderMatchesDefaultWalk) {
+  const char* const kApps[] = {"ATAX", "GESUM", "FDTD", "MVT", "GEMM"};
+  for (const bool in_order : {false, true}) {
+    SCOPED_TRACE(in_order ? "in-order" : "out-of-order");
+    Rng rng(20181);
+    std::vector<std::unique_ptr<AppInstance>> instances;
+    ExecutionChain by_default;
+    ExecutionChain by_order;
+    for (int i = 0; i < 12; ++i) {
+      const Workload* wl = WorkloadRegistry::Get().Find(kApps[rng.NextBelow(5)]);
+      instances.push_back(std::make_unique<AppInstance>(i, 0, &wl->spec(), 1.0 / 256));
+      const int fanout = 1 + static_cast<int>(rng.NextBelow(6));
+      by_default.AddApp(instances.back().get(), fanout);
+      by_order.AddApp(instances.back().get(), fanout);
+    }
+    std::vector<int> arrival(instances.size());
+    std::iota(arrival.begin(), arrival.end(), 0);
+    std::vector<ScreenRef> in_flight;
+    int dispatched = 0;
+    for (int step = 0; step < 100000 && !by_default.AllComputeDone(); ++step) {
+      const std::uint64_t op = rng.NextBelow(3);
+      if (op == 0) {
+        AppInstance* inst = instances[rng.NextBelow(instances.size())].get();
+        by_default.MarkLoadDone(inst);
+        by_order.MarkLoadDone(inst);
+      } else if (op == 1) {
+        ScreenRef x;
+        ScreenRef y;
+        const bool found_x =
+            in_order ? by_default.NextReadyScreenInOrder(&x) : by_default.NextReadyScreen(&x);
+        const bool found_y = in_order ? by_order.NextReadyScreenInOrder(&y, &arrival)
+                                      : by_order.NextReadyScreen(&y, &arrival);
+        ASSERT_EQ(found_x, found_y);
+        if (found_x) {
+          ASSERT_EQ(x.inst, y.inst);
+          ASSERT_EQ(x.mblk, y.mblk);
+          ASSERT_EQ(x.screen, y.screen);
+          ASSERT_EQ(x.num_screens, y.num_screens);
+          by_default.OnDispatched(x);
+          by_order.OnDispatched(y);
+          in_flight.push_back(x);
+          ++dispatched;
+        }
+      } else if (!in_flight.empty()) {
+        const std::size_t k = rng.NextBelow(in_flight.size());
+        const ScreenRef done = in_flight[k];
+        in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(k));
+        ASSERT_EQ(by_default.OnScreenComplete(done), by_order.OnScreenComplete(done));
+      }
+    }
+    EXPECT_TRUE(by_default.AllComputeDone());
+    EXPECT_TRUE(by_order.AllComputeDone());
+    EXPECT_GT(dispatched, 12);
+  }
 }
 
 }  // namespace
