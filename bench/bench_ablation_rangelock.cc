@@ -98,5 +98,16 @@ int main() {
       100.0 * static_cast<double>(global.waits) /
           static_cast<double>(global.waits + global.grants),
       per_page_writes / kRounds);
+  const std::uint64_t mappings = static_cast<std::uint64_t>(kSections) * kRounds;
+  if (range.grants != mappings || range.waits != 0 || global.waits == 0) {
+    std::fprintf(stderr,
+                 "FAILED: the range lock granted %llu of %llu disjoint mappings with %llu "
+                 "blocked; the global lock blocked %llu\n",
+                 static_cast<unsigned long long>(range.grants),
+                 static_cast<unsigned long long>(mappings),
+                 static_cast<unsigned long long>(range.waits),
+                 static_cast<unsigned long long>(global.waits));
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
-// google-benchmark microbenchmarks for the range lock's red-black interval
-// tree: acquire/release throughput at different tree populations and the
-// conflict-query cost.
+// google-benchmark microbenchmarks for the range lock (a std::multimap keyed
+// by first group, queried over [first - longest held span, last]):
+// acquire/release throughput at different held populations, the
+// conflict-query cost and waiter dispatch.
 #include <benchmark/benchmark.h>
 
 #include <vector>

@@ -65,44 +65,4 @@ void MappingCache::Update(std::uint64_t logical_group, std::uint32_t physical_gr
   table_[logical_group] = physical_group;
 }
 
-void MappingCache::SaveState(StateWriter& w) const {
-  w.VecU32(table_);
-  w.U64(lru_.size());
-  for (const CachedPage& page : lru_) {  // front (most recent) first
-    w.U64(page.page_index);
-    w.Bool(page.dirty);
-  }
-  w.U64(hits_);
-  w.U64(misses_);
-  w.U64(writebacks_);
-}
-
-void MappingCache::LoadState(StateReader& r) {
-  const std::vector<std::uint32_t> table = r.VecU32();
-  if (r.ok() && table.size() != table_.size()) {
-    r.Fail("mapping cache table size mismatch");
-    return;
-  }
-  const std::uint64_t resident = r.U64();
-  if (r.ok() && resident > config_.cache_pages) {
-    r.Fail("mapping cache residency exceeds capacity");
-    return;
-  }
-  lru_.clear();
-  index_.clear();
-  for (std::uint64_t i = 0; i < resident && r.ok(); ++i) {
-    CachedPage page;
-    page.page_index = r.U64();
-    page.dirty = r.Bool();
-    lru_.push_back(page);
-    index_[page.page_index] = std::prev(lru_.end());
-  }
-  hits_ = r.U64();
-  misses_ = r.U64();
-  writebacks_ = r.U64();
-  if (r.ok()) {
-    table_ = table;
-  }
-}
-
 }  // namespace fabacus

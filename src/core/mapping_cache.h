@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/sim/log.h"
-#include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
 namespace fabacus {
@@ -31,7 +30,7 @@ struct MappingCacheConfig {
   Tick writeback_cost = 200 * kUs;
 };
 
-class MappingCache : public Snapshottable {
+class MappingCache {
  public:
   static constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
 
@@ -52,12 +51,6 @@ class MappingCache : public Snapshottable {
     return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
   }
   std::size_t cached_pages() const { return lru_.size(); }
-
-  // Snapshottable: backing table, LRU residency (recency order preserved)
-  // and hit/miss accounting.
-  std::string StateName() const override { return "ftl/mapcache"; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
 
  private:
   struct CachedPage {

@@ -20,338 +20,44 @@ bool ModesConflict(LockMode a, LockMode b) {
 
 }  // namespace
 
-RangeLock::~RangeLock() { FreeSubtree(root_); }
-
 void RangeLock::Reset() {
-  FreeSubtree(root_);
-  root_ = nullptr;
+  held_.clear();
   by_id_.clear();
+  spans_.clear();
   waiters_.clear();
-  held_ = 0;
 }
 
-void RangeLock::FreeSubtree(Node* n) {
-  if (n == nullptr) {
-    return;
+template <typename Visit>
+bool RangeLock::AnyConflicting(std::uint64_t first, std::uint64_t last, LockMode mode,
+                               Visit&& visit) const {
+  if (held_.empty()) {
+    return false;
   }
-  FreeSubtree(n->left);
-  FreeSubtree(n->right);
-  delete n;
-}
-
-std::uint64_t RangeLock::MaxLastOf(const Node* n) { return n == nullptr ? 0 : n->max_last; }
-
-void RangeLock::UpdateMaxUp(Node* n) {
-  // No early exit: after a deletion an ancestor may hold a stale max that
-  // coincidentally matches an intermediate node's unchanged value, so the
-  // whole path to the root must be recomputed.
-  while (n != nullptr) {
-    n->max_last = std::max({n->last, MaxLastOf(n->left), MaxLastOf(n->right)});
-    n = n->parent;
-  }
-}
-
-void RangeLock::RotateLeft(Node* x) {
-  Node* y = x->right;
-  x->right = y->left;
-  if (y->left != nullptr) {
-    y->left->parent = x;
-  }
-  y->parent = x->parent;
-  if (x->parent == nullptr) {
-    root_ = y;
-  } else if (x == x->parent->left) {
-    x->parent->left = y;
-  } else {
-    x->parent->right = y;
-  }
-  y->left = x;
-  x->parent = y;
-  // x is now y's child: recompute x first, then y.
-  x->max_last = std::max({x->last, MaxLastOf(x->left), MaxLastOf(x->right)});
-  y->max_last = std::max({y->last, MaxLastOf(y->left), MaxLastOf(y->right)});
-}
-
-void RangeLock::RotateRight(Node* x) {
-  Node* y = x->left;
-  x->left = y->right;
-  if (y->right != nullptr) {
-    y->right->parent = x;
-  }
-  y->parent = x->parent;
-  if (x->parent == nullptr) {
-    root_ = y;
-  } else if (x == x->parent->right) {
-    x->parent->right = y;
-  } else {
-    x->parent->left = y;
-  }
-  y->right = x;
-  x->parent = y;
-  x->max_last = std::max({x->last, MaxLastOf(x->left), MaxLastOf(x->right)});
-  y->max_last = std::max({y->last, MaxLastOf(y->left), MaxLastOf(y->right)});
-}
-
-void RangeLock::InsertFixup(Node* z) {
-  while (z->parent != nullptr && z->parent->color == kRed) {
-    Node* gp = z->parent->parent;
-    if (z->parent == gp->left) {
-      Node* uncle = gp->right;
-      if (uncle != nullptr && uncle->color == kRed) {
-        z->parent->color = kBlack;
-        uncle->color = kBlack;
-        gp->color = kRed;
-        z = gp;
-      } else {
-        if (z == z->parent->right) {
-          z = z->parent;
-          RotateLeft(z);
-        }
-        z->parent->color = kBlack;
-        gp->color = kRed;
-        RotateRight(gp);
-      }
-    } else {
-      Node* uncle = gp->left;
-      if (uncle != nullptr && uncle->color == kRed) {
-        z->parent->color = kBlack;
-        uncle->color = kBlack;
-        gp->color = kRed;
-        z = gp;
-      } else {
-        if (z == z->parent->left) {
-          z = z->parent;
-          RotateRight(z);
-        }
-        z->parent->color = kBlack;
-        gp->color = kRed;
-        RotateLeft(gp);
-      }
-    }
-  }
-  root_->color = kBlack;
-}
-
-RangeLock::Node* RangeLock::InsertRange(std::uint64_t first, std::uint64_t last, LockMode mode,
-                                        LockId id, std::uint16_t tenant) {
-  Node* z = new Node{first, last, last, mode, id, tenant};
-  Node* parent = nullptr;
-  Node* cur = root_;
-  while (cur != nullptr) {
-    parent = cur;
-    cur = (first < cur->first) ? cur->left : cur->right;
-  }
-  z->parent = parent;
-  if (parent == nullptr) {
-    root_ = z;
-  } else if (first < parent->first) {
-    parent->left = z;
-  } else {
-    parent->right = z;
-  }
-  UpdateMaxUp(parent);
-  InsertFixup(z);
-  return z;
-}
-
-RangeLock::Node* RangeLock::Minimum(Node* n) {
-  while (n->left != nullptr) {
-    n = n->left;
-  }
-  return n;
-}
-
-void RangeLock::Transplant(Node* u, Node* v) {
-  if (u->parent == nullptr) {
-    root_ = v;
-  } else if (u == u->parent->left) {
-    u->parent->left = v;
-  } else {
-    u->parent->right = v;
-  }
-  if (v != nullptr) {
-    v->parent = u->parent;
-  }
-}
-
-void RangeLock::DeleteNode(Node* z) {
-  Node* y = z;
-  Color y_original = y->color;
-  Node* x = nullptr;
-  Node* x_parent = nullptr;
-  if (z->left == nullptr) {
-    x = z->right;
-    x_parent = z->parent;
-    Transplant(z, z->right);
-  } else if (z->right == nullptr) {
-    x = z->left;
-    x_parent = z->parent;
-    Transplant(z, z->left);
-  } else {
-    y = Minimum(z->right);
-    y_original = y->color;
-    x = y->right;
-    if (y->parent == z) {
-      x_parent = y;
-    } else {
-      x_parent = y->parent;
-      Transplant(y, y->right);
-      y->right = z->right;
-      y->right->parent = y;
-    }
-    Transplant(z, y);
-    y->left = z->left;
-    y->left->parent = y;
-    y->color = z->color;
-  }
-  // Recompute augmentation along the spine that changed.
-  UpdateMaxUp(x_parent);
-  if (y != z) {
-    UpdateMaxUp(y);
-  }
-  if (y_original == kBlack) {
-    DeleteFixup(x, x_parent);
-  }
-  delete z;
-}
-
-void RangeLock::DeleteFixup(Node* x, Node* x_parent) {
-  while (x != root_ && (x == nullptr || x->color == kBlack)) {
-    if (x_parent == nullptr) {
-      break;
-    }
-    if (x == x_parent->left) {
-      Node* w = x_parent->right;
-      if (w != nullptr && w->color == kRed) {
-        w->color = kBlack;
-        x_parent->color = kRed;
-        RotateLeft(x_parent);
-        w = x_parent->right;
-      }
-      if (w == nullptr) {
-        x = x_parent;
-        x_parent = x->parent;
-        continue;
-      }
-      const bool left_black = w->left == nullptr || w->left->color == kBlack;
-      const bool right_black = w->right == nullptr || w->right->color == kBlack;
-      if (left_black && right_black) {
-        w->color = kRed;
-        x = x_parent;
-        x_parent = x->parent;
-      } else {
-        if (right_black) {
-          if (w->left != nullptr) {
-            w->left->color = kBlack;
-          }
-          w->color = kRed;
-          RotateRight(w);
-          w = x_parent->right;
-        }
-        w->color = x_parent->color;
-        x_parent->color = kBlack;
-        if (w->right != nullptr) {
-          w->right->color = kBlack;
-        }
-        RotateLeft(x_parent);
-        x = root_;
-        x_parent = nullptr;
-      }
-    } else {
-      Node* w = x_parent->left;
-      if (w != nullptr && w->color == kRed) {
-        w->color = kBlack;
-        x_parent->color = kRed;
-        RotateRight(x_parent);
-        w = x_parent->left;
-      }
-      if (w == nullptr) {
-        x = x_parent;
-        x_parent = x->parent;
-        continue;
-      }
-      const bool left_black = w->left == nullptr || w->left->color == kBlack;
-      const bool right_black = w->right == nullptr || w->right->color == kBlack;
-      if (left_black && right_black) {
-        w->color = kRed;
-        x = x_parent;
-        x_parent = x->parent;
-      } else {
-        if (left_black) {
-          if (w->right != nullptr) {
-            w->right->color = kBlack;
-          }
-          w->color = kRed;
-          RotateLeft(w);
-          w = x_parent->left;
-        }
-        w->color = x_parent->color;
-        x_parent->color = kBlack;
-        if (w->left != nullptr) {
-          w->left->color = kBlack;
-        }
-        RotateRight(x_parent);
-        x = root_;
-        x_parent = nullptr;
-      }
-    }
-  }
-  if (x != nullptr) {
-    x->color = kBlack;
-  }
-}
-
-bool RangeLock::Conflicts(std::uint64_t first, std::uint64_t last, LockMode mode) const {
-  const Node* n = root_;
-  // Interval-tree overlap search, pruned by the max-end augmentation; must
-  // examine every overlapping node because only incompatible modes conflict.
-  std::vector<const Node*> stack;
-  if (n != nullptr) {
-    stack.push_back(n);
-  }
-  while (!stack.empty()) {
-    const Node* cur = stack.back();
-    stack.pop_back();
-    if (cur->max_last < first) {
-      continue;  // nothing in this subtree reaches our range
-    }
-    if (Overlaps(cur->first, cur->last, first, last) && ModesConflict(cur->mode, mode)) {
+  // A held range that starts more than the longest held span before `first`
+  // ends before `first`, so the scan starts there.
+  const std::uint64_t longest = *spans_.rbegin();
+  const std::uint64_t from = first > longest ? first - longest : 0;
+  for (auto it = held_.lower_bound(from); it != held_.end() && it->first <= last; ++it) {
+    const Held& h = it->second;
+    if (h.last >= first && ModesConflict(h.mode, mode) && visit(h)) {
       return true;
-    }
-    if (cur->left != nullptr) {
-      stack.push_back(cur->left);
-    }
-    if (cur->right != nullptr && cur->first <= last) {
-      stack.push_back(cur->right);
     }
   }
   return false;
+}
+
+bool RangeLock::Conflicts(std::uint64_t first, std::uint64_t last, LockMode mode) const {
+  return AnyConflicting(first, last, mode, [](const Held&) { return true; });
 }
 
 std::vector<std::uint16_t> RangeLock::CollectBlockingTenants(std::uint64_t first,
                                                              std::uint64_t last,
                                                              LockMode mode) const {
   std::vector<std::uint16_t> blockers;
-  std::vector<const Node*> stack;
-  if (root_ != nullptr) {
-    stack.push_back(root_);
-  }
-  while (!stack.empty()) {
-    const Node* cur = stack.back();
-    stack.pop_back();
-    if (cur->max_last < first) {
-      continue;
-    }
-    if (Overlaps(cur->first, cur->last, first, last) && ModesConflict(cur->mode, mode)) {
-      blockers.push_back(cur->tenant);
-    }
-    if (cur->left != nullptr) {
-      stack.push_back(cur->left);
-    }
-    if (cur->right != nullptr && cur->first <= last) {
-      stack.push_back(cur->right);
-    }
-  }
+  AnyConflicting(first, last, mode, [&blockers](const Held& h) {
+    blockers.push_back(h.tenant);
+    return false;
+  });
   for (const Waiter& w : waiters_) {
     if (Overlaps(w.first, w.last, first, last) && ModesConflict(w.mode, mode)) {
       blockers.push_back(w.tenant);
@@ -369,9 +75,8 @@ bool RangeLock::TryAcquire(std::uint64_t first, std::uint64_t last, LockMode mod
     return false;
   }
   const LockId new_id = next_id_++;
-  Node* node = InsertRange(first, last, mode, new_id, tenant);
-  by_id_.emplace(new_id, node);
-  ++held_;
+  by_id_.emplace(new_id, held_.emplace(first, Held{last, mode, tenant}));
+  spans_.insert(last - first);
   ++total_grants_;
   *id = new_id;
   return true;
@@ -407,9 +112,10 @@ void RangeLock::Acquire(std::uint64_t first, std::uint64_t last, LockMode mode,
 void RangeLock::Release(LockId id) {
   auto it = by_id_.find(id);
   FAB_CHECK(it != by_id_.end()) << "release of unknown lock id " << id;
-  DeleteNode(it->second);
+  const HeldMap::iterator held = it->second;
+  spans_.erase(spans_.find(held->second.last - held->first));
+  held_.erase(held);
   by_id_.erase(it);
-  --held_;
   DispatchWaiters();
 }
 
@@ -449,51 +155,6 @@ void RangeLock::DispatchWaiters() {
     }
   }
   dispatching_ = false;
-}
-
-bool RangeLock::CheckNode(const Node* n, int* black_height) const {
-  if (n == nullptr) {
-    *black_height = 1;
-    return true;
-  }
-  if (n->color == kRed) {
-    if ((n->left != nullptr && n->left->color == kRed) ||
-        (n->right != nullptr && n->right->color == kRed)) {
-      return false;  // red node with red child
-    }
-  }
-  if (n->left != nullptr && n->left->first > n->first) {
-    return false;  // BST order violated
-  }
-  if (n->right != nullptr && n->right->first < n->first) {
-    return false;
-  }
-  const std::uint64_t expect =
-      std::max({n->last, MaxLastOf(n->left), MaxLastOf(n->right)});
-  if (n->max_last != expect) {
-    return false;  // augmentation stale
-  }
-  int lh = 0;
-  int rh = 0;
-  if (!CheckNode(n->left, &lh) || !CheckNode(n->right, &rh)) {
-    return false;
-  }
-  if (lh != rh) {
-    return false;  // black-height mismatch
-  }
-  *black_height = lh + (n->color == kBlack ? 1 : 0);
-  return true;
-}
-
-bool RangeLock::CheckInvariants() const {
-  if (root_ == nullptr) {
-    return true;
-  }
-  if (root_->color != kBlack) {
-    return false;
-  }
-  int bh = 0;
-  return CheckNode(root_, &bh);
 }
 
 }  // namespace fabacus

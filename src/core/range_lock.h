@@ -7,18 +7,22 @@
 // type. A read mapping is blocked while an overlapping *write* mapping is
 // live; a write mapping is blocked while *any* overlapping mapping is live.
 //
-// This is a from-scratch augmented red-black interval tree (max-end
-// augmentation) with an asynchronous waiter queue: Acquire() invokes the
-// grant callback immediately when compatible, otherwise the request waits in
-// FIFO order and is granted on Release(). FIFO fairness prevents writer
-// starvation: a waiter is only granted if no earlier waiter with a
-// conflicting overlapping range is still queued.
+// The tree is the standard library's: held ranges sit in a std::multimap
+// keyed by first group. A multiset of held spans (last - first) bounds every
+// overlap query to the keys in [first - longest span, last], since no range
+// that starts earlier can reach `first`. Waiters form an asynchronous FIFO
+// queue: Acquire() invokes the grant callback immediately when compatible,
+// otherwise the request waits and is granted on Release(). FIFO fairness
+// prevents writer starvation: a waiter is only granted if no earlier waiter
+// with a conflicting overlapping range is still queued.
 #ifndef SRC_CORE_RANGE_LOCK_H_
 #define SRC_CORE_RANGE_LOCK_H_
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,7 +41,6 @@ class RangeLock : public Snapshottable {
   using Granted = std::function<void(LockId)>;
 
   RangeLock() = default;
-  ~RangeLock();
   RangeLock(const RangeLock&) = delete;
   RangeLock& operator=(const RangeLock&) = delete;
 
@@ -70,28 +73,24 @@ class RangeLock : public Snapshottable {
   // True when [first, last] conflicts with a held lock of incompatible mode.
   bool Conflicts(std::uint64_t first_group, std::uint64_t last_group, LockMode mode) const;
 
-  std::size_t held_count() const { return held_; }
+  std::size_t held_count() const { return held_.size(); }
   std::size_t waiter_count() const { return waiters_.size(); }
   std::uint64_t total_grants() const { return total_grants_; }
   std::uint64_t total_waits() const { return total_waits_; }
-
-  // Tree-structure validation for tests: checks red-black and max-end
-  // invariants over the whole tree. Returns false on violation.
-  bool CheckInvariants() const;
 
   // Snapshottable. Grant callbacks are closures, so a lock can only be
   // checkpointed while quiescent (nothing held, nobody waiting) — SaveState
   // CHECK-enforces that and serializes just the id cursor and counters.
   std::string StateName() const override { return "ftl/lock"; }
   void SaveState(StateWriter& w) const override {
-    FAB_CHECK_EQ(held_, 0u) << "cannot snapshot a range lock with held locks";
+    FAB_CHECK(held_.empty()) << "cannot snapshot a range lock with held locks";
     FAB_CHECK(waiters_.empty()) << "cannot snapshot a range lock with waiters";
     w.U64(next_id_);
     w.U64(total_grants_);
     w.U64(total_waits_);
   }
   void LoadState(StateReader& r) override {
-    if (held_ != 0 || !waiters_.empty()) {
+    if (!held_.empty() || !waiters_.empty()) {
       r.Fail("cannot restore into a range lock with live state");
       return;
     }
@@ -101,20 +100,13 @@ class RangeLock : public Snapshottable {
   }
 
  private:
-  enum Color : std::uint8_t { kRed, kBlack };
-
-  struct Node {
-    std::uint64_t first;  // key: first group of the range
-    std::uint64_t last;   // augmentation payload: last group (inclusive)
-    std::uint64_t max_last;  // max `last` in this subtree
+  // A granted range; its first group is the key it is held under.
+  struct Held {
+    std::uint64_t last;
     LockMode mode;
-    LockId id;
-    std::uint16_t tenant = 0;
-    Color color = kRed;
-    Node* left = nullptr;
-    Node* right = nullptr;
-    Node* parent = nullptr;
+    std::uint16_t tenant;
   };
+  using HeldMap = std::multimap<std::uint64_t, Held>;
 
   struct Waiter {
     std::uint64_t first;
@@ -124,33 +116,23 @@ class RangeLock : public Snapshottable {
     Granted granted;
   };
 
-  // Red-black machinery.
-  void RotateLeft(Node* x);
-  void RotateRight(Node* x);
-  void InsertFixup(Node* z);
-  void DeleteNode(Node* z);
-  void DeleteFixup(Node* x, Node* x_parent);
-  void Transplant(Node* u, Node* v);
-  static Node* Minimum(Node* n);
-  void UpdateMaxUp(Node* n);
-  static std::uint64_t MaxLastOf(const Node* n);
-  void FreeSubtree(Node* n);
-
-  Node* InsertRange(std::uint64_t first, std::uint64_t last, LockMode mode, LockId id,
-                    std::uint16_t tenant);
+  // Calls `visit` on each held range that overlaps [first, last] in a mode
+  // conflicting with `mode`, until `visit` returns true; returns whether it
+  // did.
+  template <typename Visit>
+  bool AnyConflicting(std::uint64_t first, std::uint64_t last, LockMode mode,
+                      Visit&& visit) const;
   void DispatchWaiters();
   // Distinct tenants currently blocking [first, last] in `mode`: conflicting
   // overlapping holders plus earlier conflicting queued waiters, sorted.
   std::vector<std::uint16_t> CollectBlockingTenants(std::uint64_t first, std::uint64_t last,
                                                     LockMode mode) const;
 
-  bool CheckNode(const Node* n, int* black_height) const;
-
-  Node* root_ = nullptr;
-  std::unordered_map<LockId, Node*> by_id_;
+  HeldMap held_;
+  std::unordered_map<LockId, HeldMap::iterator> by_id_;
+  std::multiset<std::uint64_t> spans_;  // last - first of every held range
   std::deque<Waiter> waiters_;
   LockId next_id_ = 1;
-  std::size_t held_ = 0;
   std::uint64_t total_grants_ = 0;
   std::uint64_t total_waits_ = 0;
   bool dispatching_ = false;

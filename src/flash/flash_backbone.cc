@@ -8,18 +8,19 @@
 namespace fabacus {
 
 namespace {
-// Folds the legacy backbone seed into the fault stream so two backbones built
-// with different seeds draw different fault schedules even under one config.
-FaultConfig SeededFaultConfig(const NandConfig& config, std::uint64_t seed) {
+// The backbone's fault stream: the configured seed mixed with a fixed
+// constant. The constant keeps every seeded fault schedule, and with it the
+// fault-injection results and goldens, as they are.
+FaultConfig SeededFaultConfig(const NandConfig& config) {
   FaultConfig fc = config.fault;
-  fc.seed ^= seed * 0x9e3779b97f4a7c15ULL;
+  fc.seed ^= 0x9e3779b97f4a7c15ULL;
   return fc;
 }
 }  // namespace
 
-FlashBackbone::FlashBackbone(const NandConfig& config, std::uint64_t seed)
+FlashBackbone::FlashBackbone(const NandConfig& config)
     : config_(config),
-      faults_(SeededFaultConfig(config, seed), config.channels, config.packages_per_channel,
+      faults_(SeededFaultConfig(config), config.channels, config.packages_per_channel,
               config.endurance_cycles, config.read_retry_ladder),
       srio_(SrioConfig{}),
       data_(config.GroupBytes()),

@@ -50,7 +50,7 @@ class FlashBackbone : public Snapshottable {
     std::uint64_t seq = 0;
   };
 
-  explicit FlashBackbone(const NandConfig& config, std::uint64_t seed = 1);
+  explicit FlashBackbone(const NandConfig& config);
 
   // Reads physical page group `group`; if `out` is non-null it receives
   // GroupBytes() of data (data travels over SRIO to the compute complex).

@@ -146,12 +146,10 @@ RequestPriority TrafficGenerator::PriorityFor(int id) const {
 std::vector<FleetRequest> TrafficGenerator::InitialArrivals() {
   std::vector<FleetRequest> out;
   if (config_.model == TrafficConfig::Model::kOpenLoop) {
-    const double mean_gap_ns = 1e9 / config_.arrival_rate_per_s;
-    Tick t = 0;
     out.reserve(static_cast<std::size_t>(config_.total_requests));
-    for (int i = 0; i < config_.total_requests; ++i) {
-      t += DrawExponential(mean_gap_ns);
-      out.push_back(MakeRequest(i % config_.num_clients, t));
+    FleetRequest r;
+    while (NextArrival(&r)) {
+      out.push_back(r);
     }
     return out;
   }
@@ -174,7 +172,6 @@ bool TrafficGenerator::NextArrival(FleetRequest* out) {
     return false;
   }
   ++open_emitted_;
-  // Identical draws, ids and client assignment as one InitialArrivals() step.
   const double mean_gap_ns = 1e9 / config_.arrival_rate_per_s;
   open_clock_ += DrawExponential(mean_gap_ns);
   *out = MakeRequest(next_id_ % config_.num_clients, open_clock_);

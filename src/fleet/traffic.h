@@ -122,11 +122,12 @@ class TrafficGenerator {
   // Closed loop: each client's first request.
   std::vector<FleetRequest> InitialArrivals();
 
-  // Open loop only: emits the next arrival of the exact same schedule
-  // InitialArrivals() materializes, one request at a time (O(1) memory for
-  // unbounded streams — the million-client path). Returns false once
-  // total_requests have been emitted, and always for closed loop. Do not mix
-  // with InitialArrivals() on one generator: both walk the same stream.
+  // Open loop only: emits the next arrival of the schedule one request at a
+  // time (O(1) memory for unbounded streams — the million-client path);
+  // InitialArrivals() is this call in a loop. Returns false once
+  // total_requests have been emitted in this window, and always for closed
+  // loop. Do not mix with InitialArrivals() on one generator: both walk the
+  // same stream.
   bool NextArrival(FleetRequest* out);
 
   // Closed loop only: the next request of `client` after its previous one

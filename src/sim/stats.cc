@@ -377,40 +377,4 @@ std::vector<double> BoundedTimeSeries::Rebucket(Tick horizon,
   return out;
 }
 
-void BoundedTimeSeries::SaveState(StateWriter& w) const {
-  w.U64(max_bins_);
-  w.U64(bin_width_);
-  w.U64(samples_);
-  w.U64(bins_.size());
-  for (const Bin& b : bins_) {
-    w.F64(b.sum);
-    w.U64(b.count);
-  }
-}
-
-void BoundedTimeSeries::LoadState(StateReader& r) {
-  const std::uint64_t max_bins = r.U64();
-  if (max_bins != max_bins_) {
-    r.Fail("BoundedTimeSeries max_bins mismatch");
-    return;
-  }
-  bin_width_ = r.U64();
-  if (bin_width_ == 0) {
-    r.Fail("BoundedTimeSeries bin width is zero");
-    bin_width_ = 1;
-    return;
-  }
-  samples_ = r.U64();
-  const std::uint64_t n = r.U64();
-  if (n > max_bins_) {
-    r.Fail("BoundedTimeSeries bin count exceeds max_bins");
-    return;
-  }
-  bins_.assign(static_cast<std::size_t>(n), Bin{});
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    bins_[static_cast<std::size_t>(i)].sum = r.F64();
-    bins_[static_cast<std::size_t>(i)].count = r.U64();
-  }
-}
-
 }  // namespace fabacus

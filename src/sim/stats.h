@@ -197,10 +197,6 @@ class BoundedTimeSeries {
 
   std::vector<double> Rebucket(Tick horizon, std::size_t buckets) const;
 
-  // Checkpoint/restore.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
-
  private:
   struct Bin {
     double sum = 0.0;

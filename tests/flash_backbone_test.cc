@@ -220,7 +220,8 @@ TEST(FlashBackbone, InflightHeapTearsWhatARescanWould) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    FlashBackbone bb(cfg, seed);
+    cfg.fault.seed = seed;  // a different program-failure schedule per seed
+    FlashBackbone bb(cfg);
     RescanOracle oracle;
     std::vector<int> write_point(static_cast<std::size_t>(pkgs * blocks), 0);
     std::vector<std::uint8_t> payload(cfg.GroupBytes());
@@ -261,7 +262,7 @@ TEST(FlashBackbone, InflightHeapTearsWhatARescanWould) {
     StateWriter saved;
     bb.SaveState(saved);
     {
-      FlashBackbone restored(cfg, seed);
+      FlashBackbone restored(cfg);
       StateReader reader(saved.buffer());
       restored.LoadState(reader);
       ASSERT_TRUE(reader.ok()) << reader.error();
@@ -290,7 +291,7 @@ TEST(FlashBackbone, InflightHeapTearsWhatARescanWould) {
     for (std::size_t k = 0; k < std::size(crashes); ++k) {
       const Tick crash = crashes[k];
       SCOPED_TRACE("crash at " + std::to_string(crash));
-      FlashBackbone restored(cfg, seed);
+      FlashBackbone restored(cfg);
       StateReader reader(saved.buffer());
       restored.LoadState(reader);
       FlashBackbone& device = k == 0 ? bb : restored;

@@ -1,8 +1,8 @@
 // Locks down the bounded streaming-sketch layer (docs/OBSERVABILITY.md
 // "Streaming sketches"): LogHistogram merge/order invariance, the quantile
 // error bound against exact percentiles, empty/single-sample edges,
-// checkpoint round-trips, and BoundedTimeSeries coarsening; plus the
-// empty-safe exact summary, SummarizeSamples.
+// the LogHistogram checkpoint round-trip, and BoundedTimeSeries coarsening;
+// plus the empty-safe exact summary, SummarizeSamples.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -240,35 +240,6 @@ TEST(BoundedTimeSeries, RebucketMatchesExactSeriesAtBinResolution) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i], b[i], 1e-9) << "bucket " << i;
   }
-}
-
-TEST(BoundedTimeSeries, SaveLoadRoundTrip) {
-  BoundedTimeSeries ts(32);
-  for (Tick t = 0; t < 5000; t += 3) {
-    ts.Record(t, static_cast<double>(t));
-  }
-  StateWriter w;
-  ts.SaveState(w);
-  const std::vector<std::uint8_t> bytes = w.TakeBuffer();
-
-  BoundedTimeSeries back(32);
-  StateReader r(bytes);
-  back.LoadState(r);
-  ASSERT_TRUE(r.ok()) << r.error();
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(back.samples(), ts.samples());
-  EXPECT_EQ(back.bin_width(), ts.bin_width());
-  const std::vector<double> a = ts.Rebucket(5000, 8);
-  const std::vector<double> b = back.Rebucket(5000, 8);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i], b[i]);
-  }
-
-  // A different cap is a different binning contract: reject, don't resample.
-  BoundedTimeSeries wrong(16);
-  StateReader r2(bytes);
-  wrong.LoadState(r2);
-  EXPECT_FALSE(r2.ok());
 }
 
 TEST(SummarizeSamples, EmptySafeStatistics) {

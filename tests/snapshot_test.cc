@@ -17,6 +17,7 @@
 
 #include "src/core/storengine.h"
 #include "src/fleet/fleet.h"
+#include "src/sim/json.h"
 #include "src/sim/snapshot.h"
 #include "tests/test_util.h"
 
@@ -348,6 +349,42 @@ TEST(SnapshotFleet, ResumeIsDeterministicAndWarm) {
     EXPECT_GT(warm_hits, 0u);
     EXPECT_LT(warm_installs, cold_installs);
   }
+  std::remove(path.c_str());
+}
+
+// A resumed open-loop window continues the request ids, and with them the
+// client round-robin, on either execution path: a lockstep and a partitioned
+// fleet resumed from one snapshot serve the same requests and report alike.
+TEST(SnapshotFleet, ResumedLockstepAndPartitionedFleetsAgree) {
+  FleetConfig cfg;
+  cfg.num_devices = 2;
+  cfg.policy = PlacementPolicy::kRoundRobin;
+  cfg.max_route_attempts = 1;
+  cfg.traffic.model = TrafficConfig::Model::kOpenLoop;
+  cfg.traffic.total_requests = 18;  // not a multiple of the 8 clients
+  cfg.traffic.seed = 7;
+  const std::string path = TempSnapPath("fleet_paths");
+  {
+    FleetSim fleet(cfg);
+    fleet.Run();
+    std::string err;
+    ASSERT_TRUE(fleet.Snapshot(path, &err)) << err;
+  }
+  auto resume_and_run = [&](FleetConfig::Execution execution) {
+    FleetConfig resumed = cfg;
+    resumed.execution = execution;
+    FleetSim fleet(resumed);
+    std::string err;
+    EXPECT_TRUE(fleet.Resume(path, &err)) << err;
+    FleetReport rep = fleet.Run();
+    rep.execution.clear();
+    return rep.ToJson();
+  };
+  const std::string lockstep = resume_and_run(FleetConfig::Execution::kLockstep);
+  const std::string partitioned = resume_and_run(FleetConfig::Execution::kPartitioned);
+  std::vector<std::string> lines;
+  EXPECT_EQ(JsonFieldDiffText(lockstep, partitioned, &lines), 0)
+      << ::testing::PrintToString(lines);
   std::remove(path.c_str());
 }
 
