@@ -80,8 +80,7 @@ void BM_FlashvisorWritePath(benchmark::State& state) {
     Flashvisor fv(&sim, &backbone, &dram, &spm);
     state.ResumeTiming();
     for (int g = 0; g < 512; ++g) {
-      Tick io = 0;
-      const std::uint32_t phys = fv.AllocatePhysicalGroup(0, &io);
+      const std::uint32_t phys = fv.AllocatePhysicalGroup(0);
       fv.mapping().Update(static_cast<std::uint64_t>(g), phys);
       fv.blocks().MarkValid(fv.BlockGroupOf(phys), fv.SlotOf(phys));
       benchmark::DoNotOptimize(phys);

@@ -1,5 +1,7 @@
 #include "src/core/block_manager.h"
 
+#include <algorithm>
+
 namespace fabacus {
 
 BlockManager::BlockManager(const NandConfig& config)
@@ -113,64 +115,40 @@ bool BlockManager::IsValid(std::uint64_t bg, std::uint32_t slot) const {
   return valid_[bg][slot];
 }
 
-void BlockManager::SaveState(StateWriter& w) const {
-  w.U64(total_);
-  w.U64(groups_per_block_);
-  w.VecU64(std::vector<std::uint64_t>(free_.begin(), free_.end()));
-  w.VecU64(std::vector<std::uint64_t>(used_.begin(), used_.end()));
-  for (std::uint64_t bg = 0; bg < total_; ++bg) {
-    std::vector<std::uint8_t> bits(groups_per_block_);
-    for (std::uint64_t s = 0; s < groups_per_block_; ++s) {
-      bits[s] = valid_[bg][s] ? 1 : 0;
-    }
-    w.VecU8(bits);
-  }
-  w.VecU32(valid_count_);
-  std::vector<std::uint8_t> retired(total_);
-  for (std::uint64_t bg = 0; bg < total_; ++bg) {
-    retired[bg] = is_retired_[bg] ? 1 : 0;
-  }
-  w.VecU8(retired);
-}
-
-void BlockManager::LoadState(StateReader& r) {
-  if (r.U64() != total_ || r.U64() != groups_per_block_) {
-    if (r.ok()) {
-      r.Fail("block manager geometry mismatch");
-    }
+void BlockManager::Persist(StateIO& io) {
+  if (!io.Count(total_, "block manager geometry") ||
+      !io.Count(groups_per_block_, "block manager geometry")) {
     return;
   }
-  const std::vector<std::uint64_t> free = r.VecU64();
-  const std::vector<std::uint64_t> used = r.VecU64();
-  std::vector<std::vector<std::uint8_t>> bits(total_);
-  for (std::uint64_t bg = 0; bg < total_ && r.ok(); ++bg) {
-    bits[bg] = r.VecU8();
-    if (r.ok() && bits[bg].size() != groups_per_block_) {
-      r.Fail("valid bitmap size mismatch");
+  std::vector<std::uint64_t> free(free_.begin(), free_.end());
+  std::vector<std::uint64_t> used(used_.begin(), used_.end());
+  const auto entry = [&io](std::uint64_t& bg) { io.U64(bg); };
+  io.Seq(free, entry);
+  io.Seq(used, entry);
+  for (std::vector<bool>& bits : valid_) {
+    io.FixedBits(bits, "valid bitmap size");
+  }
+  io.FixedVecU32(valid_count_, "block manager vector size");
+  io.FixedBits(is_retired_, "block manager vector size");
+  if (io.saving() || !io.ok()) {
+    return;
+  }
+  // A block group sits in at most one pool, at most once.
+  std::vector<bool> pooled(total_, false);
+  for (const std::vector<std::uint64_t>* pool : {&free, &used}) {
+    for (const std::uint64_t bg : *pool) {
+      if (bg >= total_ || pooled[bg]) {
+        io.Fail("block group " + std::to_string(bg) +
+                (bg >= total_ ? " is past the device" : " is pooled twice"));
+        return;
+      }
+      pooled[bg] = true;
     }
-  }
-  const std::vector<std::uint32_t> valid_count = r.VecU32();
-  const std::vector<std::uint8_t> retired = r.VecU8();
-  if (!r.ok()) {
-    return;
-  }
-  if (valid_count.size() != total_ || retired.size() != total_) {
-    r.Fail("block manager vector size mismatch");
-    return;
   }
   free_.assign(free.begin(), free.end());
   used_.assign(used.begin(), used.end());
-  retired_count_ = 0;
-  for (std::uint64_t bg = 0; bg < total_; ++bg) {
-    for (std::uint64_t s = 0; s < groups_per_block_; ++s) {
-      valid_[bg][s] = bits[bg][s] != 0;
-    }
-    is_retired_[bg] = retired[bg] != 0;
-    if (is_retired_[bg]) {
-      ++retired_count_;
-    }
-  }
-  valid_count_ = valid_count;
+  retired_count_ = static_cast<std::size_t>(
+      std::count(is_retired_.begin(), is_retired_.end(), true));
 }
 
 }  // namespace fabacus

@@ -65,8 +65,7 @@ class BlockManager : public Snapshottable {
   // Snapshottable (docs/SNAPSHOT.md). Pool order is serialized verbatim:
   // allocation and GC-victim order are part of deterministic replay.
   std::string StateName() const override { return "ftl/blocks"; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void Persist(StateIO& io) override;
 
  private:
   std::uint64_t total_;

@@ -200,6 +200,36 @@ std::string FlashAbacus::ConfigFingerprint() const {
   return fp;
 }
 
+std::vector<Snapshottable*> FlashAbacus::SnapshotSections() {
+  std::vector<Snapshottable*> sections = {
+      sim_, this, &trace_, dram_.get(), scratchpad_.get(), tier1_.get(), backbone_.get(),
+      &backbone_->faults()};
+  for (int ch = 0; ch < config_.nand.channels; ++ch) {
+    sections.push_back(&backbone_->controller(ch));
+  }
+  sections.insert(sections.end(),
+                  {flashvisor_.get(), &flashvisor_->mapping(), &flashvisor_->blocks(),
+                   &flashvisor_->range_lock(), tenants_.get(), storengine_.get()});
+  for (const auto& worker : workers_) {
+    sections.push_back(worker.get());
+  }
+  return sections;
+}
+
+void FlashAbacus::Persist(StateIO& io) {
+  std::string fp = ConfigFingerprint();  // Resume checks it before any load
+  io.Str(fp);
+  io.Bool(crashed_);
+  pcie_->Persist(io);
+  io_retries_.Persist(io);
+  io_failures_.Persist(io);
+  crashes_.Persist(io);
+  recoveries_.Persist(io);
+  recovery_lost_groups_.Persist(io);
+  recovery_torn_groups_.Persist(io);
+  io.U64(last_recovery_ns_);
+}
+
 SnapshotBuilder FlashAbacus::BuildSnapshot() const {
   FAB_CHECK(run_ == nullptr || run_->finished) << "cannot snapshot mid-run";
   FAB_CHECK(flashvisor_->QuiescedForSnapshot())
@@ -211,38 +241,8 @@ SnapshotBuilder FlashAbacus::BuildSnapshot() const {
   b.SetMeta("sim_now_ns", static_cast<double>(sim_->Now()));
   b.SetMeta("events_executed", static_cast<double>(sim_->events_executed()));
   b.SetMeta("crashed", crashed_ ? "true" : "false");
-
-  b.AddComponent(*sim_);
-  // v2: the device section is followed by the tenant-QoS component.
-  StateWriter& w = b.AddSection("device", 2);
-  w.Str(ConfigFingerprint());
-  w.Bool(crashed_);
-  pcie_->SaveState(w);
-  io_retries_.SaveState(w);
-  io_failures_.SaveState(w);
-  crashes_.SaveState(w);
-  recoveries_.SaveState(w);
-  recovery_lost_groups_.SaveState(w);
-  recovery_torn_groups_.SaveState(w);
-  w.U64(last_recovery_ns_);
-
-  b.AddComponent(trace_);
-  b.AddComponent(*dram_);
-  b.AddComponent(*scratchpad_);
-  b.AddComponent(*tier1_);
-  b.AddComponent(*backbone_);
-  b.AddComponent(backbone_->faults());
-  for (int ch = 0; ch < config_.nand.channels; ++ch) {
-    b.AddComponent(backbone_->controller(ch));
-  }
-  b.AddComponent(*flashvisor_);
-  b.AddComponent(flashvisor_->mapping());
-  b.AddComponent(flashvisor_->blocks());
-  b.AddComponent(flashvisor_->range_lock());
-  b.AddComponent(*tenants_);
-  b.AddComponent(*storengine_);
-  for (const auto& worker : workers_) {
-    b.AddComponent(*worker);
+  for (const Snapshottable* s : const_cast<FlashAbacus*>(this)->SnapshotSections()) {
+    b.AddComponent(*s);
   }
   return b;
 }
@@ -264,7 +264,7 @@ bool FlashAbacus::Resume(const SnapshotFile& snap, std::string* error) {
   }
   // Gate on the config fingerprint before touching any state.
   {
-    StateReader r = snap.Open("device", 2);
+    StateReader r = snap.Open(StateName(), StateVersion());
     if (!r.ok()) {
       return fail(r.error());
     }
@@ -284,44 +284,10 @@ bool FlashAbacus::Resume(const SnapshotFile& snap, std::string* error) {
   run_.reset();
 
   std::string err;
-  auto restore = [&](Snapshottable* s) { return snap.Restore(s, &err); };
-  if (!restore(sim_) || !restore(&trace_) || !restore(dram_.get()) ||
-      !restore(scratchpad_.get()) || !restore(tier1_.get()) || !restore(backbone_.get()) ||
-      !restore(&backbone_->faults())) {
-    return fail(err);
-  }
-  for (int ch = 0; ch < config_.nand.channels; ++ch) {
-    if (!restore(&backbone_->controller(ch))) {
+  for (Snapshottable* s : SnapshotSections()) {
+    if (!snap.Restore(s, &err)) {
       return fail(err);
     }
-  }
-  if (!restore(flashvisor_.get()) || !restore(&flashvisor_->mapping()) ||
-      !restore(&flashvisor_->blocks()) || !restore(&flashvisor_->range_lock()) ||
-      !restore(tenants_.get()) || !restore(storengine_.get())) {
-    return fail(err);
-  }
-  for (const auto& worker : workers_) {
-    if (!restore(worker.get())) {
-      return fail(err);
-    }
-  }
-
-  StateReader r = snap.Open("device", 2);
-  r.Str();  // fingerprint, validated above
-  crashed_ = r.Bool();
-  pcie_->LoadState(r);
-  io_retries_.LoadState(r);
-  io_failures_.LoadState(r);
-  crashes_.LoadState(r);
-  recoveries_.LoadState(r);
-  recovery_lost_groups_.LoadState(r);
-  recovery_torn_groups_.LoadState(r);
-  last_recovery_ns_ = r.U64();
-  if (!r.ok()) {
-    return fail("corrupt device section: " + r.error());
-  }
-  if (!r.AtEnd()) {
-    return fail("device section has trailing bytes");
   }
   return true;
 }

@@ -96,10 +96,10 @@ struct FlashAbacusConfig {
   std::string Validate() const;
 };
 
-class FlashAbacus {
+class FlashAbacus : public Snapshottable {
  public:
   explicit FlashAbacus(Simulator* sim, const FlashAbacusConfig& config = FlashAbacusConfig{});
-  ~FlashAbacus();
+  ~FlashAbacus() override;
   FlashAbacus(const FlashAbacus&) = delete;
   FlashAbacus& operator=(const FlashAbacus&) = delete;
 
@@ -158,6 +158,13 @@ class FlashAbacus {
   // and Resume refuses snapshots taken from a differently-shaped device.
   std::string ConfigFingerprint() const;
 
+  // Snapshottable: the device's own section — the config fingerprint, the
+  // crash flag, the PCIe link and the device-level I/O and recovery
+  // counters. Every other section belongs to a component (SnapshotSections).
+  std::string StateName() const override { return "device"; }
+  int StateVersion() const override { return 2; }  // v2: + the "tenants" section
+  void Persist(StateIO& io) override;
+
   std::uint64_t io_retries() const { return io_retries_.value(); }
   std::uint64_t io_failures() const { return io_failures_.value(); }
 
@@ -169,7 +176,6 @@ class FlashAbacus {
   Dram& dram() { return *dram_; }
   Lwp& worker(int i) { return *workers_[static_cast<std::size_t>(i)]; }
   const FlashAbacusConfig& config() const { return config_; }
-  RunTrace& trace() { return trace_; }
   // Every component's counters/gauges, registered under the naming scheme of
   // docs/OBSERVABILITY.md; RunReport carries a Snapshot() of this registry.
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -180,6 +186,9 @@ class FlashAbacus {
   struct PendingKernel;
 
   void RegisterMetrics();
+  // Every snapshot section in container order, this device's own included:
+  // BuildSnapshot writes them and Resume restores them.
+  std::vector<Snapshottable*> SnapshotSections();
   // Submits through Flashvisor with host-side retry: an uncorrectable
   // completion is resubmitted (bounded attempts, io_retry_backoff apart);
   // the caller's on_complete sees the final outcome only.

@@ -110,18 +110,6 @@ bool Flashvisor::TryAllocTenantExtents(TenantId tenant, const std::vector<std::u
   return true;
 }
 
-void Flashvisor::RefundTenantExtents(TenantId tenant, const std::vector<std::uint64_t>& sizes) {
-  if (tenants_ == nullptr) {
-    return;
-  }
-  const std::uint64_t group_bytes = backbone_->config().GroupBytes();
-  std::uint64_t aligned_total = 0;
-  for (std::uint64_t b : sizes) {
-    aligned_total += (b + group_bytes - 1) / group_bytes * group_bytes;
-  }
-  tenants_->RefundQuota(tenant, aligned_total);
-}
-
 TenantId Flashvisor::SlotOwner(std::uint32_t phys_group) const {
   return phys_group < slot_tenant_.size()
              ? static_cast<TenantId>(slot_tenant_[phys_group])
@@ -461,10 +449,8 @@ void Flashvisor::ForegroundReclaim(Tick now) {
 std::uint32_t Flashvisor::ProgramReliable(Tick now, std::uint32_t oob_tag, const void* payload,
                                           Tick* done_out, IoStatus* status_out) {
   for (int attempt = 0; attempt < 8; ++attempt) {
-    Tick alloc_io = now;
-    const std::uint32_t phys = AllocatePhysicalGroup(now, &alloc_io);
-    FlashBackbone::OpResult r =
-        backbone_->ProgramGroup(std::max(now, alloc_io), phys, payload, oob_tag);
+    const std::uint32_t phys = AllocatePhysicalGroup(now);
+    FlashBackbone::OpResult r = backbone_->ProgramGroup(now, phys, payload, oob_tag);
     *done_out = std::max(*done_out, r.done);
     if (r.status != IoStatus::kProgramFailed) {
       if (status_out != nullptr) {
@@ -491,7 +477,7 @@ void Flashvisor::RetireActiveBlockGroup() {
   active_slot_ = 0;
 }
 
-std::uint32_t Flashvisor::AllocatePhysicalGroup(Tick now, Tick* io_done) {
+std::uint32_t Flashvisor::AllocatePhysicalGroup(Tick now) {
   // Lazy seal: once the previous allocation handed out the last data slot,
   // the caller's program for it has been issued by the time the *next*
   // allocation arrives — only then may the footer pages program (NAND blocks
@@ -502,7 +488,6 @@ std::uint32_t Flashvisor::AllocatePhysicalGroup(Tick now, Tick* io_done) {
   EnsureActiveBlockGroup(now);
   const std::uint32_t phys = GroupOfSlot(active_bg_, active_slot_);
   ++active_slot_;
-  *io_done = now;
   return phys;
 }
 
@@ -672,31 +657,53 @@ Flashvisor::RecoveryReport Flashvisor::RecoverFromFlash(Tick now) {
   return rep;
 }
 
-void Flashvisor::SaveState(StateWriter& w) const {
-  FAB_CHECK(inbound_.Idle()) << "flashvisor inbound queue not idle at snapshot";
-  // Drain a copy of the write-buffer min-heap into ascending (drain tick,
-  // bytes) pairs: deterministic order, trivially rebuildable.
-  auto pending = write_buffer_;
-  w.U64(pending.size());
-  while (!pending.empty()) {
-    w.U64(pending.top().first);
-    w.U64(pending.top().second);
-    pending.pop();
+void Flashvisor::Persist(StateIO& io) {
+  if (io.saving()) {
+    FAB_CHECK(inbound_.Idle()) << "flashvisor inbound queue not idle at snapshot";
   }
-  w.U64(write_buffer_used_);
-  w.U64(active_bg_);
-  w.U32(active_slot_);
-  w.U64(logical_alloc_cursor_);
-  w.U64(write_drain_horizon_);
-  core_.SaveState(w);
-  inbound_.SaveState(w);
-  reads_served_.SaveState(w);
-  writes_served_.SaveState(w);
-  ecc_events_.SaveState(w);
-  uncorrectable_reads_.SaveState(w);
-  program_failure_reallocs_.SaveState(w);
-  retired_block_groups_.SaveState(w);
-  foreground_reclaims_.SaveState(w);
+  // The write-buffer min-heap as ascending (drain tick, bytes) pairs:
+  // deterministic order, trivially rebuildable.
+  std::vector<std::pair<Tick, std::uint64_t>> pending;
+  if (io.saving()) {
+    for (auto heap = write_buffer_; !heap.empty(); heap.pop()) {
+      pending.push_back(heap.top());
+    }
+  }
+  io.Seq(pending, [&io](std::pair<Tick, std::uint64_t>& e) {
+    io.U64(e.first);
+    io.U64(e.second);
+  });
+  std::uint64_t used = 0;
+  for (const auto& e : pending) {
+    used += e.second;
+  }
+  io.U64(write_buffer_used_);
+  if (io.ok() && used != write_buffer_used_) {
+    io.Fail("write-buffer byte accounting mismatch");
+    return;
+  }
+  if (!io.saving()) {
+    write_buffer_ = decltype(write_buffer_)(pending.begin(), pending.end());
+    reclaim_depth_ = 0;
+  }
+  io.U64(active_bg_);
+  io.U32(active_slot_);
+  if ((active_bg_ != BlockManager::kNone && active_bg_ >= blocks_.total_block_groups()) ||
+      active_slot_ > DataSlotsPerBlockGroup()) {
+    io.Fail("flashvisor: active block group out of range");
+    return;
+  }
+  io.U64(logical_alloc_cursor_);
+  io.U64(write_drain_horizon_);
+  core_.Persist(io);
+  inbound_.Persist(io);
+  reads_served_.Persist(io);
+  writes_served_.Persist(io);
+  ecc_events_.Persist(io);
+  uncorrectable_reads_.Persist(io);
+  program_failure_reallocs_.Persist(io);
+  retired_block_groups_.Persist(io);
+  foreground_reclaims_.Persist(io);
   // v2: sparse per-physical-group tenant ownership (non-default only,
   // ascending physical group) for GC attribution across resume.
   std::uint64_t owned = 0;
@@ -705,54 +712,25 @@ void Flashvisor::SaveState(StateWriter& w) const {
       ++owned;
     }
   }
-  w.U64(owned);
-  for (std::uint32_t i = 0; i < slot_tenant_.size(); ++i) {
-    if (slot_tenant_[i] != 0) {
-      w.U32(i);
-      w.U32(slot_tenant_[i]);
+  io.U64(owned);
+  if (io.saving()) {
+    for (std::uint32_t i = 0; i < slot_tenant_.size(); ++i) {
+      if (slot_tenant_[i] != 0) {
+        std::uint32_t t = slot_tenant_[i];
+        io.U32(i);
+        io.U32(t);
+      }
     }
-  }
-}
-
-void Flashvisor::LoadState(StateReader& r) {
-  const std::uint64_t n = r.U64();
-  if (!r.ok()) {
     return;
   }
-  write_buffer_ = {};
-  std::uint64_t used = 0;
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const Tick done = r.U64();
-    const std::uint64_t bytes = r.U64();
-    write_buffer_.emplace(done, bytes);
-    used += bytes;
-  }
-  write_buffer_used_ = r.U64();
-  if (r.ok() && used != write_buffer_used_) {
-    r.Fail("write-buffer byte accounting mismatch");
-    return;
-  }
-  active_bg_ = r.U64();
-  active_slot_ = r.U32();
-  logical_alloc_cursor_ = r.U64();
-  write_drain_horizon_ = r.U64();
-  core_.LoadState(r);
-  inbound_.LoadState(r);
-  reads_served_.LoadState(r);
-  writes_served_.LoadState(r);
-  ecc_events_.LoadState(r);
-  uncorrectable_reads_.LoadState(r);
-  program_failure_reallocs_.LoadState(r);
-  retired_block_groups_.LoadState(r);
-  foreground_reclaims_.LoadState(r);
-  reclaim_depth_ = 0;
   slot_tenant_.clear();
-  const std::uint64_t owned = r.U64();
-  for (std::uint64_t i = 0; i < owned && r.ok(); ++i) {
-    const std::uint32_t phys = r.U32();
-    const std::uint32_t t = r.U32();
-    if (t > 65535) {
-      r.Fail("flashvisor: slot tenant out of range");
+  for (std::uint64_t i = 0; i < owned && io.ok(); ++i) {
+    std::uint32_t phys = 0;
+    std::uint32_t t = 0;
+    io.U32(phys);
+    io.U32(t);
+    if (t > 65535 || phys >= map_.entries()) {
+      io.Fail("flashvisor: slot tenant out of range");
       return;
     }
     if (phys >= slot_tenant_.size()) {

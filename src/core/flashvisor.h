@@ -100,9 +100,6 @@ class Flashvisor : public Snapshottable {
   // Without an attached TenantManager the quota check is skipped.
   bool TryAllocTenantExtents(TenantId tenant, const std::vector<std::uint64_t>& sizes,
                              std::vector<std::uint64_t>* addrs);
-  // Rolls back the quota charge of a TryAllocTenantExtents reservation whose
-  // extents were abandoned before any IO (install aborted).
-  void RefundTenantExtents(TenantId tenant, const std::vector<std::uint64_t>& sizes);
 
   // Attaches per-tenant QoS accounting (quota admission, lock-wait and GC
   // attribution). Optional: a null manager keeps all paths tenant-blind.
@@ -150,7 +147,7 @@ class Flashvisor : public Snapshottable {
   // --- Storengine-facing FTL internals (also used by recovery tooling) ---
   // Allocates the next physical page-group slot in the active block group,
   // sealing it (with a summary write) when full. Returns the physical group.
-  std::uint32_t AllocatePhysicalGroup(Tick now, Tick* io_done);
+  std::uint32_t AllocatePhysicalGroup(Tick now);
   // Allocate + program with program-failure handling: a program-status fail
   // retires the active block group (its already-written slots stay readable
   // until the scrubber migrates them) and re-allocates in a fresh one.
@@ -195,8 +192,7 @@ class Flashvisor : public Snapshottable {
   // must be idle (closures cannot be serialized).
   std::string StateName() const override { return "flashvisor"; }
   int StateVersion() const override { return 2; }  // v2: + sparse slot tenants
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void Persist(StateIO& io) override;
   // True when no queued/undelivered I/O message is outstanding — a
   // precondition for snapshotting.
   bool QuiescedForSnapshot() const { return inbound_.Idle(); }

@@ -91,29 +91,15 @@ class Lwp : public Snapshottable {
   // (PSC sleep/energy accounting replays it) and dispatch counters. The
   // cache model is stateless.
   std::string StateName() const override { return "lwp/" + std::to_string(id_); }
-  void SaveState(StateWriter& w) const override {
-    w.U64(busy_until_);
-    busy_.SaveState(w);
-    w.U64(intervals_.size());
-    for (const auto& iv : intervals_) {
-      w.U64(iv.first);
-      w.U64(iv.second);
-    }
-    screens_executed_.SaveState(w);
-    kernel_boots_.SaveState(w);
-  }
-  void LoadState(StateReader& r) override {
-    busy_until_ = r.U64();
-    busy_.LoadState(r);
-    const std::uint64_t n = r.U64();
-    intervals_.clear();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const Tick start = r.U64();
-      const Tick end = r.U64();
-      intervals_.emplace_back(start, end);
-    }
-    screens_executed_.LoadState(r);
-    kernel_boots_.LoadState(r);
+  void Persist(StateIO& io) override {
+    io.U64(busy_until_);
+    busy_.Persist(io);
+    io.Seq(intervals_, [&io](std::pair<Tick, Tick>& iv) {
+      io.U64(iv.first);
+      io.U64(iv.second);
+    });
+    screens_executed_.Persist(io);
+    kernel_boots_.Persist(io);
   }
 
  private:

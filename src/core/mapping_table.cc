@@ -5,11 +5,9 @@
 namespace fabacus {
 
 MappingTable::MappingTable(const NandConfig& config, Scratchpad* scratchpad)
-    : scratchpad_(scratchpad),
-      forward_(config.TotalGroups(), kUnmapped),
-      reverse_(config.TotalGroups(), kUnmapped) {
-  FAB_CHECK(scratchpad_ != nullptr);
-  FAB_CHECK_LE(table_bytes(), scratchpad_->config().capacity_bytes)
+    : forward_(config.TotalGroups(), kUnmapped), reverse_(config.TotalGroups(), kUnmapped) {
+  FAB_CHECK(scratchpad != nullptr);
+  FAB_CHECK_LE(table_bytes(), scratchpad->config().capacity_bytes)
       << "mapping table does not fit in scratchpad";
 }
 
@@ -29,7 +27,6 @@ std::uint32_t MappingTable::Update(std::uint64_t logical_group, std::uint32_t ph
   }
   forward_[logical_group] = physical_group;
   reverse_[physical_group] = static_cast<std::uint32_t>(logical_group);
-  SyncEntryToScratchpad(logical_group);
   return old;
 }
 
@@ -45,7 +42,6 @@ void MappingTable::Unmap(std::uint64_t logical_group) {
     reverse_[old] = kUnmapped;
     forward_[logical_group] = kUnmapped;
     --mapped_count_;
-    SyncEntryToScratchpad(logical_group);
   }
 }
 
@@ -64,56 +60,45 @@ void MappingTable::Restore(const std::vector<std::uint8_t>& snapshot) {
     if (forward_[lg] != kUnmapped) {
       reverse_[forward_[lg]] = static_cast<std::uint32_t>(lg);
       ++mapped_count_;
-      SyncEntryToScratchpad(lg);
     }
   }
 }
 
-void MappingTable::SaveState(StateWriter& w) const {
-  w.VecU32(forward_);
-  w.U64(mapped_count_);
-}
-
-void MappingTable::LoadState(StateReader& r) {
-  std::vector<std::uint32_t> forward = r.VecU32();
-  const std::uint64_t mapped = r.U64();
-  if (!r.ok()) {
+void MappingTable::Persist(StateIO& io) {
+  io.FixedVecU32(forward_, "mapping table size");
+  io.U64(mapped_count_);
+  if (io.saving() || !io.ok()) {
     return;
   }
-  if (forward.size() != forward_.size()) {
-    r.Fail("mapping table has " + std::to_string(forward.size()) + " entries, device expects " +
-           std::to_string(forward_.size()));
-    return;
-  }
-  forward_ = std::move(forward);
-  // Rebuild the reverse map and re-mirror into the scratchpad, exactly as
-  // Restore() does for crash recovery.
+  // Rebuild the reverse map, as Restore() does for crash recovery. Every
+  // mapped entry must name a distinct physical group.
   std::fill(reverse_.begin(), reverse_.end(), kUnmapped);
   std::uint64_t count = 0;
   for (std::uint64_t lg = 0; lg < forward_.size(); ++lg) {
-    if (forward_[lg] != kUnmapped) {
-      reverse_[forward_[lg]] = static_cast<std::uint32_t>(lg);
-      ++count;
+    const std::uint32_t phys = forward_[lg];
+    if (phys == kUnmapped) {
+      continue;
     }
+    if (phys >= reverse_.size() || reverse_[phys] != kUnmapped) {
+      Clear();
+      io.Fail("mapping table entry " + std::to_string(lg) + " names physical group " +
+              std::to_string(phys) + (phys >= reverse_.size() ? ", past the device" :
+                                                                ", mapped twice"));
+      return;
+    }
+    reverse_[phys] = static_cast<std::uint32_t>(lg);
+    ++count;
   }
-  if (count != mapped) {
-    r.Fail("mapping table count mismatch");
-    return;
+  if (count != mapped_count_) {
+    Clear();
+    io.Fail("mapping table count mismatch");
   }
-  mapped_count_ = count;
-  scratchpad_->Store(scratchpad_offset_, forward_.data(), table_bytes());
 }
 
 void MappingTable::Clear() {
   std::fill(forward_.begin(), forward_.end(), kUnmapped);
   std::fill(reverse_.begin(), reverse_.end(), kUnmapped);
   mapped_count_ = 0;
-  scratchpad_->Store(scratchpad_offset_, forward_.data(), table_bytes());
-}
-
-void MappingTable::SyncEntryToScratchpad(std::uint64_t logical_group) {
-  scratchpad_->Store(scratchpad_offset_ + logical_group * sizeof(std::uint32_t),
-                     &forward_[logical_group], sizeof(std::uint32_t));
 }
 
 }  // namespace fabacus

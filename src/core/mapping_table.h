@@ -2,10 +2,11 @@
 //
 // Log-structured pure page(-group) mapping: logical group -> physical group,
 // resident in the scratchpad (32 GB / 64 KB groups x 4 B entries = 2 MB,
-// matching the paper's scratchpad budget), with a reverse map for GC
-// migration. The table also serializes itself for persistence: Storengine's
-// journaling dumps it to flash and a block-summary footer is written into
-// each sealed block group so the mapping survives power loss.
+// matching the paper's scratchpad budget; the constructor checks that the
+// table fits the configured capacity), with a reverse map for GC migration.
+// The table also serializes itself for persistence: Storengine's journaling
+// dumps it to flash and a block-summary footer is written into each sealed
+// block group so the mapping survives power loss.
 #ifndef SRC_CORE_MAPPING_TABLE_H_
 #define SRC_CORE_MAPPING_TABLE_H_
 
@@ -45,26 +46,16 @@ class MappingTable : public Snapshottable {
   void Snapshot(std::vector<std::uint8_t>* out) const;
   void Restore(const std::vector<std::uint8_t>& snapshot);
 
-  // Power loss: drops every mapping (the scratchpad is volatile). One bulk
-  // scratchpad store mirrors the now-empty table region.
+  // Power loss: drops every mapping (the scratchpad is volatile).
   void Clear();
 
-  // Mirror of the table region inside the scratchpad byte store, kept in sync
-  // on Update() so snapshots read genuine scratchpad state.
-  std::uint64_t scratchpad_offset() const { return scratchpad_offset_; }
-
-  // Snapshottable (docs/SNAPSHOT.md). LoadState re-mirrors the restored
-  // table into the scratchpad, so restore order vs. the scratchpad section
-  // does not matter (both end on the same bytes).
+  // Snapshottable (docs/SNAPSHOT.md): the forward table and its mapped
+  // count. A load rebuilds the reverse map and rejects entries past the
+  // device or naming one physical group twice.
   std::string StateName() const override { return "ftl/map"; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void Persist(StateIO& io) override;
 
  private:
-  void SyncEntryToScratchpad(std::uint64_t logical_group);
-
-  Scratchpad* scratchpad_;
-  std::uint64_t scratchpad_offset_ = 0;
   std::vector<std::uint32_t> forward_;
   std::vector<std::uint32_t> reverse_;
   std::uint64_t mapped_count_ = 0;

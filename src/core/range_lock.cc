@@ -77,7 +77,6 @@ bool RangeLock::TryAcquire(std::uint64_t first, std::uint64_t last, LockMode mod
   const LockId new_id = next_id_++;
   by_id_.emplace(new_id, held_.emplace(first, Held{last, mode, tenant}));
   spans_.insert(last - first);
-  ++total_grants_;
   *id = new_id;
   return true;
 }
@@ -105,7 +104,6 @@ void RangeLock::Acquire(std::uint64_t first, std::uint64_t last, LockMode mode,
       observer_(tenant, holder);
     }
   }
-  ++total_waits_;
   waiters_.push_back(Waiter{first, last, mode, tenant, std::move(granted)});
 }
 

@@ -75,28 +75,18 @@ class RangeLock : public Snapshottable {
 
   std::size_t held_count() const { return held_.size(); }
   std::size_t waiter_count() const { return waiters_.size(); }
-  std::uint64_t total_grants() const { return total_grants_; }
-  std::uint64_t total_waits() const { return total_waits_; }
 
   // Snapshottable. Grant callbacks are closures, so a lock can only be
-  // checkpointed while quiescent (nothing held, nobody waiting) — SaveState
-  // CHECK-enforces that and serializes just the id cursor and counters.
+  // checkpointed or restored while quiescent (nothing held, nobody waiting);
+  // saving CHECK-enforces that, and the section holds the id cursor alone.
   std::string StateName() const override { return "ftl/lock"; }
-  void SaveState(StateWriter& w) const override {
-    FAB_CHECK(held_.empty()) << "cannot snapshot a range lock with held locks";
-    FAB_CHECK(waiters_.empty()) << "cannot snapshot a range lock with waiters";
-    w.U64(next_id_);
-    w.U64(total_grants_);
-    w.U64(total_waits_);
-  }
-  void LoadState(StateReader& r) override {
+  int StateVersion() const override { return 2; }  // v2: no grant/wait totals
+  void Persist(StateIO& io) override {
     if (!held_.empty() || !waiters_.empty()) {
-      r.Fail("cannot restore into a range lock with live state");
+      io.Fail("range lock has held locks or waiters");
       return;
     }
-    next_id_ = r.U64();
-    total_grants_ = r.U64();
-    total_waits_ = r.U64();
+    io.U64(next_id_);
   }
 
  private:
@@ -133,8 +123,6 @@ class RangeLock : public Snapshottable {
   std::multiset<std::uint64_t> spans_;  // last - first of every held range
   std::deque<Waiter> waiters_;
   LockId next_id_ = 1;
-  std::uint64_t total_grants_ = 0;
-  std::uint64_t total_waits_ = 0;
   bool dispatching_ = false;
   ContentionObserver observer_;
 };

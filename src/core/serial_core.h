@@ -38,13 +38,9 @@ class SerialCore {
   const std::string& name() const { return name_; }
 
   // Checkpoint/restore of the core's occupancy horizon and busy accounting.
-  void SaveState(StateWriter& w) const {
-    w.U64(next_free_);
-    busy_.SaveState(w);
-  }
-  void LoadState(StateReader& r) {
-    next_free_ = r.U64();
-    busy_.LoadState(r);
+  void Persist(StateIO& io) {
+    io.U64(next_free_);
+    busy_.Persist(io);
   }
 
  private:

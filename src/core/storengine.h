@@ -101,32 +101,20 @@ class Storengine : public Snapshottable {
   // device snapshots with Storengine stopped and re-arms it after resume.
   // No maintenance pass may be mid-flight (its continuation is a closure).
   std::string StateName() const override { return "storengine"; }
-  void SaveState(StateWriter& w) const override {
-    FAB_CHECK(!maintenance_in_progress_) << "storengine maintenance in flight at snapshot";
-    w.U64(prev_journal_bg_);
-    core_.SaveState(w);
-    gc_passes_.SaveState(w);
-    groups_migrated_.SaveState(w);
-    blocks_reclaimed_.SaveState(w);
-    journal_dumps_.SaveState(w);
-    journal_aborts_.SaveState(w);
-    scrub_passes_.SaveState(w);
-    scrub_migrations_.SaveState(w);
-  }
-  void LoadState(StateReader& r) override {
+  void Persist(StateIO& io) override {
     if (maintenance_in_progress_) {
-      r.Fail("storengine busy during restore");
+      io.Fail("storengine maintenance in flight");
       return;
     }
-    prev_journal_bg_ = r.U64();
-    core_.LoadState(r);
-    gc_passes_.LoadState(r);
-    groups_migrated_.LoadState(r);
-    blocks_reclaimed_.LoadState(r);
-    journal_dumps_.LoadState(r);
-    journal_aborts_.LoadState(r);
-    scrub_passes_.LoadState(r);
-    scrub_migrations_.LoadState(r);
+    io.U64(prev_journal_bg_);
+    core_.Persist(io);
+    gc_passes_.Persist(io);
+    groups_migrated_.Persist(io);
+    blocks_reclaimed_.Persist(io);
+    journal_dumps_.Persist(io);
+    journal_aborts_.Persist(io);
+    scrub_passes_.Persist(io);
+    scrub_migrations_.Persist(io);
   }
 
  private:

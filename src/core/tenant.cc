@@ -92,12 +92,6 @@ bool TenantManager::TryChargeQuota(TenantId t, std::uint64_t aligned_bytes,
   return true;
 }
 
-void TenantManager::RefundQuota(TenantId t, std::uint64_t aligned_bytes) {
-  State& s = EnsureState(t);
-  FAB_CHECK_LE(aligned_bytes, s.quota_used);
-  s.quota_used -= aligned_bytes;
-}
-
 std::uint64_t TenantManager::quota_used(TenantId t) const {
   auto it = state_.find(t);
   return it == state_.end() ? 0 : it->second.quota_used;
@@ -278,72 +272,70 @@ void TenantManager::RegisterTenantMetrics(TenantId t, State& s) {
   registry_->RegisterHistogram(p + "latency_ms", &sp->latency_ms);
 }
 
-void TenantManager::SaveState(StateWriter& w) const {
-  w.U64(state_.size());
-  for (const auto& [id, s] : state_) {
-    w.U32(id);
-    w.U64(s.kernels_submitted);
-    w.U64(s.kernels_completed);
-    w.U64(s.quota_used);
-    w.U64(s.quota_denials);
-    w.F64(s.vt);
-    w.F64(s.work_instructions);
-    w.U64(s.first_submit);
-    w.Bool(s.saw_submit);
-    w.U64(s.last_complete);
-    w.U64(s.lock_waits);
-    w.U64(s.lock_wait_ns);
-    w.U64(s.gc_stall_ns);
-    w.U64(s.garbage_created_groups);
-    w.U64(s.gc_dragged_groups);
-    s.latency_ms.SaveState(w);
-    w.U64(s.blocked_by.size());
-    for (const auto& [holder, count] : s.blocked_by) {
-      w.U32(holder);
-      w.U64(count);
-    }
-  }
-}
-
-void TenantManager::LoadState(StateReader& r) {
-  state_.clear();
-  const std::uint64_t n = r.U64();
-  if (n > 65536) {
-    r.Fail("tenants: implausible state count");
-    return;
-  }
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint32_t raw_id = r.U32();
-    if (raw_id >= num_tenants()) {
-      r.Fail("tenants: tenant id out of range for config");
+void TenantManager::Persist(StateIO& io) {
+  // Sparse rows: only tenants that have acted carry state, by ascending id.
+  std::uint64_t n = state_.size();
+  io.U64(n);
+  if (!io.saving()) {
+    state_.clear();
+    if (n > 65536) {
+      io.Fail("tenants: implausible state count");
       return;
     }
-    State& s = EnsureState(static_cast<TenantId>(raw_id));
-    s.kernels_submitted = r.U64();
-    s.kernels_completed = r.U64();
-    s.quota_used = r.U64();
-    s.quota_denials = r.U64();
-    s.vt = r.F64();
-    s.work_instructions = r.F64();
-    s.first_submit = r.U64();
-    s.saw_submit = r.Bool();
-    s.last_complete = r.U64();
-    s.lock_waits = r.U64();
-    s.lock_wait_ns = r.U64();
-    s.gc_stall_ns = r.U64();
-    s.garbage_created_groups = r.U64();
-    s.gc_dragged_groups = r.U64();
-    s.latency_ms.LoadState(r);
-    const std::uint64_t nb = r.U64();
+  }
+  auto row = [&io](State& s) {
+    io.U64(s.kernels_submitted);
+    io.U64(s.kernels_completed);
+    io.U64(s.quota_used);
+    io.U64(s.quota_denials);
+    io.F64(s.vt);
+    io.F64(s.work_instructions);
+    io.U64(s.first_submit);
+    io.Bool(s.saw_submit);
+    io.U64(s.last_complete);
+    io.U64(s.lock_waits);
+    io.U64(s.lock_wait_ns);
+    io.U64(s.gc_stall_ns);
+    io.U64(s.garbage_created_groups);
+    io.U64(s.gc_dragged_groups);
+    s.latency_ms.Persist(io);
+    std::uint64_t nb = s.blocked_by.size();
+    io.U64(nb);
+    if (io.saving()) {
+      for (auto& [holder, count] : s.blocked_by) {
+        std::uint32_t h = holder;
+        io.U32(h);
+        io.U64(count);
+      }
+      return;
+    }
     if (nb > 65536) {
-      r.Fail("tenants: implausible blocked_by count");
+      io.Fail("tenants: implausible blocked_by count");
       return;
     }
     s.blocked_by.clear();
-    for (std::uint64_t j = 0; j < nb && r.ok(); ++j) {
-      const std::uint32_t holder = r.U32();
-      s.blocked_by[static_cast<TenantId>(holder)] = r.U64();
+    for (std::uint64_t j = 0; j < nb && io.ok(); ++j) {
+      std::uint32_t holder = 0;
+      io.U32(holder);
+      io.U64(s.blocked_by[static_cast<TenantId>(holder)]);
     }
+  };
+  if (io.saving()) {
+    for (auto& [id, s] : state_) {
+      std::uint32_t raw_id = id;
+      io.U32(raw_id);
+      row(s);
+    }
+    return;
+  }
+  for (std::uint64_t i = 0; i < n && io.ok(); ++i) {
+    std::uint32_t raw_id = 0;
+    io.U32(raw_id);
+    if (raw_id >= num_tenants()) {
+      io.Fail("tenants: tenant id out of range for config");
+      return;
+    }
+    row(EnsureState(static_cast<TenantId>(raw_id)));
   }
 }
 

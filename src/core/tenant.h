@@ -114,8 +114,6 @@ class TenantManager : public Snapshottable {
   // less than one allocation unit, never more. Denials are counted.
   bool TryChargeQuota(TenantId t, std::uint64_t aligned_bytes,
                       std::uint64_t group_bytes);
-  // Rolls back a successful charge (install aborted before any IO).
-  void RefundQuota(TenantId t, std::uint64_t aligned_bytes);
   std::uint64_t quota_used(TenantId t) const;
   std::uint64_t quota_denials(TenantId t) const;
 
@@ -149,8 +147,7 @@ class TenantManager : public Snapshottable {
 
   // --- Snapshot ------------------------------------------------------------
   std::string StateName() const override { return "tenants"; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void Persist(StateIO& io) override;
 
  private:
   struct State {

@@ -102,30 +102,21 @@ class RunTrace : public Snapshottable {
   // window the device-lifetime trace, so a resumed segment needs everything
   // recorded before the snapshot point.
   std::string StateName() const override { return "trace"; }
-  void SaveState(StateWriter& w) const override {
-    w.U32(mask_);
-    w.U64(intervals_.size());
-    for (const auto& iv : intervals_) {
-      w.U64(iv.start);
-      w.U64(iv.end);
-      w.I32(static_cast<std::int32_t>(iv.tag));
-      w.F64(iv.weight);
-      w.I32(iv.track);
-    }
-  }
-  void LoadState(StateReader& r) override {
-    mask_ = r.U32();
-    const std::uint64_t n = r.U64();
-    intervals_.clear();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      TaggedInterval iv;
-      iv.start = r.U64();
-      iv.end = r.U64();
-      iv.tag = static_cast<TraceTag>(r.I32());
-      iv.weight = r.F64();
-      iv.track = r.I32();
-      intervals_.push_back(iv);
-    }
+  void Persist(StateIO& io) override {
+    io.U32(mask_);
+    io.Seq(intervals_, [&io](TaggedInterval& iv) {
+      io.U64(iv.start);
+      io.U64(iv.end);
+      std::int32_t tag = static_cast<std::int32_t>(iv.tag);
+      io.I32(tag);
+      if (tag < 0 || tag > static_cast<std::int32_t>(TraceTag::kFlashChan)) {
+        io.Fail("trace interval tag " + std::to_string(tag) + " out of range");
+      } else if (!io.saving()) {
+        iv.tag = static_cast<TraceTag>(tag);
+      }
+      io.F64(iv.weight);
+      io.I32(iv.track);
+    });
   }
 
  private:

@@ -24,6 +24,7 @@
 #ifndef SRC_FLASH_FAULT_MODEL_H_
 #define SRC_FLASH_FAULT_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,34 +113,21 @@ class FaultModel : public Snapshottable {
   // Snapshottable: RNG stream position, dead-die map and plan cursor, so a
   // resumed run draws the exact fault sequence the unbroken run would have.
   std::string StateName() const override { return "faults"; }
-  void SaveState(StateWriter& w) const override {
-    w.U64(rng_.state());
-    std::vector<std::uint8_t> dead(dead_.size());
-    for (std::size_t i = 0; i < dead_.size(); ++i) {
-      dead[i] = dead_[i] ? 1 : 0;
-    }
-    w.VecU8(dead);
-    w.U64(static_cast<std::uint64_t>(next_plan_));
-  }
-  void LoadState(StateReader& r) override {
-    rng_.set_state(r.U64());
-    const std::vector<std::uint8_t> dead = r.VecU8();
-    const std::uint64_t next_plan = r.U64();
-    if (!r.ok()) {
+  void Persist(StateIO& io) override {
+    std::uint64_t rng = rng_.state();
+    io.U64(rng);
+    io.FixedBits(dead_, "fault model shape");
+    std::uint64_t next_plan = next_plan_;
+    io.U64(next_plan);
+    if (next_plan > config_.plan.size()) {
+      io.Fail("fault model shape mismatch");
       return;
     }
-    if (dead.size() != dead_.size() || next_plan > config_.plan.size()) {
-      r.Fail("fault model shape mismatch");
-      return;
+    if (!io.saving()) {
+      rng_.set_state(rng);
+      next_plan_ = static_cast<std::size_t>(next_plan);
+      dead_dies_ = static_cast<int>(std::count(dead_.begin(), dead_.end(), true));
     }
-    dead_dies_ = 0;
-    for (std::size_t i = 0; i < dead.size(); ++i) {
-      dead_[i] = dead[i] != 0;
-      if (dead_[i]) {
-        ++dead_dies_;
-      }
-    }
-    next_plan_ = static_cast<std::size_t>(next_plan);
   }
 
  private:

@@ -248,99 +248,63 @@ void FlashBackbone::RegisterMetrics(MetricsRegistry* reg, const std::string& pre
   }
 }
 
-void FlashBackbone::SaveState(StateWriter& w) const {
-  srio_.SaveState(w);
-  data_.SaveState(w);
-  w.U64(oob_.size());
-  for (const OobEntry& e : oob_) {
-    w.U32(e.tag);
-    w.U64(e.seq);
-  }
-  w.U64(program_seq_);
-  w.VecU64(block_errors_);
-  // Sorted by (done, group), so the bytes never depend on the heap layout.
-  std::vector<InflightProgram> inflight = inflight_programs_;
-  std::sort(inflight.begin(), inflight.end(),
-            [](const InflightProgram& a, const InflightProgram& b) {
-              return a.done != b.done ? a.done < b.done : a.group < b.group;
-            });
-  w.U64(inflight.size());
-  for (const InflightProgram& p : inflight) {
-    w.U64(p.group);
-    w.U64(p.done);
-  }
-  reads_.SaveState(w);
-  programs_.SaveState(w);
-  erases_.SaveState(w);
-  read_retries_.SaveState(w);
-  uncorrectable_reads_.SaveState(w);
-  program_failures_.SaveState(w);
-  erase_failures_.SaveState(w);
-  dead_die_reads_.SaveState(w);
-  dead_die_programs_.SaveState(w);
-  torn_groups_.SaveState(w);
-  w.U64(retry_rung_counts_.size());
-  for (const Counter& c : retry_rung_counts_) {
-    c.SaveState(w);
-  }
-  w.F64(bytes_read_);
-  w.F64(bytes_programmed_);
-}
-
-void FlashBackbone::LoadState(StateReader& r) {
-  srio_.LoadState(r);
-  data_.LoadState(r);
-  const std::uint64_t oob_count = r.U64();
-  if (r.ok() && oob_count != oob_.size()) {
-    r.Fail("OOB record count mismatch");
+void FlashBackbone::Persist(StateIO& io) {
+  srio_.Persist(io);
+  data_.Persist(io);
+  if (!io.Count(oob_.size(), "OOB record count")) {
     return;
   }
   for (OobEntry& e : oob_) {
-    e.tag = r.U32();
-    e.seq = r.U64();
+    io.U32(e.tag);
+    io.U64(e.seq);
   }
-  program_seq_ = r.U64();
-  std::vector<std::uint64_t> block_errors = r.VecU64();
-  if (r.ok() && block_errors.size() != block_errors_.size()) {
-    r.Fail("block error count mismatch");
-    return;
+  io.U64(program_seq_);
+  io.FixedVecU64(block_errors_, "block error count");
+  // Sorted by (done, group), so the bytes never depend on the heap layout.
+  std::vector<InflightProgram> inflight;
+  if (io.saving()) {
+    inflight = inflight_programs_;
+    std::sort(inflight.begin(), inflight.end(),
+              [](const InflightProgram& a, const InflightProgram& b) {
+                return a.done != b.done ? a.done < b.done : a.group < b.group;
+              });
   }
-  if (r.ok()) {
-    block_errors_ = std::move(block_errors);
+  io.Seq(inflight, [&io](InflightProgram& p) {
+    io.U64(p.group);
+    io.U64(p.done);
+  });
+  if (!io.saving()) {
+    if (inflight.size() > oob_.size()) {
+      io.Fail("corrupt in-flight program count");
+      return;
+    }
+    for (const InflightProgram& p : inflight) {
+      if (p.group >= oob_.size()) {
+        io.Fail("in-flight program group " + std::to_string(p.group) + " out of range");
+        return;
+      }
+    }
+    inflight_programs_ = std::move(inflight);
+    std::make_heap(inflight_programs_.begin(), inflight_programs_.end(), LaterDone);
   }
-  const std::uint64_t inflight = r.U64();
-  if (r.ok() && inflight > oob_.size()) {
-    r.Fail("corrupt in-flight program count");
-    return;
-  }
-  inflight_programs_.clear();
-  for (std::uint64_t i = 0; i < inflight && r.ok(); ++i) {
-    InflightProgram p;
-    p.group = r.U64();
-    p.done = r.U64();
-    inflight_programs_.push_back(p);
-  }
-  std::make_heap(inflight_programs_.begin(), inflight_programs_.end(), LaterDone);
-  reads_.LoadState(r);
-  programs_.LoadState(r);
-  erases_.LoadState(r);
-  read_retries_.LoadState(r);
-  uncorrectable_reads_.LoadState(r);
-  program_failures_.LoadState(r);
-  erase_failures_.LoadState(r);
-  dead_die_reads_.LoadState(r);
-  dead_die_programs_.LoadState(r);
-  torn_groups_.LoadState(r);
-  const std::uint64_t rungs = r.U64();
-  if (r.ok() && rungs != retry_rung_counts_.size()) {
-    r.Fail("retry ladder depth mismatch");
+  reads_.Persist(io);
+  programs_.Persist(io);
+  erases_.Persist(io);
+  read_retries_.Persist(io);
+  uncorrectable_reads_.Persist(io);
+  program_failures_.Persist(io);
+  erase_failures_.Persist(io);
+  dead_die_reads_.Persist(io);
+  dead_die_programs_.Persist(io);
+  torn_groups_.Persist(io);
+  if (!io.Count(retry_rung_counts_.size(), "retry ladder depth")) {
     return;
   }
   for (Counter& c : retry_rung_counts_) {
-    c.LoadState(r);
+    c.Persist(io);
   }
-  bytes_read_ = r.F64();
-  bytes_programmed_ = r.F64();
+  io.F64(bytes_read_);
+  io.F64(bytes_programmed_);
 }
 
 }  // namespace fabacus

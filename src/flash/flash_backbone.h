@@ -135,8 +135,7 @@ class FlashBackbone : public Snapshottable {
   // Snapshottable themselves), so this section carries only backbone-local
   // state.
   std::string StateName() const override { return "flash"; }
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void Persist(StateIO& io) override;
 
  private:
   NandConfig config_;

@@ -150,62 +150,42 @@ void FlashController::RegisterMetrics(MetricsRegistry* reg, const std::string& p
   }
 }
 
-void TagQueue::SaveState(StateWriter& w) const {
-  // Drain a copy of the min-heap: ascending completion times, deterministic.
-  auto inflight = inflight_;
-  std::vector<std::uint64_t> completions;
-  completions.reserve(inflight.size());
-  while (!inflight.empty()) {
-    completions.push_back(inflight.top());
-    inflight.pop();
+void TagQueue::Persist(StateIO& io) {
+  // In-flight completions in ascending order: deterministic, and a heap
+  // rebuilt from them pops in the same order.
+  std::vector<Tick> completions;
+  if (io.saving()) {
+    for (auto heap = inflight_; !heap.empty(); heap.pop()) {
+      completions.push_back(heap.top());
+    }
   }
-  w.U64(static_cast<std::uint64_t>(depth_));
-  w.VecU64(completions);
-  acquires_.SaveState(w);
-  wait_ns_.SaveState(w);
-}
-
-void TagQueue::LoadState(StateReader& r) {
-  const std::uint64_t depth = r.U64();
-  const std::vector<std::uint64_t> completions = r.VecU64();
-  if (!r.ok()) {
+  if (!io.Count(static_cast<std::uint64_t>(depth_), "tag queue depth")) {
     return;
   }
-  if (depth != static_cast<std::uint64_t>(depth_) || completions.size() > static_cast<std::size_t>(depth_)) {
-    r.Fail("tag queue depth mismatch");
+  io.Seq(completions, [&io](Tick& t) { io.U64(t); });
+  if (completions.size() > static_cast<std::size_t>(depth_)) {
+    io.Fail("tag queue depth mismatch");
     return;
   }
-  inflight_ = {};
-  for (const Tick t : completions) {
-    inflight_.push(t);
+  if (!io.saving()) {
+    inflight_ = decltype(inflight_)(completions.begin(), completions.end());
   }
-  acquires_.LoadState(r);
-  wait_ns_.LoadState(r);
+  acquires_.Persist(io);
+  wait_ns_.Persist(io);
 }
 
 std::string FlashController::StateName() const {
   return "flash/ch" + std::to_string(channel_);
 }
 
-void FlashController::SaveState(StateWriter& w) const {
-  bus_.SaveState(w);
-  tags_.SaveState(w);
-  w.U64(packages_.size());
-  for (const auto& pkg : packages_) {
-    pkg->SaveState(w);
-  }
-}
-
-void FlashController::LoadState(StateReader& r) {
-  bus_.LoadState(r);
-  tags_.LoadState(r);
-  const std::uint64_t n = r.U64();
-  if (r.ok() && n != packages_.size()) {
-    r.Fail("package count mismatch");
+void FlashController::Persist(StateIO& io) {
+  bus_.Persist(io);
+  tags_.Persist(io);
+  if (!io.Count(packages_.size(), "package count")) {
     return;
   }
   for (auto& pkg : packages_) {
-    pkg->LoadState(r);
+    pkg->Persist(io);
   }
 }
 

@@ -40,8 +40,7 @@ class TagQueue {
 
   // Checkpoint/restore: the in-flight completion horizon is plain data (no
   // callbacks), so a tag pool mid-drain round-trips exactly.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void Persist(StateIO& io);
 
  private:
   int depth_;
@@ -103,8 +102,7 @@ class FlashController : public Snapshottable {
 
   // Snapshottable: bus horizon + tag pool + every package on this channel.
   std::string StateName() const override;
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void Persist(StateIO& io) override;
 
  private:
   Tick ReserveBus(Tick now, double bytes);

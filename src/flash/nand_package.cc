@@ -78,43 +78,15 @@ std::string NandPackage::StateName() const {
   return "nand/ch" + std::to_string(channel_) + "/pkg" + std::to_string(index_);
 }
 
-void NandPackage::SaveState(StateWriter& w) const {
-  w.U64(busy_until_);
-  busy_.SaveState(w);
-  w.VecI32(write_point_);
-  w.VecU64(wear_);
-  std::vector<std::uint8_t> bad(bad_.size());
-  for (std::size_t i = 0; i < bad_.size(); ++i) {
-    bad[i] = bad_[i] ? 1 : 0;
-  }
-  w.VecU8(bad);
-  reads_.SaveState(w);
-  programs_.SaveState(w);
-  total_erases_.SaveState(w);
-}
-
-void NandPackage::LoadState(StateReader& r) {
-  busy_until_ = r.U64();
-  busy_.LoadState(r);
-  std::vector<std::int32_t> write_point = r.VecI32();
-  std::vector<std::uint64_t> wear = r.VecU64();
-  std::vector<std::uint8_t> bad = r.VecU8();
-  if (!r.ok()) {
-    return;
-  }
-  if (write_point.size() != write_point_.size() || wear.size() != wear_.size() ||
-      bad.size() != bad_.size()) {
-    r.Fail("NAND package geometry mismatch");
-    return;
-  }
-  write_point_ = std::move(write_point);
-  wear_ = std::move(wear);
-  for (std::size_t i = 0; i < bad.size(); ++i) {
-    bad_[i] = bad[i] != 0;
-  }
-  reads_.LoadState(r);
-  programs_.LoadState(r);
-  total_erases_.LoadState(r);
+void NandPackage::Persist(StateIO& io) {
+  io.U64(busy_until_);
+  busy_.Persist(io);
+  io.FixedVecI32(write_point_, "NAND package geometry");
+  io.FixedVecU64(wear_, "NAND package geometry");
+  io.FixedBits(bad_, "NAND package geometry");
+  reads_.Persist(io);
+  programs_.Persist(io);
+  total_erases_.Persist(io);
 }
 
 }  // namespace fabacus

@@ -52,8 +52,7 @@ class NandPackage : public Snapshottable {
   // horizon — the on-die truth that makes long-horizon aging studies
   // resumable.
   std::string StateName() const override;
-  void SaveState(StateWriter& w) const override;
-  void LoadState(StateReader& r) override;
+  void Persist(StateIO& io) override;
 
  private:
   Tick Occupy(Tick now, Tick duration);

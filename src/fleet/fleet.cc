@@ -1137,8 +1137,8 @@ SnapshotBuilder FleetSim::BuildSnapshot() const {
     w.I32(LogHistogram::kMaxExp2);
     w.I32(LogHistogram::kSubBuckets);
     w.U32(static_cast<std::uint32_t>(BoundedTimeSeries::kDefaultMaxBins));
-    router_.SaveState(w);
-    traffic_->SaveState(w);
+    SaveTo(router_, w);
+    SaveTo(*traffic_, w);
   }
   for (const auto& shard : shards_) {
     FAB_CHECK(!shard->busy && shard->queue.empty())
@@ -1150,8 +1150,8 @@ SnapshotBuilder FleetSim::BuildSnapshot() const {
     StateWriter& w = b.AddSection(prefix + "/cache", 1);
     WriteInstallCache(*shard, w);
     StateWriter& h = b.AddSection(prefix + "/health", 1);
-    shard->health.SaveState(h);
-    shard->breaker.SaveState(h);
+    SaveTo(shard->health, h);
+    SaveTo(shard->breaker, h);
   }
   return b;
 }
@@ -1200,8 +1200,8 @@ bool FleetSim::Resume(const SnapshotFile& snap, std::string* error) {
         ts_bins != static_cast<std::uint32_t>(BoundedTimeSeries::kDefaultMaxBins)) {
       return fail("snapshot sketch geometry mismatch (histogram/time-series layout changed)");
     }
-    router_.LoadState(r);
-    traffic_->LoadState(r);
+    LoadFrom(router_, r);
+    LoadFrom(*traffic_, r);
     if (!r.ok()) {
       return fail("corrupt fleet section: " + r.error());
     }
@@ -1242,8 +1242,8 @@ bool FleetSim::Resume(const SnapshotFile& snap, std::string* error) {
     if (!h.ok()) {
       return fail(h.error());
     }
-    shard->health.LoadState(h);
-    shard->breaker.LoadState(h);
+    LoadFrom(shard->health, h);
+    LoadFrom(shard->breaker, h);
     if (!h.ok()) {
       return fail(prefix + "/health: " + h.error());
     }

@@ -49,20 +49,12 @@ void HealthTracker::OnFailure() {
   ++failures_;
 }
 
-void HealthTracker::SaveState(StateWriter& w) const {
-  w.F64(latency_ewma_ms_);
-  w.F64(error_ewma_);
-  w.I32(consecutive_failures_);
-  w.U64(successes_);
-  w.U64(failures_);
-}
-
-void HealthTracker::LoadState(StateReader& r) {
-  latency_ewma_ms_ = r.F64();
-  error_ewma_ = r.F64();
-  consecutive_failures_ = r.I32();
-  successes_ = r.U64();
-  failures_ = r.U64();
+void HealthTracker::Persist(StateIO& io) {
+  io.F64(latency_ewma_ms_);
+  io.F64(error_ewma_);
+  io.I32(consecutive_failures_);
+  io.U64(successes_);
+  io.U64(failures_);
 }
 
 const char* BreakerStateName(BreakerState s) {
@@ -169,31 +161,23 @@ void CircuitBreaker::Close() {
   closes_.Add();
 }
 
-void CircuitBreaker::SaveState(StateWriter& w) const {
-  w.U8(static_cast<std::uint8_t>(state_));
-  w.I32(strikes_);
-  w.I64(reopen_at_);
-  w.I32(probes_inflight_);
-  w.I32(probe_successes_);
-  opens_.SaveState(w);
-  closes_.SaveState(w);
-  probes_.SaveState(w);
-}
-
-void CircuitBreaker::LoadState(StateReader& r) {
-  const std::uint8_t s = r.U8();
-  if (s > static_cast<std::uint8_t>(BreakerState::kHalfOpen)) {
-    r.Fail("invalid circuit breaker state byte");
+void CircuitBreaker::Persist(StateIO& io) {
+  std::uint8_t state = static_cast<std::uint8_t>(state_);
+  io.U8(state);
+  if (state > static_cast<std::uint8_t>(BreakerState::kHalfOpen)) {
+    io.Fail("invalid circuit breaker state byte");
     return;
   }
-  state_ = static_cast<BreakerState>(s);
-  strikes_ = r.I32();
-  reopen_at_ = r.I64();
-  probes_inflight_ = r.I32();
-  probe_successes_ = r.I32();
-  opens_.LoadState(r);
-  closes_.LoadState(r);
-  probes_.LoadState(r);
+  if (!io.saving()) {
+    state_ = static_cast<BreakerState>(state);
+  }
+  io.I32(strikes_);
+  io.U64(reopen_at_);
+  io.I32(probes_inflight_);
+  io.I32(probe_successes_);
+  opens_.Persist(io);
+  closes_.Persist(io);
+  probes_.Persist(io);
 }
 
 }  // namespace fabacus

@@ -59,8 +59,7 @@ class HealthTracker {
   // failure-rate EWMA so an erroring shard ranks behind a merely slow one.
   double Score() const { return latency_ewma_ms_ * (1.0 + 4.0 * error_ewma_); }
 
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void Persist(StateIO& io);
 
  private:
   HealthConfig config_;
@@ -104,8 +103,7 @@ class CircuitBreaker {
   std::uint64_t closes() const { return closes_.value(); }
   std::uint64_t probes() const { return probes_.value(); }
 
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void Persist(StateIO& io);
 
  private:
   void Open(Tick now);

@@ -122,41 +122,29 @@ int ShardRouter::Route(const FleetRequest& r, const RouteState& state, int attem
   return 0;
 }
 
-void ShardRouter::SaveState(StateWriter& w) const {
-  w.U8(kStateFormatVersion);
-  w.U8(static_cast<std::uint8_t>(policy_));
+void ShardRouter::Persist(StateIO& io) {
+  std::uint8_t version = kStateFormatVersion;
+  io.U8(version);
+  if (io.ok() && version != kStateFormatVersion) {
+    io.Fail("router state format version " + std::to_string(version) + " != " +
+            std::to_string(kStateFormatVersion));
+    return;
+  }
+  std::uint8_t policy = static_cast<std::uint8_t>(policy_);
+  io.U8(policy);
+  if (io.ok() && policy != static_cast<std::uint8_t>(policy_)) {
+    io.Fail("router state saved under policy " + std::to_string(policy) +
+            " but this router runs " + PlacementPolicyName(policy_));
+    return;
+  }
   switch (policy_) {
     case PlacementPolicy::kRoundRobin:
-      w.U64(rr_next_);
+      io.U64(rr_next_);
       break;
     case PlacementPolicy::kLeastOutstanding:
     case PlacementPolicy::kDataAffinity:
     case PlacementPolicy::kHealthAware:
       break;  // stateless: their choices derive from live fleet state
-  }
-}
-
-void ShardRouter::LoadState(StateReader& r) {
-  const std::uint8_t version = r.U8();
-  if (r.ok() && version != kStateFormatVersion) {
-    r.Fail("router state format version " + std::to_string(version) + " != " +
-           std::to_string(kStateFormatVersion));
-    return;
-  }
-  const std::uint8_t policy = r.U8();
-  if (r.ok() && policy != static_cast<std::uint8_t>(policy_)) {
-    r.Fail("router state saved under policy " + std::to_string(policy) +
-           " but this router runs " + PlacementPolicyName(policy_));
-    return;
-  }
-  switch (policy_) {
-    case PlacementPolicy::kRoundRobin:
-      rr_next_ = r.U64();
-      break;
-    case PlacementPolicy::kLeastOutstanding:
-    case PlacementPolicy::kDataAffinity:
-    case PlacementPolicy::kHealthAware:
-      break;
   }
 }
 

@@ -70,10 +70,9 @@ class ShardRouter {
 
   // Checkpoint/restore: a versioned per-policy state blob (format version
   // byte, policy tag, then the policy's own payload — the rotation cursor for
-  // round-robin, nothing for the stateless policies). LoadState rejects
+  // round-robin, nothing for the stateless policies). A load rejects
   // version or policy mismatches via the reader's latched-error discipline.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void Persist(StateIO& io);
 
  private:
   static constexpr std::uint8_t kStateFormatVersion = 1;

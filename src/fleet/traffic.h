@@ -55,7 +55,6 @@ struct FleetRequest {
   int route_retries = 0; // admission rejections before placement/shedding
   Tick dispatch = 0;     // dequeued from admission into a device batch
   Tick complete = 0;     // device-reported completion (writeback accepted)
-  bool slo_violated = false;
 
   // --- Fault-tolerance lifecycle (managed by FleetSim's serve loop) --------
   int retries = 0;          // fleet-level resubmissions after failures
@@ -141,30 +140,19 @@ class TrafficGenerator {
   // Checkpoint/restore of the generator's stream position: a restored
   // generator continues the same deterministic schedule (ids, workload
   // draws, inter-arrival gaps) exactly where the saved one stopped.
-  void SaveState(StateWriter& w) const {
-    w.U64(rng_.state());
-    w.I32(next_id_);
-    w.U64(emitted_per_client_.size());
-    for (const int e : emitted_per_client_) {
-      w.I32(e);
+  void Persist(StateIO& io) {
+    std::uint64_t rng = rng_.state();
+    io.U64(rng);
+    io.I32(next_id_);
+    if (!io.saving()) {
+      rng_.set_state(rng);
+      // The open-loop clock and window counter restart on restore: a resumed
+      // fleet serves a fresh total_requests window whose arrivals it offsets
+      // by resume_base_, exactly as InitialArrivals() behaves.
+      open_clock_ = 0;
+      open_emitted_ = 0;
     }
-  }
-  void LoadState(StateReader& r) {
-    rng_.set_state(r.U64());
-    next_id_ = r.I32();
-    // The open-loop clock and window counter restart on restore: a resumed
-    // fleet serves a fresh total_requests window whose arrivals it offsets
-    // by resume_base_, exactly as InitialArrivals() behaves.
-    open_clock_ = 0;
-    open_emitted_ = 0;
-    const std::uint64_t n = r.U64();
-    if (r.ok() && n != emitted_per_client_.size()) {
-      r.Fail("traffic generator client count mismatch");
-      return;
-    }
-    for (int& e : emitted_per_client_) {
-      e = r.I32();
-    }
+    io.FixedVecI32(emitted_per_client_, "traffic generator client count");
   }
 
  private:

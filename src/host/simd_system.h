@@ -71,7 +71,6 @@ class SimdSystem {
   static std::string FileName(const AppInstance& inst, int section_idx);
 
   NvmeSsd& ssd() { return *ssd_; }
-  RunTrace& trace() { return trace_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   const SimdConfig& config() const { return config_; }
   int num_lwps() const { return static_cast<int>(lwps_.size()); }

@@ -79,29 +79,29 @@ const std::uint8_t* ByteStore::ChunkData(std::uint64_t index) const {
   return it == chunks_.end() ? nullptr : it->second.get();
 }
 
-void ByteStore::SaveState(StateWriter& w) const {
-  w.U64(chunk_size_);
-  std::vector<std::uint64_t> indices;
-  indices.reserve(chunks_.size());
-  for (const auto& [idx, chunk] : chunks_) {
-    indices.push_back(idx);
-  }
-  std::sort(indices.begin(), indices.end());
-  w.U64(indices.size());
-  for (const std::uint64_t idx : indices) {
-    w.U64(idx);
-    // The length-prefixed layout of StateWriter::VecU8.
-    w.U64(chunk_size_);
-    w.Bytes(chunks_.at(idx).get(), chunk_size_);
-  }
-}
-
-void ByteStore::LoadState(StateReader& r) {
-  const std::uint64_t chunk_size = r.U64();
-  if (r.ok() && chunk_size != chunk_size_) {
-    r.Fail("ByteStore chunk size mismatch");
+void ByteStore::Persist(StateIO& io) {
+  if (!io.Count(chunk_size_, "ByteStore chunk size")) {
     return;
   }
+  // Sparse chunks: (index, length-prefixed bytes) in ascending index order.
+  if (io.saving()) {
+    std::vector<std::uint64_t> indices;
+    indices.reserve(chunks_.size());
+    for (const auto& [idx, chunk] : chunks_) {
+      indices.push_back(idx);
+    }
+    std::sort(indices.begin(), indices.end());
+    StateWriter& w = io.writer();
+    w.U64(indices.size());
+    for (const std::uint64_t idx : indices) {
+      w.U64(idx);
+      // The length-prefixed layout StateReader::VecU8 reads.
+      w.U64(chunk_size_);
+      w.Bytes(chunks_.at(idx).get(), chunk_size_);
+    }
+    return;
+  }
+  StateReader& r = io.reader();
   while (!chunks_.empty()) {
     spare_.push_back(chunks_.extract(chunks_.begin()));
   }

@@ -14,8 +14,7 @@
 
 namespace fabacus {
 
-class StateReader;
-class StateWriter;
+class StateIO;
 
 class ByteStore {
  public:
@@ -45,8 +44,7 @@ class ByteStore {
 
   // Checkpoint/restore: chunks are emitted in ascending index order so the
   // stream is deterministic regardless of hash-map iteration order.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void Persist(StateIO& io);
 
  private:
   using ChunkMap = std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>;

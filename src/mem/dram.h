@@ -49,23 +49,14 @@ class Dram : public Snapshottable {
   // contents are scratch kernel working sets, not persistent state — only
   // the timing model is restored.
   std::string StateName() const override { return "dram"; }
-  void SaveState(StateWriter& w) const override {
-    w.U64(banks_.size());
-    for (const auto& bank : banks_) {
-      bank->SaveState(w);
-    }
-    accesses_.SaveState(w);
-  }
-  void LoadState(StateReader& r) override {
-    const std::uint64_t n = r.U64();
-    if (r.ok() && n != banks_.size()) {
-      r.Fail("dram bank count mismatch");
+  void Persist(StateIO& io) override {
+    if (!io.Count(banks_.size(), "dram bank count")) {
       return;
     }
     for (auto& bank : banks_) {
-      bank->LoadState(r);
+      bank->Persist(io);
     }
-    accesses_.LoadState(r);
+    accesses_.Persist(io);
   }
 
  private:

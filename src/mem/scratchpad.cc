@@ -1,26 +1,10 @@
 #include "src/mem/scratchpad.h"
 
-#include <cstring>
-
-#include "src/sim/log.h"
-
 namespace fabacus {
 
 Scratchpad::Scratchpad(const ScratchpadConfig& config)
-    : config_(config),
-      port_("scratchpad", config.total_gb_per_s, config.access_latency),
-      bytes_(config.capacity_bytes, 0) {}
+    : config_(config), port_("scratchpad", config.total_gb_per_s, config.access_latency) {}
 
 Tick Scratchpad::Access(Tick now, double bytes) { return port_.Reserve(now, bytes).end; }
-
-void Scratchpad::Store(std::uint64_t offset, const void* data, std::uint64_t len) {
-  FAB_CHECK_LE(offset + len, bytes_.size()) << "scratchpad overflow";
-  std::memcpy(bytes_.data() + offset, data, len);
-}
-
-void Scratchpad::Load(std::uint64_t offset, void* out, std::uint64_t len) const {
-  FAB_CHECK_LE(offset + len, bytes_.size()) << "scratchpad overflow";
-  std::memcpy(out, bytes_.data() + offset, len);
-}
 
 }  // namespace fabacus

@@ -1,12 +1,11 @@
 // Scratchpad SRAM. Table 1: 4 MB over 8 banks at 500 MHz, 16 GB/s, serving
 // administrative traffic (Flashvisor's mapping table, queue entries) "as fast
-// as an L2 cache". It also owns the real bytes of the mapping-table region so
-// Storengine snapshots copy genuine state.
+// as an L2 cache". Only the timing is modelled here: the mapping table keeps
+// its entries itself (MappingTable), sized to fit this capacity.
 #ifndef SRC_MEM_SCRATCHPAD_H_
 #define SRC_MEM_SCRATCHPAD_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/sim/metrics.h"
 #include "src/sim/resource.h"
@@ -29,10 +28,6 @@ class Scratchpad : public Snapshottable {
   // Timing-only access (e.g., a mapping-table lookup touching `bytes`).
   Tick Access(Tick now, double bytes);
 
-  // Byte-accurate storage for persistent structures hosted in scratchpad.
-  void Store(std::uint64_t offset, const void* data, std::uint64_t len);
-  void Load(std::uint64_t offset, void* out, std::uint64_t len) const;
-
   const ScratchpadConfig& config() const { return config_; }
   Tick BusyTime(Tick now) const { return port_.BusyTime(now); }
   double Utilization(Tick now) const { return port_.Utilization(now); }
@@ -47,28 +42,14 @@ class Scratchpad : public Snapshottable {
                        [this](Tick now) { return static_cast<double>(BusyTime(now)); });
   }
 
-  // Snapshottable: the port's timing state plus the full byte contents.
+  // Snapshottable: the port's timing state.
   std::string StateName() const override { return "scratchpad"; }
-  void SaveState(StateWriter& w) const override {
-    port_.SaveState(w);
-    w.VecU8(bytes_);
-  }
-  void LoadState(StateReader& r) override {
-    port_.LoadState(r);
-    std::vector<std::uint8_t> bytes = r.VecU8();
-    if (r.ok() && bytes.size() != bytes_.size()) {
-      r.Fail("scratchpad capacity mismatch");
-      return;
-    }
-    if (r.ok()) {
-      bytes_ = std::move(bytes);
-    }
-  }
+  int StateVersion() const override { return 2; }  // v2: no byte array
+  void Persist(StateIO& io) override { port_.Persist(io); }
 
  private:
   ScratchpadConfig config_;
   BandwidthResource port_;
-  std::vector<std::uint8_t> bytes_;
 };
 
 }  // namespace fabacus

@@ -50,22 +50,13 @@ class Crossbar : public Snapshottable {
 
   // Snapshottable: fabric + per-port timing horizons.
   std::string StateName() const override { return "noc/" + config_.name; }
-  void SaveState(StateWriter& w) const override {
-    fabric_.SaveState(w);
-    w.U64(ports_.size());
-    for (const auto& port : ports_) {
-      port->SaveState(w);
-    }
-  }
-  void LoadState(StateReader& r) override {
-    fabric_.LoadState(r);
-    const std::uint64_t n = r.U64();
-    if (r.ok() && n != ports_.size()) {
-      r.Fail("crossbar port count mismatch");
+  void Persist(StateIO& io) override {
+    fabric_.Persist(io);
+    if (!io.Count(ports_.size(), "crossbar port count")) {
       return;
     }
     for (auto& port : ports_) {
-      port->LoadState(r);
+      port->Persist(io);
     }
   }
 

@@ -89,18 +89,16 @@ class MessageQueue {
 
   // Checkpoint/restore of the queue's counters. The queue itself must be
   // idle (see Idle()) — enforced by the caller before snapshotting.
-  void SaveState(StateWriter& w) const {
-    FAB_CHECK(Idle()) << "message queue " << name_ << " not idle at snapshot";
-    w.U64(sent_);
-    w.U64(rejected_);
-    w.U64(delivered_);
-  }
-  void LoadState(StateReader& r) {
-    pending_.clear();
-    busy_ = false;
-    sent_ = r.U64();
-    rejected_ = r.U64();
-    delivered_ = r.U64();
+  void Persist(StateIO& io) {
+    if (io.saving()) {
+      FAB_CHECK(Idle()) << "message queue " << name_ << " not idle at snapshot";
+    } else {
+      pending_.clear();
+      busy_ = false;
+    }
+    io.U64(sent_);
+    io.U64(rejected_);
+    io.U64(delivered_);
   }
 
  private:

@@ -34,8 +34,7 @@ class SrioLink {
   double Utilization(Tick now) const { return link_.Utilization(now); }
 
   // Checkpoint/restore of the link's timing state.
-  void SaveState(StateWriter& w) const { link_.SaveState(w); }
-  void LoadState(StateReader& r) { link_.LoadState(r); }
+  void Persist(StateIO& io) { link_.Persist(io); }
 
  private:
   SrioConfig config_;

@@ -55,17 +55,11 @@ class BandwidthResource {
 
   // Checkpoint/restore of the dynamic state (the name/bandwidth/latency
   // identity comes from the config that rebuilt this resource).
-  void SaveState(StateWriter& w) const {
-    w.U64(next_free_);
-    busy_.SaveState(w);
-    w.F64(bytes_moved_);
-    transfers_.SaveState(w);
-  }
-  void LoadState(StateReader& r) {
-    next_free_ = r.U64();
-    busy_.LoadState(r);
-    bytes_moved_ = r.F64();
-    transfers_.LoadState(r);
+  void Persist(StateIO& io) {
+    io.U64(next_free_);
+    busy_.Persist(io);
+    io.F64(bytes_moved_);
+    transfers_.Persist(io);
   }
 
  private:

@@ -41,9 +41,4 @@ Tick Simulator::RunUntil(Tick deadline) {
   return now_;
 }
 
-void Simulator::LoadState(StateReader& r) {
-  now_ = r.U64();
-  events_executed_ = r.U64();
-}
-
 }  // namespace fabacus

@@ -62,11 +62,10 @@ class Simulator : public Snapshottable {
   // queue itself is rebuilt empty on restore and re-derives its ordering from
   // the (when, seq) contract as events are re-pushed.
   std::string StateName() const override { return "sim"; }
-  void SaveState(StateWriter& w) const override {
-    w.U64(now_);
-    w.U64(events_executed_);
+  void Persist(StateIO& io) override {
+    io.U64(now_);
+    io.U64(events_executed_);
   }
-  void LoadState(StateReader& r) override;
 
  private:
   EventQueue queue_;

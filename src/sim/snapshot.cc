@@ -51,39 +51,6 @@ void StateWriter::Bytes(const std::uint8_t* data, std::size_t n) {
   out_.insert(out_.end(), data, data + n);
 }
 
-void StateWriter::VecU8(const std::vector<std::uint8_t>& v) {
-  U64(v.size());
-  Bytes(v.data(), v.size());
-}
-
-void StateWriter::VecU32(const std::vector<std::uint32_t>& v) {
-  U64(v.size());
-  for (std::uint32_t x : v) {
-    U32(x);
-  }
-}
-
-void StateWriter::VecU64(const std::vector<std::uint64_t>& v) {
-  U64(v.size());
-  for (std::uint64_t x : v) {
-    U64(x);
-  }
-}
-
-void StateWriter::VecI32(const std::vector<std::int32_t>& v) {
-  U64(v.size());
-  for (std::int32_t x : v) {
-    I32(x);
-  }
-}
-
-void StateWriter::VecF64(const std::vector<double>& v) {
-  U64(v.size());
-  for (double x : v) {
-    F64(x);
-  }
-}
-
 // --- StateReader -----------------------------------------------------------
 
 bool StateReader::Take(std::size_t n, const std::uint8_t** out) {
@@ -181,52 +148,112 @@ std::vector<std::uint8_t> StateReader::VecU8() {
   return std::vector<std::uint8_t>(p, p + n);
 }
 
-std::vector<std::uint32_t> StateReader::VecU32() {
-  std::uint64_t n;
-  if (!TakeCount(4, &n)) {
-    return {};
-  }
-  std::vector<std::uint32_t> v(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    x = U32();
-  }
-  return v;
+// --- StateIO ---------------------------------------------------------------
+
+void StateIO::Fail(const std::string& message) {
+  FAB_CHECK(!saving()) << "snapshot of invalid state: " << message;
+  r_->Fail(message);
 }
 
-std::vector<std::uint64_t> StateReader::VecU64() {
-  std::uint64_t n;
-  if (!TakeCount(8, &n)) {
-    return {};
+void StateIO::U8(std::uint8_t& v) {
+  if (saving()) {
+    w_->U8(v);
+  } else {
+    v = r_->U8();
   }
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    x = U64();
-  }
-  return v;
 }
 
-std::vector<std::int32_t> StateReader::VecI32() {
-  std::uint64_t n;
-  if (!TakeCount(4, &n)) {
-    return {};
+void StateIO::Bool(bool& v) {
+  if (saving()) {
+    w_->Bool(v);
+  } else {
+    v = r_->Bool();
   }
-  std::vector<std::int32_t> v(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    x = I32();
-  }
-  return v;
 }
 
-std::vector<double> StateReader::VecF64() {
-  std::uint64_t n;
-  if (!TakeCount(8, &n)) {
-    return {};
+void StateIO::U32(std::uint32_t& v) {
+  if (saving()) {
+    w_->U32(v);
+  } else {
+    v = r_->U32();
   }
-  std::vector<double> v(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    x = F64();
+}
+
+void StateIO::U64(std::uint64_t& v) {
+  if (saving()) {
+    w_->U64(v);
+  } else {
+    v = r_->U64();
   }
-  return v;
+}
+
+void StateIO::I32(std::int32_t& v) {
+  if (saving()) {
+    w_->I32(v);
+  } else {
+    v = r_->I32();
+  }
+}
+
+void StateIO::F64(double& v) {
+  if (saving()) {
+    w_->F64(v);
+  } else {
+    v = r_->F64();
+  }
+}
+
+void StateIO::Str(std::string& v) {
+  if (saving()) {
+    w_->Str(v);
+  } else {
+    v = r_->Str();
+  }
+}
+
+bool StateIO::Count(std::uint64_t n, const std::string& what) {
+  std::uint64_t stored = n;
+  U64(stored);
+  if (ok() && stored != n) {
+    Fail(what + " mismatch");
+  }
+  return ok();
+}
+
+void StateIO::FixedVecU32(std::vector<std::uint32_t>& v, const std::string& what) {
+  if (Count(v.size(), what)) {
+    for (std::uint32_t& x : v) {
+      U32(x);
+    }
+  }
+}
+
+void StateIO::FixedVecU64(std::vector<std::uint64_t>& v, const std::string& what) {
+  if (Count(v.size(), what)) {
+    for (std::uint64_t& x : v) {
+      U64(x);
+    }
+  }
+}
+
+void StateIO::FixedVecI32(std::vector<std::int32_t>& v, const std::string& what) {
+  if (Count(v.size(), what)) {
+    for (std::int32_t& x : v) {
+      I32(x);
+    }
+  }
+}
+
+void StateIO::FixedBits(std::vector<bool>& v, const std::string& what) {
+  if (Count(v.size(), what)) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      std::uint8_t bit = v[i] ? 1 : 0;
+      U8(bit);
+      if (!saving()) {
+        v[i] = bit != 0;
+      }
+    }
+  }
 }
 
 // --- SnapshotBuilder -------------------------------------------------------

@@ -1,12 +1,14 @@
 // Versioned whole-simulator checkpoint/restore (see docs/SNAPSHOT.md).
 //
-// Every stateful component exposes its persistent state through one API:
+// Every stateful component walks its persistent state once, in one method:
 //
-//   SaveState(StateWriter&) / LoadState(StateReader&)
+//   Persist(StateIO&)
 //
-// either as plain member functions (the stats/RNG/byte-store primitives) or
-// via the virtual Snapshottable interface (top-level components that a
-// SnapshotBuilder serializes as named sections). State is written to a flat
+// StateIO wraps either a StateWriter (saving) or a StateReader (loading), so
+// the same field list both writes a section and restores it. Plain members
+// (counters, busy trackers, resources, the byte store) expose Persist
+// directly; top-level components implement the virtual Snapshottable
+// interface, which a SnapshotBuilder serializes as named sections. State is written to a flat
 // little-endian byte stream; the container that holds the streams is a
 // single-file format:
 //
@@ -24,8 +26,9 @@
 // is defensive. A truncated, corrupt, or version-mismatched file never
 // CHECK-fails — StateReader latches the first error, every later read
 // returns zeroes, and the caller observes one clean diagnostic via ok() /
-// error(). Component LoadState implementations therefore only need to check
-// reader.ok() at their own CHECK-relevant boundaries.
+// error(). Persist implementations therefore only need to check io.ok() at
+// their own CHECK-relevant boundaries, and must bound every loaded value
+// that indexes or sizes a container.
 #ifndef SRC_SIM_SNAPSHOT_H_
 #define SRC_SIM_SNAPSHOT_H_
 
@@ -45,18 +48,10 @@ class StateWriter {
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(std::uint32_t v);
   void U64(std::uint64_t v);
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   void I32(std::int32_t v) { U32(static_cast<std::uint32_t>(v)); }
   void F64(double v);
   void Str(const std::string& s);
   void Bytes(const std::uint8_t* data, std::size_t n);
-
-  // Length-prefixed homogeneous vectors.
-  void VecU8(const std::vector<std::uint8_t>& v);
-  void VecU32(const std::vector<std::uint32_t>& v);
-  void VecU64(const std::vector<std::uint64_t>& v);
-  void VecI32(const std::vector<std::int32_t>& v);
-  void VecF64(const std::vector<double>& v);
 
   const std::vector<std::uint8_t>& buffer() const { return out_; }
   std::vector<std::uint8_t> TakeBuffer() { return std::move(out_); }
@@ -79,16 +74,11 @@ class StateReader {
   bool Bool() { return U8() != 0; }
   std::uint32_t U32();
   std::uint64_t U64();
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
   double F64();
   std::string Str();
-
+  // A U64 length, then that many bytes.
   std::vector<std::uint8_t> VecU8();
-  std::vector<std::uint32_t> VecU32();
-  std::vector<std::uint64_t> VecU64();
-  std::vector<std::int32_t> VecI32();
-  std::vector<double> VecF64();
 
   // True until the first malformed read (or explicit Fail()).
   bool ok() const { return error_.empty(); }
@@ -112,23 +102,104 @@ class StateReader {
   std::string error_;
 };
 
+// One pass over a component's state, in either direction. Persist(StateIO&)
+// names each field once: while saving(), every call appends the field's
+// current value; while loading, it overwrites the field with the next value
+// of the stream (StateReader's discipline: after the first error every read
+// yields zero). Fields whose encoding differs by direction (heaps drained in
+// sorted order, sparse maps, state rebuilt after a load) branch on saving().
+class StateIO {
+ public:
+  explicit StateIO(StateWriter& w) : w_(&w) {}
+  explicit StateIO(StateReader& r) : r_(&r) {}
+
+  bool saving() const { return w_ != nullptr; }
+  // False once a load has latched an error; always true while saving.
+  bool ok() const { return saving() || r_->ok(); }
+  // Latches a load error (first one wins). While saving it is a CHECK
+  // failure: the live state broke an invariant its loader enforces.
+  void Fail(const std::string& message);
+
+  void U8(std::uint8_t& v);
+  void Bool(bool& v);
+  void U32(std::uint32_t& v);
+  void U64(std::uint64_t& v);
+  void I32(std::int32_t& v);
+  void F64(double& v);
+  void Str(std::string& v);
+
+  // A count the config fixes (banks, ports, packages, ...), as a U64. A
+  // loaded value other than `n` fails "<what> mismatch". Returns ok().
+  bool Count(std::uint64_t n, const std::string& what);
+
+  // Config-sized vectors: a U64 length, then the elements (FixedBits as one
+  // byte of 0/1 each). A loaded length other than v.size() fails "<what>
+  // mismatch" and leaves `v` alone.
+  void FixedVecU32(std::vector<std::uint32_t>& v, const std::string& what);
+  void FixedVecU64(std::vector<std::uint64_t>& v, const std::string& what);
+  void FixedVecI32(std::vector<std::int32_t>& v, const std::string& what);
+  void FixedBits(std::vector<bool>& v, const std::string& what);
+
+  // A variable-length list: a U64 count, then `each(element)` per element.
+  // A load grows `v` one decoded element at a time, so a corrupt count stops
+  // at the end of the stream instead of sizing an allocation.
+  template <typename T, typename Each>
+  void Seq(std::vector<T>& v, Each each) {
+    std::uint64_t n = v.size();
+    U64(n);
+    if (saving()) {
+      for (T& e : v) {
+        each(e);
+      }
+      return;
+    }
+    v.clear();
+    for (std::uint64_t i = 0; i < n && ok(); ++i) {
+      each(v.emplace_back());
+    }
+  }
+
+  StateWriter& writer() { return *w_; }
+  StateReader& reader() { return *r_; }
+
+ private:
+  StateWriter* w_ = nullptr;
+  StateReader* r_ = nullptr;
+};
+
+// Entry points for objects that expose Persist(StateIO&). Saving never
+// writes to `obj`: StateIO only reads a field while saving, and Persist
+// stores a value decoded through a local only when loading.
+template <typename T>
+void SaveTo(const T& obj, StateWriter& w) {
+  StateIO io(w);
+  const_cast<T&>(obj).Persist(io);
+}
+template <typename T>
+void LoadFrom(T& obj, StateReader& r) {
+  StateIO io(r);
+  obj.Persist(io);
+}
+
 // The uniform state interface of top-level simulator components. A
-// component's schema version travels with its section; LoadState is only
-// invoked when the stored version matches StateVersion() (the container
-// rejects mismatches up front — there are no cross-version migrations yet,
-// see docs/SNAPSHOT.md for the compat policy).
+// component's schema version travels with its section; a load only runs
+// when the stored version matches StateVersion() (the container rejects
+// mismatches up front — there are no cross-version migrations yet, see
+// docs/SNAPSHOT.md for the compat policy).
 class Snapshottable {
  public:
   virtual ~Snapshottable() = default;
 
   // Stable section name, e.g. "flashvisor" or "nand/pkg0".
   virtual std::string StateName() const = 0;
-  // Bump when the SaveState layout changes shape.
+  // Bump when the Persist layout changes shape.
   virtual int StateVersion() const { return 1; }
-  virtual void SaveState(StateWriter& w) const = 0;
-  // Restores from a stream produced by SaveState at the same StateVersion.
-  // Malformed input must latch r.Fail(...) rather than abort.
-  virtual void LoadState(StateReader& r) = 0;
+  // Writes or restores the section (see StateIO). Malformed input must
+  // latch io.Fail(...) rather than abort.
+  virtual void Persist(StateIO& io) = 0;
+
+  void SaveState(StateWriter& w) const { SaveTo(*this, w); }
+  void LoadState(StateReader& r) { LoadFrom(*this, r); }
 };
 
 // Assembles named sections plus manifest metadata and writes the container.

@@ -8,22 +8,14 @@
 
 namespace fabacus {
 
-void Counter::SaveState(StateWriter& w) const { w.U64(value_); }
+void Counter::Persist(StateIO& io) { io.U64(value_); }
 
-void Counter::LoadState(StateReader& r) { value_ = r.U64(); }
-
-void BusyTracker::SaveState(StateWriter& w) const {
-  w.U64(accumulated_);
-  w.U64(open_since_);
-  w.I32(depth_);
-}
-
-void BusyTracker::LoadState(StateReader& r) {
-  accumulated_ = r.U64();
-  open_since_ = r.U64();
-  depth_ = r.I32();
+void BusyTracker::Persist(StateIO& io) {
+  io.U64(accumulated_);
+  io.U64(open_since_);
+  io.I32(depth_);
   if (depth_ < 0) {
-    r.Fail("BusyTracker depth is negative");
+    io.Fail("BusyTracker depth is negative");
     depth_ = 0;
   }
 }
@@ -248,64 +240,62 @@ void LogHistogram::Reset() {
   counts_.clear();
 }
 
-void LogHistogram::SaveState(StateWriter& w) const {
+void LogHistogram::Persist(StateIO& io) {
+  if (!io.saving()) {
+    Reset();
+  }
   // Geometry fingerprint first: a sketch restored into a binary with a
   // different bucket layout would silently mis-bucket every count.
-  w.I32(kMinExp2);
-  w.I32(kMaxExp2);
-  w.I32(kSubBuckets);
-  w.U64(count_);
-  w.U64(sum_lo_);
-  w.U64(sum_hi_);
-  w.F64(min_);
-  w.F64(max_);
+  std::int32_t min_exp = kMinExp2;
+  std::int32_t max_exp = kMaxExp2;
+  std::int32_t sub = kSubBuckets;
+  io.I32(min_exp);
+  io.I32(max_exp);
+  io.I32(sub);
+  if (min_exp != kMinExp2 || max_exp != kMaxExp2 || sub != kSubBuckets) {
+    io.Fail("LogHistogram geometry mismatch");
+    return;
+  }
+  io.U64(count_);
+  io.U64(sum_lo_);
+  io.U64(sum_hi_);
+  io.F64(min_);
+  io.F64(max_);
+  // Sparse buckets: (index, count) for each non-zero one, ascending.
   std::uint64_t nonzero = 0;
   for (std::uint64_t c : counts_) {
     if (c != 0) {
       ++nonzero;
     }
   }
-  w.U64(nonzero);
-  for (int i = 0; i < static_cast<int>(counts_.size()); ++i) {
-    const std::uint64_t c = counts_[static_cast<std::size_t>(i)];
-    if (c != 0) {
-      w.U32(static_cast<std::uint32_t>(i));
-      w.U64(c);
+  io.U64(nonzero);
+  if (io.saving()) {
+    for (std::uint32_t i = 0; i < counts_.size(); ++i) {
+      if (counts_[i] != 0) {
+        io.U32(i);
+        io.U64(counts_[i]);
+      }
     }
-  }
-}
-
-void LogHistogram::LoadState(StateReader& r) {
-  Reset();
-  const int min_exp = r.I32();
-  const int max_exp = r.I32();
-  const int sub = r.I32();
-  if (min_exp != kMinExp2 || max_exp != kMaxExp2 || sub != kSubBuckets) {
-    r.Fail("LogHistogram geometry mismatch");
     return;
   }
-  count_ = r.U64();
-  sum_lo_ = r.U64();
-  sum_hi_ = r.U64();
-  min_ = r.F64();
-  max_ = r.F64();
-  const std::uint64_t nonzero = r.U64();
   if (nonzero > 0 || count_ > 0) {
     counts_.assign(kNumBuckets, 0);
   }
   std::uint64_t total = 0;
-  for (std::uint64_t i = 0; i < nonzero && r.ok(); ++i) {
-    const std::uint32_t idx = r.U32();
-    const std::uint64_t c = r.U64();
+  for (std::uint64_t i = 0; i < nonzero && io.ok(); ++i) {
+    std::uint32_t idx = 0;
+    std::uint64_t c = 0;
+    io.U32(idx);
+    io.U64(c);
     if (idx >= static_cast<std::uint32_t>(kNumBuckets)) {
-      r.Fail("LogHistogram bucket index out of range");
+      io.Fail("LogHistogram bucket index out of range");
       return;
     }
     counts_[idx] = c;
     total += c;
   }
-  if (r.ok() && total != count_) {
-    r.Fail("LogHistogram bucket counts disagree with total");
+  if (io.ok() && total != count_) {
+    io.Fail("LogHistogram bucket counts disagree with total");
   }
 }
 

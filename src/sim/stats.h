@@ -20,8 +20,7 @@
 namespace fabacus {
 
 class JsonWriter;
-class StateReader;
-class StateWriter;
+class StateIO;
 
 class Counter {
  public:
@@ -30,8 +29,7 @@ class Counter {
   void Reset() { value_ = 0; }
 
   // Checkpoint/restore (docs/SNAPSHOT.md).
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void Persist(StateIO& io);
 
  private:
   std::uint64_t value_ = 0;
@@ -66,8 +64,7 @@ class BusyTracker {
 
   // Checkpoint/restore — exact state (accumulated + open interval + depth),
   // since BusyTime feeds utilization and energy figures.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  void Persist(StateIO& io);
 
  private:
   mutable Tick accumulated_ = 0;
@@ -155,9 +152,8 @@ class LogHistogram {
 
   // Checkpoint/restore: geometry fingerprint + exact moments + sparse
   // non-zero buckets. Loading a sketch with different geometry fails the
-  // reader (snapshots are not portable across bucket layouts).
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // load (snapshots are not portable across bucket layouts).
+  void Persist(StateIO& io);
 
  private:
   static int BucketIndex(double v);

@@ -255,10 +255,10 @@ TEST(ShardRouterFault, StateBlobRoundTripsPerPolicy) {
       a.Route(r, zeros, 0);  // advance any internal cursor
     }
     StateWriter w;
-    a.SaveState(w);
+    SaveTo(a, w);
     ShardRouter b(policy, 3);
     StateReader rd(w.buffer());
-    b.LoadState(rd);
+    LoadFrom(b, rd);
     ASSERT_TRUE(rd.ok()) << PlacementPolicyName(policy) << ": " << rd.error();
     EXPECT_TRUE(rd.AtEnd()) << "state blob has trailing bytes";
     for (int i = 0; i < 6; ++i) {
@@ -271,11 +271,11 @@ TEST(ShardRouterFault, StateBlobRoundTripsPerPolicy) {
 TEST(ShardRouterFault, StateBlobRejectsVersionAndPolicyMismatch) {
   ShardRouter rr(PlacementPolicy::kRoundRobin, 3);
   StateWriter w;
-  rr.SaveState(w);
+  SaveTo(rr, w);
   // Policy mismatch: a data-affinity router must refuse a round-robin blob.
   ShardRouter affinity(PlacementPolicy::kDataAffinity, 3);
   StateReader mismatch(w.buffer());
-  affinity.LoadState(mismatch);
+  LoadFrom(affinity, mismatch);
   EXPECT_FALSE(mismatch.ok()) << "policy mismatch must latch an error";
   // Version mismatch: a bumped format byte must be refused, not misparsed.
   std::vector<std::uint8_t> bytes = w.buffer();
@@ -283,7 +283,7 @@ TEST(ShardRouterFault, StateBlobRejectsVersionAndPolicyMismatch) {
   bytes[0] = 0xee;
   ShardRouter fresh(PlacementPolicy::kRoundRobin, 3);
   StateReader bad(bytes);
-  fresh.LoadState(bad);
+  LoadFrom(fresh, bad);
   EXPECT_FALSE(bad.ok()) << "unknown format version must latch an error";
 }
 

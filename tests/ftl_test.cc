@@ -102,16 +102,6 @@ TEST(MappingTable, SnapshotRestoreRoundTrips) {
   EXPECT_EQ(restored.mapped_count(), map.mapped_count());
 }
 
-TEST(MappingTable, SyncsEntriesIntoScratchpadBytes) {
-  NandConfig nand = TinyNand();
-  Scratchpad spm(ScratchpadConfig{});
-  MappingTable map(nand, &spm);
-  map.Update(3, 123);
-  std::uint32_t raw = 0;
-  spm.Load(map.scratchpad_offset() + 3 * sizeof(std::uint32_t), &raw, sizeof(raw));
-  EXPECT_EQ(raw, 123u);
-}
-
 TEST(BlockManager, PoolLifecycle) {
   BlockManager bm(TinyNand());
   const std::size_t total = bm.total_block_groups();

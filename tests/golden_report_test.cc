@@ -7,7 +7,8 @@
 // real-device fleets pin the FleetReport JSON the same way, including the
 // install-cache hit path (slot reset + memoized reference, docs/FLEET.md).
 // WorkloadOutputs.json pins every registry workload's functional outputs bit
-// for bit.
+// for bit, and SnapshotSections.json pins the byte layout of every snapshot
+// section (docs/SNAPSHOT.md).
 //
 // Refreshing after an intentional change:
 //   scripts/update_goldens.sh        (or FABACUS_UPDATE_GOLDENS=1, see below)
@@ -17,14 +18,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/core/storengine.h"
 #include "src/fleet/fleet.h"
 #include "src/sim/json.h"
+#include "src/sim/snapshot.h"
 #include "src/workloads/tenant_mix.h"
 #include "tests/test_util.h"
 
@@ -254,6 +259,120 @@ TEST(GoldenWorkloadOutputs, MatchesCheckedInHashes) {
   }
   doc += "\n}";
   CheckGolden("WorkloadOutputs", doc);
+}
+
+// --- Snapshot layout --------------------------------------------------------
+
+// One line per section of the container `bytes`: name, schema version,
+// payload size and FNV-1a. A fleet shard's nested device container lists its
+// own sections beneath it.
+void AppendSectionLayout(const std::vector<std::uint8_t>& bytes, const std::string& indent,
+                         std::string* doc) {
+  SnapshotFile snap;
+  std::string err;
+  ASSERT_TRUE(SnapshotFile::Parse(bytes, &snap, &err)) << err;
+  *doc += "\"bytes\": " + std::to_string(bytes.size()) + ", \"fnv1a\": \"" + Fnv1aHex(bytes) +
+          "\", \"sections\": [";
+  const char* separator = "\n";
+  for (const SnapshotFile::Section& s : snap.sections()) {
+    *doc += separator + indent + "  {\"name\": \"" + s.name +
+            "\", \"version\": " + std::to_string(s.version) + ", ";
+    separator = ",\n";
+    if (s.payload.size() >= 8 && std::memcmp(s.payload.data(), SnapshotFile::kMagic, 8) == 0) {
+      AppendSectionLayout(s.payload, indent + "  ", doc);
+    } else {
+      *doc += "\"bytes\": " + std::to_string(s.payload.size()) + ", \"fnv1a\": \"" +
+              Fnv1aHex(s.payload) + "\"";
+    }
+    *doc += "}";
+  }
+  *doc += "\n" + indent + "]";
+}
+
+// A faulty TinyNand Small() device after two ATAX installs, a journal dump
+// and a run; with `tenants`, the two instances belong to two weighted-fair
+// tenants, one of them under a flash quota; with `crash`, power fails
+// mid-run and the device recovers from flash.
+std::vector<std::uint8_t> DeviceSnapshotBytes(bool tenants, bool crash) {
+  FlashAbacusConfig cfg = FlashAbacusConfig::Small();
+  cfg.nand = TinyNand();
+  cfg.nand.fault.seed = 11;
+  cfg.nand.fault.read_error_base = 0.05;
+  cfg.nand.fault.program_failure_rate = 0.002;
+  cfg.nand.fault.die_stall_rate = 0.005;
+  if (tenants) {
+    cfg.tenant_sched.policy = TenantSchedPolicy::kWeightedFair;
+    TenantSpec bulk;
+    bulk.name = "bulk";
+    TenantSpec capped;
+    capped.name = "capped";
+    capped.weight = 2.0;
+    capped.quota_bytes = 8ULL << 20;
+    cfg.tenant_sched.tenants = {bulk, capped};
+  }
+  const Workload* wl = WorkloadRegistry::Get().Find("ATAX");
+  Simulator sim;
+  FlashAbacus dev(&sim, cfg);
+  Rng rng(42);
+  std::vector<std::unique_ptr<AppInstance>> insts;
+  std::vector<AppInstance*> raw;
+  for (int i = 0; i < 2; ++i) {
+    insts.push_back(std::make_unique<AppInstance>(0, i, &wl->spec(), cfg.model_scale));
+    wl->Prepare(*insts.back(), rng);
+    insts.back()->tenant = tenants ? static_cast<TenantId>(i) : 0;
+    raw.push_back(insts.back().get());
+  }
+  dev.InstallData(raw[0], [](Tick) {});
+  sim.Run();
+  dev.storengine().RunJournalDump([](Tick) {});
+  sim.Run();
+  dev.InstallData(raw[1], [](Tick) {});
+  sim.Run();
+  dev.Run(raw, SchedulerKind::kIntraOutOfOrder, [](RunReport) {});
+  if (crash) {
+    dev.CrashAt(sim.Now() + 500 * kUs);
+  }
+  sim.Run();
+  if (crash) {
+    dev.RecoverFromFlash();
+  }
+  return dev.BuildSnapshot().Serialize();
+}
+
+std::vector<std::uint8_t> FleetSnapshotBytes(PlacementPolicy policy) {
+  FleetConfig cfg;
+  cfg.num_devices = 2;
+  cfg.policy = policy;
+  cfg.traffic.seed = 5;
+  cfg.traffic.total_requests = 12;
+  FleetSim fleet(cfg);
+  fleet.Run();
+  return fleet.BuildSnapshot().Serialize();
+}
+
+// Every section's name, version, size and FNV-1a in five snapshots: a device
+// mid-life, the same with tenants, a device recovered from a crash, and two
+// fleets. A section whose bytes change without a StateVersion() bump fails
+// here (docs/SNAPSHOT.md, "Versioning and compatibility policy").
+TEST(GoldenSnapshotSections, MatchesCheckedInLayout) {
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases = {
+      {"device", DeviceSnapshotBytes(false, false)},
+      {"device_tenants", DeviceSnapshotBytes(true, false)},
+      {"device_crash_recovered", DeviceSnapshotBytes(false, true)},
+      {"fleet_round_robin", FleetSnapshotBytes(PlacementPolicy::kRoundRobin)},
+      {"fleet_health_aware", FleetSnapshotBytes(PlacementPolicy::kHealthAware)},
+  };
+  std::string doc = "{";
+  const char* separator = "\n";
+  for (const auto& [name, bytes] : cases) {
+    doc += separator;
+    separator = ",\n";
+    doc += "\"" + name + "\": {";
+    AppendSectionLayout(bytes, "", &doc);
+    doc += "}";
+  }
+  doc += "\n}";
+  CheckGolden("SnapshotSections", doc);
 }
 
 }  // namespace

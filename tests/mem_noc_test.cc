@@ -158,16 +158,16 @@ TEST(ByteStore, SaveStateKeepsItsByteStream) {
   chunk(5, a);
 
   StateWriter w;
-  store.SaveState(w);
+  SaveTo(store, w);
   EXPECT_EQ(w.buffer(), expected);
 
   ByteStore restored(16);
   StateReader r(w.buffer());
-  restored.LoadState(r);
+  LoadFrom(restored, r);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_TRUE(r.AtEnd());
   StateWriter again;
-  restored.SaveState(again);
+  SaveTo(restored, again);
   EXPECT_EQ(again.buffer(), expected);
 }
 
@@ -187,15 +187,6 @@ TEST(Dram, AddressInterleavingSpreadsBanks) {
   // Same region: serialized.
   const Tick c = dram.Access(0, 0, 1e6);
   EXPECT_GT(c, a);
-}
-
-TEST(Scratchpad, StoreLoadRoundTrips) {
-  Scratchpad spm(ScratchpadConfig{});
-  const std::uint64_t value = 0xDEADBEEFCAFEF00DULL;
-  spm.Store(1024, &value, sizeof(value));
-  std::uint64_t out = 0;
-  spm.Load(1024, &out, sizeof(out));
-  EXPECT_EQ(out, value);
 }
 
 TEST(Scratchpad, AccessFasterThanDram) {

@@ -43,8 +43,8 @@ std::vector<double> LatencySamples(std::uint64_t seed, int n) {
 bool SketchesIdentical(const LogHistogram& a, const LogHistogram& b) {
   StateWriter wa;
   StateWriter wb;
-  a.SaveState(wa);
-  b.SaveState(wb);
+  SaveTo(a, wa);
+  SaveTo(b, wb);
   return wa.TakeBuffer() == wb.TakeBuffer();
 }
 
@@ -154,13 +154,13 @@ TEST(LogHistogram, SaveLoadRoundTripIsExact) {
     h.Record(v);
   }
   StateWriter w;
-  h.SaveState(w);
+  SaveTo(h, w);
   const std::vector<std::uint8_t> bytes = w.TakeBuffer();
 
   LogHistogram back;
   back.Record(123.0);  // pre-existing state must be replaced, not merged
   StateReader r(bytes);
-  back.LoadState(r);
+  LoadFrom(back, r);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_TRUE(r.AtEnd());
   EXPECT_TRUE(SketchesIdentical(back, h));
@@ -181,7 +181,7 @@ TEST(LogHistogram, LoadRejectsForeignGeometry) {
   const std::vector<std::uint8_t> bytes = w.TakeBuffer();
   LogHistogram h;
   StateReader r(bytes);
-  h.LoadState(r);
+  LoadFrom(h, r);
   EXPECT_FALSE(r.ok());
 }
 

@@ -11,10 +11,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/core/mapping_table.h"
 #include "src/core/storengine.h"
 #include "src/fleet/fleet.h"
 #include "src/sim/json.h"
@@ -292,6 +294,188 @@ TEST_F(SnapshotRejection, ResumeAfterFailureLeavesCleanError) {
   FlashAbacus dev2(&sim2, cfg_);
   EXPECT_FALSE(dev2.Resume(path_ + ".does-not-exist", &err));
   EXPECT_FALSE(err.empty());
+}
+
+// --- Out-of-range values in a well-formed snapshot ---------------------------
+//
+// Each case overwrites one value of a valid snapshot and rebuilds the
+// container, so the checksum holds and only the component's own load checks
+// stand between the value and the device's vectors.
+
+// A two-tenant TinyNand device after tenant 1 installed an ATAX dataset: the
+// patched sections all carry live entries (mapped groups, trace intervals,
+// pool entries, in-flight programs, tenant-owned slots).
+FlashAbacusConfig LiveConfig() {
+  FlashAbacusConfig cfg = TestDeviceConfig();
+  cfg.nand = TinyNand();
+  cfg.tenant_sched.policy = TenantSchedPolicy::kWeightedFair;
+  cfg.tenant_sched.tenants = {TenantSpec{"a"}, TenantSpec{"b"}};
+  return cfg;
+}
+
+const std::vector<std::uint8_t>& LiveSnapshot() {
+  static const std::vector<std::uint8_t> bytes = [] {
+    const FlashAbacusConfig cfg = LiveConfig();
+    const Workload* wl = WorkloadRegistry::Get().Find("ATAX");
+    Simulator sim;
+    FlashAbacus dev(&sim, cfg);
+    AppInstance inst(0, 0, &wl->spec(), cfg.model_scale);
+    Rng rng(3);
+    wl->Prepare(inst, rng);
+    inst.tenant = 1;
+    dev.InstallData(&inst, [](Tick) {});
+    sim.Run();
+    return dev.BuildSnapshot().Serialize();
+  }();
+  return bytes;
+}
+
+// Offset of `r`'s next read within `payload`.
+std::size_t Offset(const std::vector<std::uint8_t>& payload, const StateReader& r) {
+  return payload.size() - r.remaining();
+}
+
+// LiveSnapshot() with the `width`-byte little-endian value at the offset
+// `locate` returns inside section `name` replaced by `value`.
+std::vector<std::uint8_t> Patched(
+    const std::string& name,
+    const std::function<std::size_t(const std::vector<std::uint8_t>&)>& locate, int width,
+    std::uint64_t value) {
+  SnapshotFile snap;
+  std::string err;
+  EXPECT_TRUE(SnapshotFile::Parse(LiveSnapshot(), &snap, &err)) << err;
+  SnapshotBuilder b(snap.kind());
+  for (const SnapshotFile::Section& s : snap.sections()) {
+    std::vector<std::uint8_t> payload = s.payload;
+    if (s.name == name) {
+      const std::size_t at = locate(payload);
+      EXPECT_LE(at + static_cast<std::size_t>(width), payload.size()) << name;
+      for (int i = 0; i < width && at + static_cast<std::size_t>(i) < payload.size(); ++i) {
+        payload[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(value >> (8 * i));
+      }
+    }
+    b.AddBlobSection(s.name, s.version, std::move(payload));
+  }
+  return b.Serialize();
+}
+
+// Resumes `bytes` into a fresh device and expects a refusal naming `section`.
+void ExpectRejected(const std::vector<std::uint8_t>& bytes, const std::string& section) {
+  SnapshotFile snap;
+  std::string err;
+  ASSERT_TRUE(SnapshotFile::Parse(bytes, &snap, &err)) << err;
+  Simulator sim;
+  FlashAbacus dev(&sim, LiveConfig());
+  EXPECT_FALSE(dev.Resume(snap, &err)) << section << " value accepted";
+  EXPECT_NE(err.find("\"" + section + "\""), std::string::npos) << err;
+}
+
+// Offset of the n-th forward entry of ftl/map that maps a group (the payload
+// size when there is none).
+std::size_t MappedEntry(const std::vector<std::uint8_t>& p, int n) {
+  StateReader r(p);
+  const std::uint64_t entries = r.U64();
+  for (std::uint64_t i = 0; i < entries && r.ok(); ++i) {
+    const std::size_t at = Offset(p, r);
+    if (r.U32() != MappingTable::kUnmapped && n-- == 0) {
+      return at;
+    }
+  }
+  return p.size();
+}
+
+TEST_F(SnapshotRejection, MappingEntryPastGroupCountIsRejected) {
+  const std::uint64_t groups = LiveConfig().nand.TotalGroups();
+  ExpectRejected(
+      Patched("ftl/map", [](const auto& p) { return MappedEntry(p, 0); }, 4, groups),
+      "ftl/map");
+  // Two logical groups naming one physical group.
+  SnapshotFile snap;
+  std::string err;
+  ASSERT_TRUE(SnapshotFile::Parse(LiveSnapshot(), &snap, &err)) << err;
+  const std::vector<std::uint8_t>& map = snap.Find("ftl/map")->payload;
+  StateReader first(map.data() + MappedEntry(map, 0), 4);
+  ExpectRejected(
+      Patched("ftl/map", [](const auto& p) { return MappedEntry(p, 1); }, 4, first.U32()),
+      "ftl/map");
+}
+
+TEST_F(SnapshotRejection, TraceTagOutOfRangeIsRejected) {
+  // mask, interval count, then the first interval's start and end.
+  ExpectRejected(Patched("trace", [](const auto&) { return 4 + 8 + 16; }, 4, 40), "trace");
+}
+
+TEST_F(SnapshotRejection, BlockPoolEntryOutOfRangeIsRejected) {
+  const std::uint64_t block_groups = LiveConfig().nand.TotalBlockGroups();
+  // Total, groups per block group and the free pool's length precede it.
+  const auto first_free = [](const auto&) { return 8 + 8 + 8; };
+  ExpectRejected(Patched("ftl/blocks", first_free, 8, block_groups), "ftl/blocks");
+  // A free block group that is listed twice.
+  SnapshotFile snap;
+  std::string err;
+  ASSERT_TRUE(SnapshotFile::Parse(LiveSnapshot(), &snap, &err)) << err;
+  StateReader r(snap.Find("ftl/blocks")->payload);
+  r.U64();
+  r.U64();
+  ASSERT_GE(r.U64(), 2u);
+  const std::uint64_t free0 = r.U64();
+  ExpectRejected(Patched("ftl/blocks", [](const auto&) { return 8 + 8 + 8 + 8; }, 8, free0),
+                 "ftl/blocks");
+}
+
+TEST_F(SnapshotRejection, InflightProgramGroupOutOfRangeIsRejected) {
+  // Walks the flash section to its first in-flight program.
+  const auto first_inflight = [](const std::vector<std::uint8_t>& p) {
+    StateReader r(p);
+    r.U64();  // SRIO link: next free, busy tracker, bytes moved, transfers
+    r.U64();
+    r.U64();
+    r.I32();
+    r.F64();
+    r.U64();
+    r.U64();  // page contents: chunk size, then the chunks
+    for (std::uint64_t n = r.U64(), i = 0; i < n && r.ok(); ++i) {
+      r.U64();
+      r.VecU8();
+    }
+    for (std::uint64_t n = r.U64(), i = 0; i < n && r.ok(); ++i) {
+      r.U32();  // OOB tag and sequence number
+      r.U64();
+    }
+    r.U64();  // program sequence
+    for (std::uint64_t n = r.U64(), i = 0; i < n && r.ok(); ++i) {
+      r.U64();  // block errors
+    }
+    EXPECT_GT(r.U64(), 0u) << "no in-flight program to patch";
+    return Offset(p, r);
+  };
+  ExpectRejected(Patched("flash", first_inflight, 8, LiveConfig().nand.TotalGroups()),
+                 "flash");
+}
+
+TEST_F(SnapshotRejection, FlashvisorSlotTenantOutOfRangeIsRejected) {
+  const NandConfig nand = LiveConfig().nand;
+  // Walks the flashvisor section past its write buffer to the cursors.
+  const auto active_bg = [](const std::vector<std::uint8_t>& p) {
+    StateReader r(p);
+    for (std::uint64_t n = r.U64(), i = 0; i < n && r.ok(); ++i) {
+      r.U64();
+      r.U64();
+    }
+    r.U64();  // write buffer bytes
+    return Offset(p, r);
+  };
+  ExpectRejected(Patched("flashvisor", active_bg, 8, nand.TotalBlockGroups()), "flashvisor");
+  // Past the active block group and slot, two cursors, the core, the
+  // inbound queue and seven counters: the count of tenant-owned slots, then
+  // the first one's physical group.
+  const auto first_slot = [&active_bg](const std::vector<std::uint8_t>& p) {
+    const std::size_t owned = active_bg(p) + 8 + 4 + 8 + 8 + 28 + 24 + 7 * 8;
+    StateReader r(p.data() + owned, 8);
+    EXPECT_GT(r.U64(), 0u) << "no tenant-owned slot to patch";
+    return owned + 8;
+  };
+  ExpectRejected(Patched("flashvisor", first_slot, 4, nand.TotalGroups()), "flashvisor");
 }
 
 // --- Fleet ------------------------------------------------------------------

@@ -44,10 +44,10 @@ FlashAbacusConfig QosTestConfig(const TenantSchedConfig& tenants) {
 
 // --- Quota ------------------------------------------------------------------
 
-// Unit-level randomized property: whatever sequence of charges and refunds a
-// tenant issues, usage stays below limit + one allocation unit, the limit
-// being the configured quota rounded up to the unit. Denials leave usage
-// untouched (all-or-nothing).
+// Unit-level randomized property: whatever sequence of charges a tenant
+// issues, usage stays below limit + one allocation unit, the limit being the
+// configured quota rounded up to the unit. A grant charges exactly its
+// bytes; a denial leaves usage untouched (all-or-nothing).
 TEST(TenantQuota, RandomizedChargesNeverExceedQuotaByAUnit) {
   constexpr std::uint64_t kUnit = 64 * 1024;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -65,22 +65,14 @@ TEST(TenantQuota, RandomizedChargesNeverExceedQuotaByAUnit) {
       cfg.tenants.push_back(spec);
     }
     TenantManager tm(cfg);
-    std::vector<std::uint64_t> charged(static_cast<std::size_t>(n_tenants), 0);
     for (int step = 0; step < 200; ++step) {
       const TenantId t = static_cast<TenantId>(rng.Next() % n_tenants);
       const std::uint64_t bytes = (1 + rng.Next() % 8) * kUnit;
-      if (rng.Next() % 4 != 0 || charged[t] == 0) {
-        const std::uint64_t before = tm.quota_used(t);
-        if (tm.TryChargeQuota(t, bytes, kUnit)) {
-          charged[t] += bytes;
-        } else {
-          EXPECT_EQ(tm.quota_used(t), before) << "denial must not charge";
-        }
+      const std::uint64_t before = tm.quota_used(t);
+      if (tm.TryChargeQuota(t, bytes, kUnit)) {
+        EXPECT_EQ(tm.quota_used(t), before + bytes);
       } else {
-        // Refund a previously charged slab (install abort path).
-        const std::uint64_t bytes_back = std::min<std::uint64_t>(charged[t], kUnit);
-        tm.RefundQuota(t, bytes_back);
-        charged[t] -= bytes_back;
+        EXPECT_EQ(tm.quota_used(t), before) << "denial must not charge";
       }
       for (int v = 1; v < n_tenants; ++v) {
         const std::uint64_t limit =
