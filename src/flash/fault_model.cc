@@ -6,20 +6,6 @@
 
 namespace fabacus {
 
-const char* IoStatusName(IoStatus s) {
-  switch (s) {
-    case IoStatus::kOk:
-      return "ok";
-    case IoStatus::kDegraded:
-      return "degraded";
-    case IoStatus::kUncorrectable:
-      return "uncorrectable";
-    case IoStatus::kProgramFailed:
-      return "program_failed";
-  }
-  return "?";
-}
-
 FaultModel::FaultModel(const FaultConfig& config, int channels, int packages_per_channel,
                        std::uint64_t endurance_cycles, int ladder_depth)
     : config_(config),

@@ -45,7 +45,6 @@ enum class IoStatus {
   kProgramFailed = 3,  // program-status fail; data did not land
 };
 
-const char* IoStatusName(IoStatus s);
 inline IoStatus WorseStatus(IoStatus a, IoStatus b) { return a < b ? b : a; }
 
 struct FaultPlanEntry {

@@ -60,7 +60,6 @@ struct NandConfig {
   std::uint64_t GroupsPerBlockGroup() const {
     return static_cast<std::uint64_t>(pages_per_block) * packages_per_channel;
   }
-  std::uint64_t BlockGroupBytes() const { return GroupsPerBlockGroup() * GroupBytes(); }
   int total_dies() const { return channels * packages_per_channel; }
 };
 

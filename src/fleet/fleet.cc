@@ -8,17 +8,12 @@
 
 #include "src/sim/json.h"
 #include "src/sim/log.h"
+#include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_runner.h"
 
 namespace fabacus {
 namespace {
-
-std::uint64_t Mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 // Stable per-instance seed: the same (fleet seed, shard, workload, slot)
 // always prepares the same dataset, independent of execution order — the
@@ -65,10 +60,6 @@ std::string FleetConfig::Validate() const {
   if (slo_ms <= 0.0) {
     return "slo_ms must be positive, got " + std::to_string(slo_ms);
   }
-  const std::string h = health.Validate();
-  if (!h.empty()) {
-    return "health config: " + h;
-  }
   const std::string f = faults.Validate(num_devices);
   if (!f.empty()) {
     return "fault config: " + f;
@@ -107,8 +98,21 @@ bool FleetConfig::CanPartition() const {
 
 // One independently-simulated device plus its fleet-side serving state.
 struct FleetSim::Shard {
-  Shard(std::size_t queue_slots, const HealthConfig& health_cfg)
-      : queue(queue_slots), health(health_cfg), breaker(health_cfg) {}
+  explicit Shard(std::size_t queue_slots) : queue(queue_slots) {}
+
+  // Moves the device clock forward to `t` through a no-op event there.
+  void AdvanceTo(Tick t) {
+    if (sim->Now() < t) {
+      sim->ScheduleAt(t, []() {});
+      sim->Run();
+    }
+  }
+
+  // The shard's "health" snapshot section.
+  void PersistHealth(StateIO& io) {
+    health.Persist(io);
+    breaker.Persist(io);
+  }
 
   int index = 0;
   std::unique_ptr<Simulator> sim;
@@ -160,14 +164,13 @@ struct FleetSim::Shard {
   std::vector<std::uint8_t> checkpoint_cache;
 };
 
-// Advances a set of shards through their arrival / batch-completion / fault
-// events in deterministic (time, sequence) order. The lockstep path runs one
-// loop over every shard; the partitioned path runs one loop per shard
-// (pre-routed arrivals, no router, no closed-loop generator, no faults) on
-// the sweep pool.
+// Advances the fleet's shards through their arrival / batch-completion /
+// fault events in deterministic (time, sequence) order. The lockstep path
+// runs one loop over every shard; the partitioned path runs one loop per
+// shard (pre-routed arrivals, no router, no closed-loop generator, no faults)
+// on the sweep pool, and each of those touches only its own shard.
 struct FleetSim::ServeLoop {
   FleetSim* fleet;
-  std::vector<Shard*> shards;             // lockstep: indexed by device id
   ShardRouter* router = nullptr;          // null = arrivals are pre-routed
   TrafficGenerator* gen = nullptr;        // closed-loop source (lockstep only)
   std::deque<FleetRequest>* pool = nullptr;  // owner of generated requests
@@ -208,46 +211,9 @@ struct FleetSim::ServeLoop {
   std::priority_queue<Ev, std::vector<Ev>, EvAfter> heap;
   std::uint64_t seq = 0;
 
-  void PushArrival(FleetRequest* r) { PushArrivalAt(r, r->arrival); }
-  void PushArrivalAt(FleetRequest* r, Tick t) {
-    Ev e;
-    e.t = t;
+  // Stamps the next sequence number: same-tick events resolve in push order.
+  void Push(Ev e) {
     e.seq = seq++;
-    e.kind = Ev::Kind::kArrival;
-    e.req = r;
-    heap.push(e);
-  }
-  void PushBatchDone(Shard* s, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kBatchDone;
-    e.shard = s;
-    e.token = s->batch_gen;
-    heap.push(e);
-  }
-  void PushFault(int idx, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kFault;
-    e.fault = idx;
-    heap.push(e);
-  }
-  void PushRecover(Shard* s, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kRecover;
-    e.shard = s;
-    heap.push(e);
-  }
-  void PushHedge(FleetRequest* r, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kHedge;
-    e.req = r;
     heap.push(e);
   }
 
@@ -274,12 +240,10 @@ struct FleetSim::ServeLoop {
     if (stream_base_id < 0) {
       stream_base_id = slot->id;  // a resumed window's ids continue past 0
     }
-    Ev e;
-    e.t = slot->arrival;
-    e.seq = stream_seq_lo + static_cast<std::uint64_t>(slot->id - stream_base_id);
-    e.kind = Ev::Kind::kArrival;
-    e.req = slot;
-    heap.push(e);
+    heap.push({.t = slot->arrival,
+               .seq = stream_seq_lo + static_cast<std::uint64_t>(slot->id - stream_base_id),
+               .kind = Ev::Kind::kArrival,
+               .req = slot});
   }
 
   void Run() {
@@ -310,18 +274,7 @@ struct FleetSim::ServeLoop {
   }
 
   Shard* ShardByIndex(int index) const {
-    // Lockstep loops hold every shard in device order — index directly.
-    const std::size_t i = static_cast<std::size_t>(index);
-    if (i < shards.size() && shards[i]->index == index) {
-      return shards[i];
-    }
-    for (Shard* s : shards) {
-      if (s->index == index) {
-        return s;
-      }
-    }
-    FAB_CHECK(false) << "no shard " << index << " in this serve loop";
-    return nullptr;
+    return fleet->shards_[static_cast<std::size_t>(index)].get();
   }
 
   // A request reached a terminal outcome on the lockstep path: stream it into
@@ -337,10 +290,10 @@ struct FleetSim::ServeLoop {
   }
 
   std::vector<int> Outstanding() const {
-    std::vector<int> out(static_cast<std::size_t>(fleet->config_.num_devices), 0);
-    for (const Shard* s : shards) {
-      out[static_cast<std::size_t>(s->index)] =
-          static_cast<int>(s->queue.depth() + s->current_batch.size());
+    std::vector<int> out;
+    out.reserve(fleet->shards_.size());
+    for (const auto& s : fleet->shards_) {
+      out.push_back(static_cast<int>(s->queue.depth() + s->current_batch.size()));
     }
     return out;
   }
@@ -359,8 +312,8 @@ struct FleetSim::ServeLoop {
   }
 
   std::vector<ShardHealthView> HealthViews(Tick now) {
-    std::vector<ShardHealthView> views(static_cast<std::size_t>(fleet->config_.num_devices));
-    for (Shard* s : shards) {
+    std::vector<ShardHealthView> views(fleet->shards_.size());
+    for (const auto& s : fleet->shards_) {
       s->breaker.Advance(now);
       ShardHealthView& v = views[static_cast<std::size_t>(s->index)];
       v.score = s->health.Score();
@@ -381,20 +334,6 @@ struct FleetSim::ServeLoop {
       }
     }
     return views;
-  }
-
-  // May this shard take a new admission right now? Down/dead shards refuse
-  // every policy; breaker gating applies only under health-aware routing so
-  // the oblivious baselines keep their legacy behavior (and shed more under
-  // failure — the contrast the chaos tests measure).
-  bool CanAdmit(const Shard* s, const ShardHealthView& v) const {
-    if (s->down || s->dead) {
-      return false;
-    }
-    if (HealthAware() && !v.routable) {
-      return false;
-    }
-    return true;
   }
 
   static bool CopyAlive(const FleetRequest* c) {
@@ -451,71 +390,68 @@ struct FleetSim::ServeLoop {
     Retire(r);
   }
 
+  // The one placement routine, for first arrivals, admission re-routes,
+  // failover re-arrivals, retries and hedge duplicates alike: up to
+  // `attempts` router choices, never shard `avoid`. Returns the shard that
+  // admitted `r` (nullptr when none did) and sets *primary to the first
+  // choice; every later choice counts as a route retry, refused or not.
+  // Outstanding counts and health views are built only when the fault
+  // machinery or a state-aware policy reads them, so an oblivious arrival on
+  // a healthy fleet allocates nothing.
+  Shard* Place(FleetRequest* r, Tick now, int attempts, int avoid, int* primary) {
+    if (router == nullptr) {
+      *primary = r->device;  // pre-routed partitioned slice
+      Shard* s = ShardByIndex(r->device);
+      return AdmitTo(s, r, false, now) ? s : nullptr;
+    }
+    std::vector<int> outstanding;
+    std::vector<ShardHealthView> views;
+    RouteState state;
+    if (FaultsActive() || !PolicyIsOblivious(fleet->config_.policy)) {
+      outstanding = Outstanding();
+      views = HealthViews(now);
+      state.outstanding = &outstanding;
+      state.health = &views;
+    }
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+      const int d = router->Route(*r, state, attempt);
+      if (attempt == 0) {
+        *primary = d;
+      } else {
+        ++r->route_retries;
+      }
+      // Down/dead shards refuse every policy; breaker gating applies only
+      // under health-aware routing, so the oblivious baselines shed more
+      // under failure (the contrast the chaos tests measure).
+      Shard* s = ShardByIndex(d);
+      const bool routable = !HealthAware() || views[static_cast<std::size_t>(d)].routable;
+      if (d == avoid || s->down || s->dead || !routable) {
+        continue;
+      }
+      const bool probe = HealthAware() && views[static_cast<std::size_t>(d)].probing;
+      if (AdmitTo(s, r, probe, now)) {
+        return s;
+      }
+    }
+    return nullptr;
+  }
+
   void OnArrival(FleetRequest* r, Tick now) {
     if (r->cancelled || r->outcome != FleetRequest::Outcome::kPending) {
       return;  // resolved while the event was in flight (hedge race)
     }
-    Shard* admitted = nullptr;
     int primary = -1;
-    if (router == nullptr) {
-      primary = r->device;  // pre-routed
-      Shard* s = ShardByIndex(primary);
-      if (AdmitTo(s, r, false, now)) {
-        admitted = s;
-      }
-    } else if (!FaultsActive() && PolicyIsOblivious(fleet->config_.policy)) {
-      // Fast path for the common healthy-oblivious case: no shard can be
-      // down, dead or breaker-gated, and round-robin/affinity routing reads
-      // neither outstanding counts nor health views — skip building both
-      // (two O(num_devices) allocations per arrival at fleet scale).
-      RouteState state;
-      for (int attempt = 0; attempt < fleet->config_.max_route_attempts; ++attempt) {
-        const int d = router->Route(*r, state, attempt);
-        if (attempt == 0) {
-          primary = d;
-        } else {
-          ++r->route_retries;
-        }
-        Shard* s = ShardByIndex(d);
-        if (AdmitTo(s, r, false, now)) {
-          admitted = s;
-          break;
-        }
-      }
-    } else {
-      const std::vector<int> outstanding = Outstanding();
-      const std::vector<ShardHealthView> views = HealthViews(now);
-      RouteState state;
-      state.outstanding = &outstanding;
-      state.health = &views;
-      for (int attempt = 0; attempt < fleet->config_.max_route_attempts; ++attempt) {
-        const int d = router->Route(*r, state, attempt);
-        if (attempt == 0) {
-          primary = d;
-        } else {
-          ++r->route_retries;
-        }
-        Shard* s = ShardByIndex(d);
-        if (!CanAdmit(s, views[static_cast<std::size_t>(d)])) {
-          continue;  // the refusal still consumed a routing attempt
-        }
-        const bool probe = HealthAware() && views[static_cast<std::size_t>(d)].probing;
-        if (AdmitTo(s, r, probe, now)) {
-          admitted = s;
-          break;
-        }
-      }
-    }
-    if (admitted == nullptr) {
+    Shard* s = Place(r, now, fleet->config_.max_route_attempts, -1, &primary);
+    if (s == nullptr) {
       ShedRequest(r, ShardByIndex(primary), now);
       return;
     }
-    if (router != nullptr && fleet->config_.hedge_requests && !r->is_hedge && !r->hedged &&
+    if (fleet->config_.hedge_requests && !r->is_hedge && !r->hedged &&
         r->priority == RequestPriority::kLatency) {
-      PushHedge(r, now + fleet->config_.hedge_delay);
+      Push({.t = now + fleet->config_.hedge_delay, .kind = Ev::Kind::kHedge, .req = r});
     }
-    if (!admitted->busy) {
-      StartBatch(admitted, now);
+    if (!s->busy) {
+      StartBatch(s, now);
     }
   }
 
@@ -608,7 +544,7 @@ struct FleetSim::ServeLoop {
       r->in_flight = false;
       r->queued_on = -1;
       r->device = -1;
-      PushArrivalAt(r, now + fleet->config_.retry_backoff);
+      Push({.t = now + fleet->config_.retry_backoff, .kind = Ev::Kind::kArrival, .req = r});
       return;
     }
     r->outcome = FleetRequest::Outcome::kFailed;
@@ -643,11 +579,6 @@ struct FleetSim::ServeLoop {
         r->queued_on < 0) {
       return;
     }
-    const std::vector<int> outstanding = Outstanding();
-    const std::vector<ShardHealthView> views = HealthViews(now);
-    RouteState state;
-    state.outstanding = &outstanding;
-    state.health = &views;
     FleetRequest h;
     h.id = r->id;
     h.client_id = r->client_id;
@@ -657,22 +588,9 @@ struct FleetSim::ServeLoop {
     h.is_hedge = true;
     pool->push_back(h);
     FleetRequest* dup = &pool->back();
-    Shard* admitted = nullptr;
-    for (int attempt = 0; attempt < fleet->config_.num_devices && admitted == nullptr;
-         ++attempt) {
-      const int d = router->Route(*dup, state, attempt);
-      if (d == r->queued_on) {
-        continue;  // duplicating onto the same queue hedges nothing
-      }
-      Shard* s = ShardByIndex(d);
-      if (!CanAdmit(s, views[static_cast<std::size_t>(d)])) {
-        continue;
-      }
-      const bool probe = HealthAware() && views[static_cast<std::size_t>(d)].probing;
-      if (AdmitTo(s, dup, probe, now)) {
-        admitted = s;
-      }
-    }
+    // Any shard but the primary's own queue: duplicating there hedges nothing.
+    int first_choice = -1;
+    Shard* admitted = Place(dup, now, fleet->config_.num_devices, r->queued_on, &first_choice);
     if (admitted == nullptr) {
       dup->cancelled = true;  // nowhere to duplicate; the primary rides alone
       return;
@@ -778,10 +696,10 @@ struct FleetSim::ServeLoop {
         continue;
       }
       ++fleet->report_.failover_reroutes;
-      PushArrivalAt(r, now);
+      Push({.t = now, .kind = Ev::Kind::kArrival, .req = r});
     }
     if (!permanent) {
-      PushRecover(s, now + std::max<Tick>(downtime, 1));
+      Push({.t = now + std::max<Tick>(downtime, 1), .kind = Ev::Kind::kRecover, .shard = s});
     }
   }
 
@@ -800,11 +718,7 @@ struct FleetSim::ServeLoop {
       const Flashvisor::RecoveryReport rr = s->dev->RecoverFromFlash();
       s->stats.recovered_lost_groups += rr.lost_groups;
       s->stats.recovered_torn_groups += rr.torn_groups;
-      if (rr.done > s->sim->Now()) {
-        // The recovery scan occupies the device; batches queue behind it.
-        s->sim->ScheduleAt(rr.done, []() {});
-        s->sim->Run();
-      }
+      s->AdvanceTo(rr.done);  // the recovery scan occupies the device
       // The rebuilt FTL may have dropped torn or lost groups; re-install
       // datasets on demand instead of trusting the old extents.
       for (auto& slots : s->cache) {
@@ -825,7 +739,8 @@ struct FleetSim::ServeLoop {
     s->dev = std::make_unique<FlashAbacus>(s->sim.get(), fleet->ShardDeviceConfig(s->index));
     FAB_CHECK(s->dev->Resume(snap, &err)) << "shard checkpoint: " << err;
     StateReader r(s->checkpoint_cache);
-    fleet->ReadInstallCache(s, r);
+    StateIO io(r);
+    fleet->PersistInstallCache(s, io);
     FAB_CHECK(r.ok() && r.AtEnd()) << "shard checkpoint cache: " << r.error();
   }
 
@@ -841,7 +756,8 @@ struct FleetSim::ServeLoop {
     s->batches_since_checkpoint = 0;
     s->checkpoint = s->dev->BuildSnapshot().Serialize();
     StateWriter w;
-    FleetSim::WriteInstallCache(*s, w);
+    StateIO io(w);
+    fleet->PersistInstallCache(s, io);
     s->checkpoint_cache = w.TakeBuffer();
   }
 
@@ -852,7 +768,7 @@ struct FleetSim::ServeLoop {
     FleetRequest next;
     if (gen->NextForClient(r->client_id, now, &next)) {
       pool->push_back(next);
-      PushArrival(&pool->back());
+      Push({.t = next.arrival, .kind = Ev::Kind::kArrival, .req = &pool->back()});
     }
   }
 
@@ -869,7 +785,8 @@ struct FleetSim::ServeLoop {
       r->in_flight = true;
       s->current_batch.push_back(r);
     }
-    PushBatchDone(s, RunBatch(s, now));
+    const Tick end = RunBatch(s, now);
+    Push({.t = end, .kind = Ev::Kind::kBatchDone, .shard = s, .token = s->batch_gen});
   }
 
   // Executes the shard's current batch on its device, eagerly running the
@@ -882,12 +799,9 @@ struct FleetSim::ServeLoop {
     if (fleet->config_.synthetic_service) {
       return RunBatchSynthetic(s, now);
     }
-    if (s->sim->Now() < now) {
-      // Align the shard clock with fleet time (the previous batch's write
-      // drain may have advanced it, an idle gap may lag it).
-      s->sim->ScheduleAt(now, []() {});
-      s->sim->Run();
-    }
+    // Align the shard clock with fleet time (an idle gap lags it; the
+    // previous batch's write drain may already have advanced it past now).
+    s->AdvanceTo(now);
     std::vector<AppInstance*> insts;
     insts.reserve(s->current_batch.size());
     bool fresh_install = false;
@@ -914,13 +828,8 @@ struct FleetSim::ServeLoop {
     // batches queue behind it.
     const bool stalled = s->stall_until > now;
     if (stalled) {
-      const Tick inflated =
-          now + static_cast<Tick>(static_cast<double>(end - now) * s->stall_factor);
-      if (inflated > s->sim->Now()) {
-        s->sim->ScheduleAt(inflated, []() {});
-        s->sim->Run();
-      }
-      end = inflated;
+      end = now + static_cast<Tick>(static_cast<double>(end - now) * s->stall_factor);
+      s->AdvanceTo(end);
     }
     for (std::size_t i = 0; i < insts.size(); ++i) {
       FleetRequest* r = s->current_batch[i];
@@ -964,10 +873,10 @@ struct FleetSim::ServeLoop {
       }
       const KernelSpec& spec = fleet->traffic_->mix()[w]->spec();
       const double mb = spec.model_input_mb * fleet->config_.device.model_scale;
+      const std::uint64_t id = static_cast<std::uint32_t>(r->id);
+      const std::uint64_t shard = static_cast<std::uint64_t>(s->index);
       const std::uint64_t h =
-          Mix64(fleet->config_.traffic.seed ^
-                Mix64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(r->id)) * 2654435761ULL +
-                      static_cast<std::uint64_t>(s->index) + 1));
+          Mix64(fleet->config_.traffic.seed ^ Mix64(id * 2654435761ULL + shard + 1));
       const double jitter =
           0.9 + 0.2 * static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
       span += static_cast<Tick>(mb * kSyntheticNsPerMb * jitter) + 1;
@@ -1049,7 +958,7 @@ FlashAbacusConfig FleetSim::ShardDeviceConfig(int shard) const {
 
 void FleetSim::BuildShards() {
   for (int d = 0; d < config_.num_devices; ++d) {
-    auto shard = std::make_unique<Shard>(config_.queue_depth, config_.health);
+    auto shard = std::make_unique<Shard>(config_.queue_depth);
     shard->index = d;
     if (!config_.synthetic_service) {
       // Synthetic shards have no device simulation at all — constructing 64+
@@ -1063,58 +972,75 @@ void FleetSim::BuildShards() {
   }
 }
 
-void FleetSim::WriteInstallCache(const Shard& shard, StateWriter& w) {
-  // Install-cache directory: which datasets are flash-resident on this
-  // shard, their preparation seeds and the extents they map. Enough to
-  // rebuild the cached AppInstances without re-installing anything.
-  w.U64(shard.cache.size());
-  for (const auto& slots : shard.cache) {
-    w.U64(slots.size());
-    for (const Shard::CachedInstance& slot : slots) {
-      FAB_CHECK(!slot.in_use) << "cached instance in use at snapshot";
-      w.U64(slot.seed);
-      w.U64(slot.inst->sections().size());
-      for (const DataSection& s : slot.inst->sections()) {
-        w.U64(s.flash_addr);
-        w.U64(s.model_bytes);
-      }
-    }
-  }
-}
-
-void FleetSim::ReadInstallCache(Shard* shard, StateReader& c) const {
-  const std::uint64_t workloads = c.U64();
-  if (c.ok() && workloads != shard->cache.size()) {
-    c.Fail("install cache workload count mismatch");
+void FleetSim::Persist(StateIO& io) {
+  std::uint32_t devices = static_cast<std::uint32_t>(config_.num_devices);
+  io.U32(devices);
+  if (io.ok() && devices != static_cast<std::uint32_t>(config_.num_devices)) {
+    io.Fail("snapshot has " + std::to_string(devices) + " devices, this fleet has " +
+            std::to_string(config_.num_devices));
     return;
   }
-  for (std::size_t wl_idx = 0; wl_idx < shard->cache.size() && c.ok(); ++wl_idx) {
-    auto& slots = shard->cache[wl_idx];
-    slots.clear();
+  if (!io.Count(traffic_->mix().size(), "snapshot workload mix size")) {
+    return;
+  }
+  // v3: the sketch-geometry fingerprint, so a snapshot written with a
+  // different LogHistogram/BoundedTimeSeries layout is rejected up front
+  // instead of mis-parsing any embedded sketch state.
+  std::int32_t min_exp2 = LogHistogram::kMinExp2;
+  std::int32_t max_exp2 = LogHistogram::kMaxExp2;
+  std::int32_t sub_buckets = LogHistogram::kSubBuckets;
+  std::uint32_t ts_bins = static_cast<std::uint32_t>(BoundedTimeSeries::kDefaultMaxBins);
+  io.I32(min_exp2);
+  io.I32(max_exp2);
+  io.I32(sub_buckets);
+  io.U32(ts_bins);
+  if (io.ok() && (min_exp2 != LogHistogram::kMinExp2 || max_exp2 != LogHistogram::kMaxExp2 ||
+                  sub_buckets != LogHistogram::kSubBuckets ||
+                  ts_bins != static_cast<std::uint32_t>(BoundedTimeSeries::kDefaultMaxBins))) {
+    io.Fail("snapshot sketch geometry mismatch (histogram/time-series layout changed)");
+    return;
+  }
+  router_.Persist(io);
+  traffic_->Persist(io);
+}
+
+void FleetSim::PersistInstallCache(Shard* shard, StateIO& io) const {
+  // Install-cache directory: which datasets are flash-resident on this
+  // shard, their preparation seeds and the extents they map. Enough to
+  // rebuild the cached AppInstances without re-installing anything: a load
+  // prepares each slot again from its seed.
+  if (!io.Count(shard->cache.size(), "install cache workload count")) {
+    return;
+  }
+  for (std::size_t wl_idx = 0; wl_idx < shard->cache.size() && io.ok(); ++wl_idx) {
     const Workload* wl = traffic_->mix()[wl_idx];
-    const std::uint64_t n_slots = c.U64();
-    for (std::uint64_t slot_i = 0; slot_i < n_slots && c.ok(); ++slot_i) {
-      const std::uint64_t seed = c.U64();
-      auto inst = std::make_unique<AppInstance>(static_cast<int>(wl_idx),
-                                                static_cast<int>(slot_i), &wl->spec(),
-                                                config_.device.model_scale);
-      Rng rng(seed);
-      wl->Prepare(*inst, rng);
-      const std::uint64_t n_secs = c.U64();
-      if (n_secs != wl->spec().sections.size()) {
-        c.Fail("cached instance section count mismatch");
-        break;
+    const std::vector<DataSectionSpec>& specs = wl->spec().sections;
+    auto& slots = shard->cache[wl_idx];
+    io.Seq(slots, [&](Shard::CachedInstance& slot) {
+      FAB_CHECK(!io.saving() || !slot.in_use) << "cached instance in use at snapshot";
+      io.U64(slot.seed);
+      if (!io.saving()) {
+        slot.inst = std::make_unique<AppInstance>(static_cast<int>(wl_idx),
+                                                  static_cast<int>(slots.size() - 1),
+                                                  &wl->spec(), config_.device.model_scale);
+        Rng rng(slot.seed);
+        wl->Prepare(*slot.inst, rng);
       }
-      inst->sections().clear();
-      for (std::uint64_t si = 0; si < n_secs; ++si) {
-        DataSection s;
-        s.spec = &wl->spec().sections[si];
-        s.flash_addr = c.U64();
-        s.model_bytes = c.U64();
-        inst->sections().push_back(s);
+      std::vector<DataSection>& secs = slot.inst->sections();
+      if (!io.Count(io.saving() ? secs.size() : specs.size(), "cached instance section count")) {
+        return;
       }
-      slots.push_back({std::move(inst), seed, false, std::nullopt});
-    }
+      if (!io.saving()) {
+        secs.resize(specs.size());
+        for (std::size_t i = 0; i < secs.size(); ++i) {
+          secs[i].spec = &specs[i];
+        }
+      }
+      for (DataSection& sec : secs) {
+        io.U64(sec.flash_addr);
+        io.U64(sec.model_bytes);
+      }
+    });
   }
 }
 
@@ -1126,20 +1052,7 @@ SnapshotBuilder FleetSim::BuildSnapshot() const {
   b.SetMeta("traffic_model", TrafficModelName(config_.traffic.model));
   b.SetMeta("scheduler", SchedulerKindName(config_.scheduler));
   b.SetMeta("num_devices", static_cast<double>(config_.num_devices));
-  {
-    // v3: adds the sketch-geometry fingerprint so a snapshot written with a
-    // different LogHistogram/BoundedTimeSeries layout is rejected up front
-    // instead of mis-parsing any embedded sketch state.
-    StateWriter& w = b.AddSection("fleet", 3);
-    w.U32(static_cast<std::uint32_t>(config_.num_devices));
-    w.U64(traffic_->mix().size());
-    w.I32(LogHistogram::kMinExp2);
-    w.I32(LogHistogram::kMaxExp2);
-    w.I32(LogHistogram::kSubBuckets);
-    w.U32(static_cast<std::uint32_t>(BoundedTimeSeries::kDefaultMaxBins));
-    SaveTo(router_, w);
-    SaveTo(*traffic_, w);
-  }
+  b.AddComponent(*this);
   for (const auto& shard : shards_) {
     FAB_CHECK(!shard->busy && shard->queue.empty())
         << "fleet shard " << shard->index << " still serving at snapshot";
@@ -1147,11 +1060,10 @@ SnapshotBuilder FleetSim::BuildSnapshot() const {
         << "fleet shard " << shard->index << " is crashed; recover before snapshotting";
     const std::string prefix = "shard/" + std::to_string(shard->index);
     b.AddBlobSection(prefix + "/device", 1, shard->dev->BuildSnapshot().Serialize());
-    StateWriter& w = b.AddSection(prefix + "/cache", 1);
-    WriteInstallCache(*shard, w);
-    StateWriter& h = b.AddSection(prefix + "/health", 1);
-    SaveTo(shard->health, h);
-    SaveTo(shard->breaker, h);
+    StateIO cache(b.AddSection(prefix + "/cache", 1));
+    PersistInstallCache(shard.get(), cache);
+    StateIO health(b.AddSection(prefix + "/health", 1));
+    shard->PersistHealth(health);
   }
   return b;
 }
@@ -1174,41 +1086,25 @@ bool FleetSim::Resume(const SnapshotFile& snap, std::string* error) {
   if (snap.kind() != "fleet") {
     return fail("snapshot kind '" + snap.kind() + "' is not a fleet snapshot");
   }
-  {
-    StateReader r = snap.Open("fleet", 3);
+  std::string err;
+  if (!snap.Restore(this, &err)) {
+    return fail(err);
+  }
+  // Reads one per-shard section back through the walk that wrote it.
+  auto restore = [&](const std::string& name, const auto& persist) {
+    StateReader r = snap.Open(name, 1);
+    if (r.ok()) {
+      StateIO io(r);
+      persist(io);
+    }
     if (!r.ok()) {
-      return fail(r.error());
-    }
-    const std::uint32_t devices = r.U32();
-    const std::uint64_t mix = r.U64();
-    const std::int32_t min_exp2 = r.I32();
-    const std::int32_t max_exp2 = r.I32();
-    const std::int32_t sub_buckets = r.I32();
-    const std::uint32_t ts_bins = r.U32();
-    if (!r.ok()) {
-      return fail("corrupt fleet section: " + r.error());
-    }
-    if (devices != static_cast<std::uint32_t>(config_.num_devices)) {
-      return fail("snapshot has " + std::to_string(devices) + " devices, this fleet has " +
-                  std::to_string(config_.num_devices));
-    }
-    if (mix != traffic_->mix().size()) {
-      return fail("snapshot workload mix size mismatch");
-    }
-    if (min_exp2 != LogHistogram::kMinExp2 || max_exp2 != LogHistogram::kMaxExp2 ||
-        sub_buckets != LogHistogram::kSubBuckets ||
-        ts_bins != static_cast<std::uint32_t>(BoundedTimeSeries::kDefaultMaxBins)) {
-      return fail("snapshot sketch geometry mismatch (histogram/time-series layout changed)");
-    }
-    LoadFrom(router_, r);
-    LoadFrom(*traffic_, r);
-    if (!r.ok()) {
-      return fail("corrupt fleet section: " + r.error());
+      return fail(name + ": " + r.error());
     }
     if (!r.AtEnd()) {
-      return fail("fleet section has trailing bytes");
+      return fail(name + " has trailing bytes");
     }
-  }
+    return true;
+  };
   resume_base_ = 0;
   for (auto& shard : shards_) {
     const std::string prefix = "shard/" + std::to_string(shard->index);
@@ -1217,38 +1113,14 @@ bool FleetSim::Resume(const SnapshotFile& snap, std::string* error) {
       return fail("missing section " + prefix + "/device");
     }
     SnapshotFile nested;
-    std::string err;
-    if (!SnapshotFile::Parse(dev->payload, &nested, &err)) {
-      return fail(prefix + "/device: " + err);
-    }
-    if (!shard->dev->Resume(nested, &err)) {
+    if (!SnapshotFile::Parse(dev->payload, &nested, &err) || !shard->dev->Resume(nested, &err)) {
       return fail(prefix + "/device: " + err);
     }
     resume_base_ = std::max(resume_base_, shard->sim->Now());
-
-    StateReader c = snap.Open(prefix + "/cache", 1);
-    if (!c.ok()) {
-      return fail(c.error());
-    }
-    ReadInstallCache(shard.get(), c);
-    if (!c.ok()) {
-      return fail(prefix + "/cache: " + c.error());
-    }
-    if (!c.AtEnd()) {
-      return fail(prefix + "/cache has trailing bytes");
-    }
-
-    StateReader h = snap.Open(prefix + "/health", 1);
-    if (!h.ok()) {
-      return fail(h.error());
-    }
-    LoadFrom(shard->health, h);
-    LoadFrom(shard->breaker, h);
-    if (!h.ok()) {
-      return fail(prefix + "/health: " + h.error());
-    }
-    if (!h.AtEnd()) {
-      return fail(prefix + "/health has trailing bytes");
+    Shard* s = shard.get();
+    if (!restore(prefix + "/cache", [&](StateIO& io) { PersistInstallCache(s, io); }) ||
+        !restore(prefix + "/health", [&](StateIO& io) { s->PersistHealth(io); })) {
+      return false;
     }
   }
   return true;
@@ -1303,9 +1175,8 @@ FleetReport FleetSim::Run() {
     runner.RunIndexed(shards_.size(), [&](std::size_t d) {
       ServeLoop loop;
       loop.fleet = this;
-      loop.shards = {shards_[d].get()};
       for (FleetRequest* r : slices[d]) {
-        loop.PushArrival(r);
+        loop.Push({.t = r->arrival, .kind = ServeLoop::Ev::Kind::kArrival, .req = r});
       }
       loop.Run();
     });
@@ -1317,9 +1188,6 @@ FleetReport FleetSim::Run() {
   } else {
     ServeLoop loop;
     loop.fleet = this;
-    for (auto& s : shards_) {
-      loop.shards.push_back(s.get());
-    }
     loop.router = &router_;
     loop.gen = traffic_.get();
     loop.pool = &pool;
@@ -1328,7 +1196,9 @@ FleetReport FleetSim::Run() {
     // resolve fault-first: the arrival routes around the freshly-down shard.
     loop.fault_events = config_.faults.Materialize(config_.num_devices);
     for (std::size_t i = 0; i < loop.fault_events.size(); ++i) {
-      loop.PushFault(static_cast<int>(i), loop.fault_events[i].at);
+      loop.Push({.t = loop.fault_events[i].at,
+                 .kind = ServeLoop::Ev::Kind::kFault,
+                 .fault = static_cast<int>(i)});
     }
     if (config_.traffic.model == TrafficConfig::Model::kOpenLoop) {
       // Stream the open-loop schedule one arrival at a time instead of
@@ -1347,13 +1217,16 @@ FleetReport FleetSim::Run() {
         r.arrival += resume_base_;
         pool.push_back(r);
       }
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        loop.PushArrival(&pool[i]);
+      for (FleetRequest& r : pool) {
+        loop.Push({.t = r.arrival, .kind = ServeLoop::Ev::Kind::kArrival, .req = &r});
       }
     }
     loop.Run();
   }
-  return Finalize(partitioned ? "partitioned" : "lockstep");
+  FleetReport rep = Finalize(partitioned ? "partitioned" : "lockstep");
+  const std::vector<std::string> violations = rep.Audit();
+  FAB_CHECK(violations.empty()) << "fleet audit: " << violations.front();
+  return rep;
 }
 
 void FleetSim::RetireRequest(const FleetRequest& r) {
@@ -1638,6 +1511,44 @@ std::string FleetReport::ToJson() const {
   JsonWriter w;
   WriteJson(&w);
   return w.TakeString();
+}
+
+std::vector<std::string> FleetReport::Audit() const {
+  std::vector<std::string> out;
+  auto expect = [&out](const std::string& invariant, std::uint64_t lhs, std::uint64_t rhs) {
+    if (lhs != rhs) {
+      out.push_back(invariant + " (" + std::to_string(lhs) + " vs " + std::to_string(rhs) + ")");
+    }
+  };
+  expect("offered == served + shed + failed", offered, served + shed + failed);
+  expect("latency_ms count == served", latency_ms.count(), served);
+  std::uint64_t class_offered = 0;
+  for (int p = 0; p < kNumPriorities; ++p) {
+    const std::string name = RequestPriorityName(static_cast<RequestPriority>(p));
+    expect(name + " offered == served + shed + failed", offered_by_priority[p],
+           served_by_priority[p] + shed_by_priority[p] + failed_by_priority[p]);
+    expect(name + " latency_ms count == served", priority_latency_ms[p].count(),
+           served_by_priority[p]);
+    class_offered += offered_by_priority[p];
+  }
+  expect("class offered sum == offered", class_offered, offered);
+  std::uint64_t dev_served = 0, dev_shed = 0, dev_failures = 0, dev_latency = 0;
+  for (const FleetDeviceStats& d : devices) {
+    dev_served += d.served;
+    dev_shed += d.shed;
+    dev_failures += d.failures;
+    dev_latency += d.latency_ms.count();
+  }
+  expect("device served sum == served", dev_served, served);
+  expect("device shed sum == shed", dev_shed, shed);
+  expect("device failures sum == failed", dev_failures, failed);
+  expect("device latency_ms counts == served", dev_latency, served);
+  std::uint64_t client_latency = 0;
+  for (const LogHistogram& c : client_latency_ms) {
+    client_latency += c.count();
+  }
+  expect("client latency_ms counts == served", client_latency, served);
+  return out;
 }
 
 FleetReport RunFleet(const FleetConfig& config) { return FleetSim(config).Run(); }

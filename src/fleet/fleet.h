@@ -59,7 +59,6 @@ struct FleetConfig {
 
   // --- Fleet fault tolerance (docs/FLEET.md "Fleet fault tolerance") -------
   FleetFaultConfig faults;  // scripted/seeded per-shard fault events
-  HealthConfig health;      // EWMA + circuit-breaker knobs (kHealthAware)
   // Bounded retry budget per request: a failed request (torn by a crash,
   // uncorrectable I/O, timeout) is resubmitted up to this many times, each
   // retry_backoff after the failure, before it counts as failed.
@@ -173,7 +172,7 @@ struct FleetReport {
   std::uint64_t shed_by_priority[kNumPriorities] = {0, 0, 0};
   std::uint64_t failed_by_priority[kNumPriorities] = {0, 0, 0};
 
-  // Latency sketches: bounded mergeable LogHistograms, O(1) memory per
+  // Latency sketches: bounded LogHistograms, O(1) memory per
   // sketch regardless of request count. count/min/max are exact; a
   // percentile is within 1/64 of the exact one when the two samples around
   // its rank share a bucket (docs/OBSERVABILITY.md "Streaming sketches").
@@ -185,9 +184,19 @@ struct FleetReport {
 
   void WriteJson(JsonWriter* w) const;
   std::string ToJson() const;
+
+  // Request conservation: one line per violated invariant, empty when the
+  // report holds together. Offered = served + shed + failed, in total and
+  // per class; the devices' served, shed and failures sum to the fleet's;
+  // every latency sketch (fleet, per class, clients together, devices
+  // together) counts exactly its served requests. O(devices + clients).
+  std::vector<std::string> Audit() const;
 };
 
-class FleetSim {
+// A FleetSim is itself the "fleet" snapshot section (device count, mix size,
+// sketch geometry, router, traffic stream); BuildSnapshot adds one device
+// blob, one install-cache and one health section per shard.
+class FleetSim : public Snapshottable {
  public:
   explicit FleetSim(const FleetConfig& config);
   ~FleetSim();
@@ -195,8 +204,9 @@ class FleetSim {
   FleetSim& operator=(const FleetSim&) = delete;
 
   // Serves the configured traffic to completion and returns the merged
-  // report. One-shot: a FleetSim instance runs once (Resume() re-arms a
-  // fresh instance for a warm-started run).
+  // report, CHECK-failing if its Audit() finds a violation. One-shot: a
+  // FleetSim instance runs once (Resume() re-arms a fresh instance for a
+  // warm-started run).
   FleetReport Run();
 
   const FleetConfig& config() const { return config_; }
@@ -219,6 +229,10 @@ class FleetSim {
   bool Resume(const SnapshotFile& snap, std::string* error = nullptr);
   bool Resume(const std::string& path, std::string* error = nullptr);
 
+  std::string StateName() const override { return "fleet"; }
+  int StateVersion() const override { return 3; }
+  void Persist(StateIO& io) override;
+
  private:
   struct Shard;
   struct ServeLoop;
@@ -227,10 +241,9 @@ class FleetSim {
   // The per-shard device config (decorrelated fault seed); also what a
   // snapshot-mode recovery rebuilds a replacement device from.
   FlashAbacusConfig ShardDeviceConfig(int shard) const;
-  // Install-cache directory encode/decode, shared by the fleet snapshot and
-  // the per-shard crash-recovery checkpoints.
-  static void WriteInstallCache(const Shard& shard, StateWriter& w);
-  void ReadInstallCache(Shard* shard, StateReader& r) const;
+  // A shard's install-cache directory, shared by the fleet snapshot and the
+  // snapshot-mode crash checkpoints.
+  void PersistInstallCache(Shard* shard, StateIO& io) const;
   // Folds one finished (served / shed / failed) request into report_.
   // Sketch counts, min/max and the fixed-point sums are all order-invariant,
   // so the lockstep loop retiring in completion order and the partitioned

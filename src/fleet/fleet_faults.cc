@@ -6,30 +6,6 @@
 
 namespace fabacus {
 
-const char* FleetFaultKindName(FleetFaultEvent::Kind k) {
-  switch (k) {
-    case FleetFaultEvent::Kind::kStall:
-      return "stall";
-    case FleetFaultEvent::Kind::kDegrade:
-      return "degrade";
-    case FleetFaultEvent::Kind::kCrash:
-      return "crash";
-    case FleetFaultEvent::Kind::kDeath:
-      return "death";
-  }
-  return "?";
-}
-
-const char* FleetRecoveryName(FleetFaultConfig::Recovery r) {
-  switch (r) {
-    case FleetFaultConfig::Recovery::kFlash:
-      return "flash";
-    case FleetFaultConfig::Recovery::kSnapshot:
-      return "snapshot";
-  }
-  return "?";
-}
-
 std::string FleetFaultConfig::Validate(int num_devices) const {
   for (const FleetFaultEvent& e : plan) {
     if (e.shard < 0 || e.shard >= num_devices) {
@@ -61,12 +37,6 @@ std::string FleetFaultConfig::Validate(int num_devices) const {
     if (weight_stall + weight_degrade + weight_crash <= 0.0) {
       return "at least one chaos kind weight must be positive";
     }
-    if (random_crash_downtime < 1 || random_stall_duration < 1) {
-      return "chaos downtime/stall durations must be positive";
-    }
-    if (random_stall_factor <= 1.0) {
-      return "random_stall_factor must exceed 1.0";
-    }
   }
   if (checkpoint_every_batches < 1) {
     return "checkpoint_every_batches must be >= 1, got " +
@@ -87,8 +57,8 @@ std::vector<FleetFaultEvent> FleetFaultConfig::Materialize(int num_devices) cons
       const double u = rng.NextDouble() * total;
       if (u < weight_stall) {
         e.kind = FleetFaultEvent::Kind::kStall;
-        e.duration = random_stall_duration;
-        e.stall_factor = random_stall_factor;
+        e.duration = kRandomStallDuration;
+        e.stall_factor = kRandomStallFactor;
       } else if (u < weight_stall + weight_degrade) {
         e.kind = FleetFaultEvent::Kind::kDegrade;
         e.kill_whole_channel = rng.NextBelow(4) == 0;  // mostly single-die kills
@@ -96,7 +66,7 @@ std::vector<FleetFaultEvent> FleetFaultConfig::Materialize(int num_devices) cons
         e.kill_package = static_cast<int>(rng.NextBelow(1u << 16));
       } else {
         e.kind = FleetFaultEvent::Kind::kCrash;
-        e.duration = random_crash_downtime;
+        e.duration = kRandomCrashDowntime;
       }
       events.push_back(e);
     }

@@ -46,8 +46,6 @@ struct FleetFaultEvent {
   int kill_package = 0;
 };
 
-const char* FleetFaultKindName(FleetFaultEvent::Kind k);
-
 struct FleetFaultConfig {
   // Scripted events, any order; Materialize() sorts them.
   std::vector<FleetFaultEvent> plan;
@@ -61,9 +59,10 @@ struct FleetFaultConfig {
   double weight_stall = 1.0;
   double weight_degrade = 1.0;
   double weight_crash = 1.0;
-  Tick random_crash_downtime = 5 * kMs;
-  Tick random_stall_duration = 2 * kMs;
-  double random_stall_factor = 4.0;
+  // What a drawn event does: a crash's downtime, a stall's window and factor.
+  static constexpr Tick kRandomCrashDowntime = 5 * kMs;
+  static constexpr Tick kRandomStallDuration = 2 * kMs;
+  static constexpr double kRandomStallFactor = 4.0;
 
   // How a crashed shard comes back (docs/RELIABILITY.md, docs/SNAPSHOT.md):
   //  * kFlash    — CrashAt + RecoverFromFlash: rebuild the FTL from flash
@@ -85,8 +84,6 @@ struct FleetFaultConfig {
   // Deterministic: identical config => identical event list.
   std::vector<FleetFaultEvent> Materialize(int num_devices) const;
 };
-
-const char* FleetRecoveryName(FleetFaultConfig::Recovery r);
 
 }  // namespace fabacus
 

@@ -4,47 +4,18 @@
 
 namespace fabacus {
 
-std::string HealthConfig::Validate() const {
-  if (latency_alpha <= 0.0 || latency_alpha > 1.0) {
-    return "latency_alpha must be in (0, 1], got " + std::to_string(latency_alpha);
-  }
-  if (error_alpha <= 0.0 || error_alpha > 1.0) {
-    return "error_alpha must be in (0, 1], got " + std::to_string(error_alpha);
-  }
-  if (strikes_to_open < 1) {
-    return "strikes_to_open must be >= 1, got " + std::to_string(strikes_to_open);
-  }
-  if (error_open_threshold <= 0.0 || error_open_threshold > 1.0) {
-    return "error_open_threshold must be in (0, 1], got " +
-           std::to_string(error_open_threshold);
-  }
-  if (open_cooldown < 1) {
-    return "open_cooldown must be >= 1 tick";
-  }
-  if (half_open_probes < 1) {
-    return "half_open_probes must be >= 1, got " + std::to_string(half_open_probes);
-  }
-  if (probe_successes_to_close < 1) {
-    return "probe_successes_to_close must be >= 1, got " +
-           std::to_string(probe_successes_to_close);
-  }
-  return "";
-}
-
 void HealthTracker::OnSuccess(double service_ms) {
   latency_ewma_ms_ = successes_ + failures_ == 0
                          ? service_ms
-                         : latency_ewma_ms_ +
-                               config_.latency_alpha * (service_ms - latency_ewma_ms_);
-  error_ewma_ += config_.error_alpha * (0.0 - error_ewma_);
+                         : latency_ewma_ms_ + kLatencyAlpha * (service_ms - latency_ewma_ms_);
+  error_ewma_ += kErrorAlpha * (0.0 - error_ewma_);
   consecutive_failures_ = 0;
   ++successes_;
 }
 
 void HealthTracker::OnFailure() {
-  error_ewma_ = successes_ + failures_ == 0
-                    ? 1.0
-                    : error_ewma_ + config_.error_alpha * (1.0 - error_ewma_);
+  error_ewma_ =
+      successes_ + failures_ == 0 ? 1.0 : error_ewma_ + kErrorAlpha * (1.0 - error_ewma_);
   ++consecutive_failures_;
   ++failures_;
 }
@@ -84,7 +55,7 @@ bool CircuitBreaker::AllowRequest() const {
     case BreakerState::kOpen:
       return false;
     case BreakerState::kHalfOpen:
-      return probes_inflight_ < config_.half_open_probes;
+      return probes_inflight_ < kHalfOpenProbes;
   }
   return false;
 }
@@ -108,7 +79,7 @@ void CircuitBreaker::OnProbeOutcome(bool success, Tick now) {
     Open(now);
     return;
   }
-  if (++probe_successes_ >= config_.probe_successes_to_close) {
+  if (++probe_successes_ >= kProbeSuccessesToClose) {
     Close();
   }
 }
@@ -123,7 +94,7 @@ void CircuitBreaker::OnOutcome(bool success, Tick now, double error_ewma) {
     strikes_ = 0;
     return;
   }
-  if (++strikes_ >= config_.strikes_to_open || error_ewma >= config_.error_open_threshold) {
+  if (++strikes_ >= kStrikesToOpen || error_ewma >= kErrorOpenThreshold) {
     Open(now);
   }
 }
@@ -147,7 +118,7 @@ void CircuitBreaker::Open(Tick now) {
     opens_.Add();
   }
   state_ = BreakerState::kOpen;
-  reopen_at_ = now + config_.open_cooldown;
+  reopen_at_ = now + kOpenCooldown;
   strikes_ = 0;
   probes_inflight_ = 0;
   probe_successes_ = 0;

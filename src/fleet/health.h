@@ -18,7 +18,6 @@
 #define SRC_FLEET_HEALTH_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/sim/snapshot.h"
 #include "src/sim/stats.h"
@@ -26,25 +25,11 @@
 
 namespace fabacus {
 
-struct HealthConfig {
-  double latency_alpha = 0.3;  // EWMA smoothing of batch service latency
-  double error_alpha = 0.25;   // EWMA smoothing of the failure indicator
-  // Breaker-opening conditions while closed: a failure streak this long, or a
-  // failure-rate EWMA at/above this threshold.
-  int strikes_to_open = 3;
-  double error_open_threshold = 0.5;
-  Tick open_cooldown = 20 * kMs;      // open -> half-open wait
-  int half_open_probes = 2;           // concurrent probes admitted half-open
-  int probe_successes_to_close = 2;   // clean probes required to close
-
-  // Empty when well-formed, else the first problem found.
-  std::string Validate() const;
-};
-
 // Deterministic EWMA view of one shard's recent service quality.
 class HealthTracker {
  public:
-  explicit HealthTracker(const HealthConfig& config) : config_(config) {}
+  static constexpr double kLatencyAlpha = 0.3;  // EWMA smoothing of batch service latency
+  static constexpr double kErrorAlpha = 0.25;   // EWMA smoothing of the failure indicator
 
   void OnSuccess(double service_ms);
   void OnFailure();
@@ -62,7 +47,6 @@ class HealthTracker {
   void Persist(StateIO& io);
 
  private:
-  HealthConfig config_;
   double latency_ewma_ms_ = 0.0;
   double error_ewma_ = 0.0;
   int consecutive_failures_ = 0;
@@ -75,7 +59,13 @@ const char* BreakerStateName(BreakerState s);
 
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(const HealthConfig& config) : config_(config) {}
+  // Opening conditions while closed: a failure streak this long, or a
+  // failure-rate EWMA at/above the threshold.
+  static constexpr int kStrikesToOpen = 3;
+  static constexpr double kErrorOpenThreshold = 0.5;
+  static constexpr Tick kOpenCooldown = 20 * kMs;  // open -> half-open wait
+  static constexpr int kHalfOpenProbes = 2;         // concurrent probes admitted half-open
+  static constexpr int kProbeSuccessesToClose = 2;  // clean probes required to close
 
   // Lazily applies the open -> half-open cooldown transition; call before
   // reading state()/AllowRequest() at a new simulation tick.
@@ -109,7 +99,6 @@ class CircuitBreaker {
   void Open(Tick now);
   void Close();
 
-  HealthConfig config_;
   BreakerState state_ = BreakerState::kClosed;
   int strikes_ = 0;          // consecutive failures observed while closed
   Tick reopen_at_ = 0;       // open -> half-open transition tick

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/sim/log.h"
+#include "src/sim/rng.h"
 
 namespace fabacus {
 
@@ -63,12 +64,11 @@ int ShardRouter::Route(const FleetRequest& r, const RouteState& state, int attem
       return order[static_cast<std::size_t>(a % n)];
     }
     case PlacementPolicy::kDataAffinity: {
-      // SplitMix64-style scramble of the workload id: the dataset's home
-      // device. Retries spiral outward from home.
-      std::uint64_t z = static_cast<std::uint64_t>(r.workload_idx) + 0x9e3779b97f4a7c15ULL;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<int>(((z ^ (z >> 31)) + a) % n);
+      // SplitMix64 scramble of the workload id: the dataset's home device.
+      // Retries spiral outward from home.
+      const std::uint64_t home =
+          Mix64(static_cast<std::uint64_t>(r.workload_idx) + 0x9e3779b97f4a7c15ULL);
+      return static_cast<int>((home + a) % n);
     }
     case PlacementPolicy::kHealthAware: {
       FAB_CHECK(state.outstanding != nullptr) << "health-aware needs live queue depths";

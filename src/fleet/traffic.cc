@@ -12,6 +12,8 @@ std::vector<TrafficMixEntry> DefaultMix() {
   return {{"ATAX", 1.0}, {"BICG", 1.0}, {"MVT", 1.0}, {"GESUM", 1.0}};
 }
 
+constexpr double kThinkNs = static_cast<double>(TrafficConfig::kMeanThinkTime);
+
 }  // namespace
 
 const char* RequestPriorityName(RequestPriority p) {
@@ -128,11 +130,9 @@ RequestPriority TrafficGenerator::PriorityFor(int id) const {
   }
   // Side SplitMix64 hash of (seed, id): deterministic per config without
   // consuming the main stream, so priority shares never move arrival times.
-  std::uint64_t z = config_.seed ^ (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL +
-                                    0x632be59bd9b4e019ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const std::uint64_t z =
+      Mix64(config_.seed ^
+            (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL + 0x632be59bd9b4e019ULL));
   const double u = static_cast<double>(z >> 11) * (1.0 / 9007199254740992.0);
   if (u < config_.latency_share) {
     return RequestPriority::kLatency;
@@ -155,7 +155,7 @@ std::vector<FleetRequest> TrafficGenerator::InitialArrivals() {
   }
   out.reserve(static_cast<std::size_t>(config_.num_clients));
   for (int c = 0; c < config_.num_clients; ++c) {
-    out.push_back(MakeRequest(c, DrawExponential(static_cast<double>(config_.mean_think_time))));
+    out.push_back(MakeRequest(c, DrawExponential(kThinkNs)));
     emitted_per_client_[static_cast<std::size_t>(c)] = 1;
   }
   return out;
@@ -189,7 +189,7 @@ bool TrafficGenerator::NextForClient(int client, Tick now, FleetRequest* out) {
     return false;
   }
   ++emitted;
-  *out = MakeRequest(client, now + DrawExponential(static_cast<double>(config_.mean_think_time)));
+  *out = MakeRequest(client, now + DrawExponential(kThinkNs));
   return true;
 }
 

@@ -87,10 +87,10 @@ struct TrafficConfig {
   int total_requests = 128;
 
   // Closed loop: every client issues `requests_per_client` requests, one at a
-  // time, with exponential think time (mean `mean_think_time`) after each
+  // time, with exponential think time (mean kMeanThinkTime) after each
   // completion (or shed).
   int requests_per_client = 8;
-  Tick mean_think_time = 500 * kUs;
+  static constexpr Tick kMeanThinkTime = 500 * kUs;
 
   // Kernel mix; empty selects a light data-intensive default
   // (ATAX/BICG/MVT/GESUM, equal weights).

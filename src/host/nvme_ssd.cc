@@ -27,8 +27,6 @@ bool NvmeSsd::CreateFile(const std::string& name, std::uint64_t bytes) {
   return true;
 }
 
-std::uint64_t NvmeSsd::FileSize(const std::string& name) const { return Extent(name).bytes; }
-
 void NvmeSsd::InstallFile(const std::string& name, std::uint64_t file_bytes, const void* data,
                           std::uint64_t data_bytes) {
   FAB_CHECK(CreateFile(name, file_bytes)) << "NVMe capacity exhausted installing " << name;

@@ -30,7 +30,6 @@ class NvmeSsd {
 
   // Creates (or truncates) a file of `bytes`; returns false when full.
   bool CreateFile(const std::string& name, std::uint64_t bytes);
-  std::uint64_t FileSize(const std::string& name) const;
 
   // Pre-populates a file without consuming device time (dataset staging
   // before an experiment starts). The first `data_bytes` come from `data`;

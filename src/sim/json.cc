@@ -137,12 +137,6 @@ JsonWriter& JsonWriter::Value(const std::string& v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-  return *this;
-}
-
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (type != Type::kObject) {
     return nullptr;

@@ -33,7 +33,6 @@ class JsonWriter {
   JsonWriter& Value(bool v);
   JsonWriter& Value(const std::string& v);
   JsonWriter& Value(const char* v) { return Value(std::string(v)); }
-  JsonWriter& Null();
 
   // Convenience: Key(name) + Value(v).
   template <typename T>

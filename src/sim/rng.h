@@ -7,16 +7,19 @@
 
 namespace fabacus {
 
+// SplitMix64's output finalizer: a bijective scramble of one 64-bit word,
+// also used on its own as a stateless hash (seed derivation, routing homes).
+inline std::uint64_t Mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : state_(seed) {}
 
-  std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t Next() { return Mix64(state_ += 0x9e3779b97f4a7c15ULL); }
 
   // Uniform in [0, n). Rejection sampling: a bare `Next() % n` over-weights
   // the low residues whenever n does not divide 2^64. Draws below

@@ -161,28 +161,6 @@ void LogHistogram::Record(double v) {
   ++counts_[static_cast<std::size_t>(BucketIndex(v))];
 }
 
-void LogHistogram::Merge(const LogHistogram& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  AddToSum(other.sum_lo_, other.sum_hi_);
-  if (counts_.empty()) {
-    counts_.assign(kNumBuckets, 0);
-  }
-  for (int i = 0; i < kNumBuckets; ++i) {
-    counts_[static_cast<std::size_t>(i)] +=
-        other.counts_[static_cast<std::size_t>(i)];
-  }
-}
-
 double LogHistogram::Percentile(double p) const {
   FAB_CHECK_GE(p, 0.0);
   FAB_CHECK_LE(p, 100.0);

@@ -4,7 +4,7 @@
 //  * HistogramSummary  — count/min/mean/p50/p95/p99/max of one distribution:
 //    SummarizeSamples computes it exactly from samples a report already
 //    holds, and WriteSummaryJson is the one JSON writer for it.
-//  * LogHistogram      — bounded mergeable log-scale sketch for fleet scale.
+//  * LogHistogram      — bounded log-scale sketch for fleet scale.
 //  * BoundedTimeSeries — constant-memory coarsening time series for fleets.
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
@@ -97,7 +97,7 @@ HistogramSummary SummarizeSamples(std::vector<double> samples);
 // distribution in every report.
 void WriteSummaryJson(JsonWriter* w, const HistogramSummary& s);
 
-// Bounded, mergeable streaming histogram: HDR-style log-linear buckets.
+// Bounded streaming histogram: HDR-style log-linear buckets.
 // Each power-of-two octave of the value range splits into kSubBuckets
 // equal-width linear sub-buckets. A reconstructed quantile is within
 // 1/kSubBuckets (= 1/64 ≈ 1.6%) of the exact one only when the two samples
@@ -107,12 +107,11 @@ void WriteSummaryJson(JsonWriter* w, const HistogramSummary& s);
 // 21.06 and 35.95 give a p99 of 21.25, where the exact p99 is 35.80; see
 // docs/OBSERVABILITY.md). min/max/count are exact; the sum behind
 // Mean() accumulates in 128-bit fixed point (2^-20 units ≈ 1 ns for values
-// in ms), so every statistic is *fully order-invariant*: recording or
-// merging the same samples in any order — completion order on a lockstep
-// loop, id order on the partitioned path, shard order in a fleet merge —
-// produces bit-identical results. Memory is constant: kNumBuckets u64
-// counters (~18 KB), lazily allocated on the first Record, independent of
-// sample count. Values are expected non-negative (latencies); negatives
+// in ms), so every statistic is *fully order-invariant*: recording the same
+// samples in any order — completion order on a lockstep loop, id order on
+// the partitioned path — produces bit-identical results. Memory is
+// constant: kNumBuckets u64 counters (~18 KB), lazily allocated on the first
+// Record, independent of sample count. Values are expected non-negative (latencies); negatives
 // clamp to the underflow bucket and contribute 0 to the mean sum.
 class LogHistogram {
  public:
@@ -125,13 +124,10 @@ class LogHistogram {
   static constexpr int kNumBuckets = (kMaxExp2 - kMinExp2 + 1) * kSubBuckets;
   // Fixed-point scale of the mean sum: integer addition is associative and
   // commutative where double addition is not, which is what makes Mean()
-  // independent of record/merge order.
+  // independent of record order.
   static constexpr double kSumScale = 1048576.0;  // 2^20 units per 1.0
 
   void Record(double v);
-  // Exact element-wise merge of another sketch (integer counts + integer
-  // sum), so merge order cannot change any statistic.
-  void Merge(const LogHistogram& other);
 
   std::uint64_t count() const { return count_; }
   double Min() const { return count_ == 0 ? 0.0 : min_; }
@@ -167,7 +163,7 @@ class LogHistogram {
   std::uint64_t sum_hi_ = 0;  // in kSumScale units
   double min_ = 0.0;
   double max_ = 0.0;
-  std::vector<std::uint64_t> counts_;  // empty until first Record/Merge
+  std::vector<std::uint64_t> counts_;  // empty until first Record
 };
 
 // Constant-memory (time, value) series: at most max_bins equal-width bins of

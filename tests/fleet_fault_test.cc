@@ -116,13 +116,12 @@ TEST(FleetFaults, ValidateRejectsMalformedPlansAndChaos) {
 }
 
 TEST(Health, TrackerEwmaAndScoreFollowOutcomes) {
-  HealthConfig hc;
-  HealthTracker t(hc);
+  HealthTracker t;
   t.OnSuccess(10.0);
   EXPECT_DOUBLE_EQ(t.latency_ewma_ms(), 10.0) << "first sample seeds the EWMA directly";
   EXPECT_EQ(t.consecutive_failures(), 0);
   t.OnSuccess(20.0);
-  EXPECT_DOUBLE_EQ(t.latency_ewma_ms(), 10.0 + hc.latency_alpha * 10.0);
+  EXPECT_DOUBLE_EQ(t.latency_ewma_ms(), 10.0 + HealthTracker::kLatencyAlpha * 10.0);
   const double healthy_score = t.Score();
   t.OnFailure();
   t.OnFailure();
@@ -134,51 +133,52 @@ TEST(Health, TrackerEwmaAndScoreFollowOutcomes) {
 }
 
 TEST(Health, BreakerOpensOnStrikesCoolsToHalfOpenAndClosesOnProbes) {
-  HealthConfig hc;
-  hc.strikes_to_open = 2;
-  hc.open_cooldown = 10 * kMs;
-  hc.probe_successes_to_close = 2;
-  CircuitBreaker b(hc);
+  constexpr Tick kCooldown = CircuitBreaker::kOpenCooldown;
+  CircuitBreaker b;
   EXPECT_EQ(b.state(), BreakerState::kClosed);
-  b.OnOutcome(false, 0, 0.1);
-  EXPECT_EQ(b.state(), BreakerState::kClosed) << "one strike is not enough";
+  for (int strike = 1; strike < CircuitBreaker::kStrikesToOpen; ++strike) {
+    b.OnOutcome(false, 0, 0.1);  // error EWMA under the threshold: strikes decide
+    EXPECT_EQ(b.state(), BreakerState::kClosed) << "strike " << strike << " is not enough";
+  }
   b.OnOutcome(false, kMs, 0.1);
   EXPECT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_FALSE(b.AllowRequest());
-  b.Advance(kMs + 5 * kMs);
+  b.Advance(kMs + kCooldown / 2);
   EXPECT_EQ(b.state(), BreakerState::kOpen) << "still cooling down";
-  b.Advance(kMs + 10 * kMs);
+  b.Advance(kMs + kCooldown);
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
   EXPECT_TRUE(b.AllowRequest());
-  b.OnProbeDispatched();
-  b.OnProbeDispatched();
-  EXPECT_FALSE(b.AllowRequest()) << "probe quota of 2 is exhausted";
-  b.OnProbeOutcome(true, 12 * kMs);
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.OnProbeOutcome(true, 13 * kMs);
-  EXPECT_EQ(b.state(), BreakerState::kClosed) << "two clean probes close the breaker";
+  for (int i = 0; i < CircuitBreaker::kHalfOpenProbes; ++i) {
+    b.OnProbeDispatched();
+  }
+  EXPECT_FALSE(b.AllowRequest()) << "the probe quota is exhausted";
+  for (int ok = 1; ok < CircuitBreaker::kProbeSuccessesToClose; ++ok) {
+    b.OnProbeOutcome(true, kMs + kCooldown + ok * kMs);
+    EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
+  }
+  b.OnProbeOutcome(true, 2 * kCooldown);
+  EXPECT_EQ(b.state(), BreakerState::kClosed) << "enough clean probes close the breaker";
   EXPECT_EQ(b.opens(), 1u);
   EXPECT_EQ(b.closes(), 1u);
-  EXPECT_EQ(b.probes(), 2u);
+  EXPECT_EQ(b.probes(), static_cast<std::uint64_t>(CircuitBreaker::kHalfOpenProbes));
 }
 
 TEST(Health, ProbeFailureReopensAndForcePathsWork) {
-  HealthConfig hc;
-  hc.open_cooldown = 10 * kMs;
-  CircuitBreaker b(hc);
+  constexpr Tick kCooldown = CircuitBreaker::kOpenCooldown;
+  CircuitBreaker b;
   b.ForceOpen(0);
   EXPECT_EQ(b.state(), BreakerState::kOpen) << "a crash force-opens immediately";
-  b.Advance(10 * kMs);
+  b.Advance(kCooldown);
   ASSERT_EQ(b.state(), BreakerState::kHalfOpen);
   b.OnProbeDispatched();
-  b.OnProbeOutcome(false, 11 * kMs);
+  b.OnProbeOutcome(false, kCooldown + kMs);
   EXPECT_EQ(b.state(), BreakerState::kOpen) << "any probe failure reopens";
-  b.ForceHalfOpen(20 * kMs);
+  b.ForceHalfOpen(2 * kCooldown);
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen) << "recovery rejoins via probes";
   EXPECT_TRUE(b.AllowRequest());
   // An outcome dispatched before a force-open carries no vote afterwards.
-  b.ForceOpen(21 * kMs);
-  b.OnProbeOutcome(true, 22 * kMs);
+  b.ForceOpen(2 * kCooldown + kMs);
+  b.OnProbeOutcome(true, 2 * kCooldown + 2 * kMs);
   EXPECT_EQ(b.state(), BreakerState::kOpen);
 }
 
@@ -321,9 +321,6 @@ TEST(FleetConfigFault, ValidateRejectsEachBadKnob) {
   cfg = ChaosFleet();
   cfg.request_timeout_ms = -1.0;
   EXPECT_FALSE(cfg.Validate().empty()) << "negative timeout";
-  cfg = ChaosFleet();
-  cfg.health.strikes_to_open = 0;
-  EXPECT_FALSE(cfg.Validate().empty()) << "bad health config must surface";
   cfg = ChaosFleet();
   cfg.faults.plan.push_back(CrashEvent(99, kMs, kMs));
   EXPECT_FALSE(cfg.Validate().empty()) << "bad fault plan must surface";

@@ -3,9 +3,10 @@
 //  * the admission queue bounds depth and counts rejections,
 //  * every placement policy enumerates all devices across retry attempts and
 //    honors its documented invariants,
-//  * end-to-end fleet runs conserve requests (served + shed == offered),
-//    verify outputs, and produce byte-identical reports across the lockstep
-//    and partitioned execution paths at any sweep thread count.
+//  * end-to-end fleet runs conserve requests (served + shed == offered, and
+//    FleetReport::Audit names a broken invariant), verify outputs, and
+//    produce byte-identical reports across the lockstep and partitioned
+//    execution paths at any sweep thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -216,6 +217,32 @@ TEST(FleetSim, OverloadShedsInsteadOfQueueingUnboundedly) {
   EXPECT_GT(rep.served, 0u);
   EXPECT_EQ(rep.devices[0].shed, rep.shed);
   EXPECT_LE(rep.devices[0].peak_queue_depth, 1u);
+}
+
+// Every Run CHECKs FleetReport::Audit; here the audit passes a real report
+// and names the invariant that a report tampered by one request breaks.
+TEST(FleetSim, AuditNamesTheBrokenInvariant) {
+  FleetConfig cfg = SmallFleet(1);
+  cfg.traffic.arrival_rate_per_s = 50000.0;
+  cfg.traffic.total_requests = 32;
+  cfg.queue_depth = 1;
+  cfg.max_batch = 1;
+  const FleetReport rep = RunFleet(cfg);
+  ASSERT_GT(rep.devices[0].shed, 0u);
+  EXPECT_TRUE(rep.Audit().empty()) << ::testing::PrintToString(rep.Audit());
+
+  FleetReport served = rep;
+  ++served.served;
+  const std::vector<std::string> served_lines = served.Audit();
+  ASSERT_FALSE(served_lines.empty());
+  EXPECT_EQ(served_lines[0].rfind("offered == served + shed + failed", 0), 0u)
+      << served_lines[0];
+
+  FleetReport shed = rep;
+  --shed.devices[0].shed;
+  const std::vector<std::string> shed_lines = shed.Audit();
+  ASSERT_EQ(shed_lines.size(), 1u) << ::testing::PrintToString(shed_lines);
+  EXPECT_EQ(shed_lines[0].rfind("device shed sum == shed", 0), 0u) << shed_lines[0];
 }
 
 TEST(FleetSim, RerouteRetriesRescueRejectionsAcrossDevices) {

@@ -3,7 +3,7 @@
 // systems; the full RunReport JSON is compared byte-for-byte against the
 // checked-in goldens in tests/golden/. Any behavioral drift — a timing
 // constant, an energy coefficient, a scheduler decision, a metric name —
-// shows up as a failing diff listing exactly which fields moved. Three
+// shows up as a failing diff listing exactly which fields moved. Four
 // real-device fleets pin the FleetReport JSON the same way, including the
 // install-cache hit path (slot reset + memoized reference, docs/FLEET.md).
 // WorkloadOutputs.json pins every registry workload's functional outputs bit
@@ -158,7 +158,11 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, GoldenReport,
 //  * FleetInPlace       — kernels that update inputs in place (GEMM, COVAR,
 //    FDTD restore them from pristine copies; ADI re-prepares);
 //  * FleetSnapshotCrash — a crash with checkpoint recovery, so slots rebuilt
-//    from the checkpoint's install-cache directory serve later requests.
+//    from the checkpoint's install-cache directory serve later requests;
+//  * FleetHealthAware   — health-aware placement under a brownout and a
+//    crash, with priorities, hedges, a retry and priority shedding: pins
+//    health views, breaker probes, hedge placement, evictions and failover
+//    re-arrivals, none of which the round-robin fleets reach.
 FleetConfig CanonicalFleet(const std::string& name) {
   FleetConfig cfg;
   cfg.num_devices = 2;
@@ -185,6 +189,32 @@ FleetConfig CanonicalFleet(const std::string& name) {
     crash.at = 60 * kMs;  // after shard 1's first checkpoint (two batches)
     crash.duration = 20 * kMs;
     cfg.faults.plan.push_back(crash);
+  } else if (name == "FleetHealthAware") {
+    cfg.num_devices = 3;
+    cfg.policy = PlacementPolicy::kHealthAware;
+    cfg.max_route_attempts = 3;
+    cfg.queue_depth = 12;
+    cfg.max_request_retries = 1;
+    cfg.hedge_requests = true;
+    cfg.hedge_delay = 2 * kMs;
+    cfg.priority_shedding = true;
+    cfg.traffic.num_clients = 6;
+    cfg.traffic.arrival_rate_per_s = 200.0;
+    cfg.traffic.total_requests = 96;
+    cfg.traffic.latency_share = 0.3;
+    cfg.traffic.batch_share = 0.3;
+    FleetFaultEvent stall;
+    stall.kind = FleetFaultEvent::Kind::kStall;
+    stall.shard = 0;
+    stall.at = 10 * kMs;
+    stall.duration = 30 * kMs;
+    stall.stall_factor = 4.0;
+    FleetFaultEvent crash;
+    crash.kind = FleetFaultEvent::Kind::kCrash;
+    crash.shard = 1;
+    crash.at = 40 * kMs;
+    crash.duration = 15 * kMs;
+    cfg.faults.plan = {stall, crash};
   }
   return cfg;
 }
@@ -195,6 +225,7 @@ TEST_P(GoldenFleetReport, MatchesCheckedInReport) {
   const std::string name = GetParam();
   const FleetReport rep = RunFleet(CanonicalFleet(name));
   ASSERT_TRUE(rep.verified) << name << " failed functional verification";
+  EXPECT_TRUE(rep.Audit().empty()) << ::testing::PrintToString(rep.Audit());
   std::uint64_t hits = 0;
   for (const FleetDeviceStats& d : rep.devices) {
     hits += d.install_hits;
@@ -204,7 +235,8 @@ TEST_P(GoldenFleetReport, MatchesCheckedInReport) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fleets, GoldenFleetReport,
-                         ::testing::Values("FleetDefault", "FleetInPlace", "FleetSnapshotCrash"),
+                         ::testing::Values("FleetDefault", "FleetInPlace", "FleetSnapshotCrash",
+                                           "FleetHealthAware"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
