@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the FTL hot paths: mapping-table
-// lookups/updates, snapshot serialization, and the Flashvisor write
-// allocation path (including block sealing).
+// lookups/updates and the Flashvisor write allocation path (including block
+// sealing).
 #include <benchmark/benchmark.h>
 
 #include "src/core/flashvisor.h"
@@ -47,23 +47,6 @@ void BM_MappingUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MappingUpdate);
-
-void BM_MappingSnapshot(benchmark::State& state) {
-  NandConfig nand = SmallNand();
-  Scratchpad spm(ScratchpadConfig{});
-  MappingTable map(nand, &spm);
-  for (std::uint64_t g = 0; g < nand.TotalGroups(); g += 3) {
-    map.Update(g, static_cast<std::uint32_t>(g));
-  }
-  std::vector<std::uint8_t> snap;
-  for (auto _ : state) {
-    map.Snapshot(&snap);
-    benchmark::DoNotOptimize(snap.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(map.table_bytes()));
-}
-BENCHMARK(BM_MappingSnapshot);
 
 void BM_FlashvisorWritePath(benchmark::State& state) {
   // Host-side cost of the full synchronous write-allocation machinery:

@@ -14,8 +14,14 @@ workload and seed, and prints:
 
   - every pair's wall_s on both sides and the change/base ratio;
   - each side's median and quartiles, and how many pairs the change won;
-  - both sides' medians of the other end-to-end metrics;
+  - both sides' medians of the other end-to-end metrics, and of the minor
+    page faults and system CPU seconds per unit;
   - whether sim_digest and the failed-check counts matched on every pair.
+
+The page faults and system time come from getrusage(RUSAGE_CHILDREN) taken
+around each run.py call, so they cover its whole process tree (the build
+check and the runner's start-up included), divided by the number of units
+run.py reports ("over N units").
 
 A speed-only change should win at least 9 of 10 pairs with a median gap
 larger than the base's interquartile range, and must leave sim_digest alone.
@@ -23,8 +29,9 @@ larger than the base's interquartile range, and must leave sim_digest alone.
 With --json PATH, the script also appends one record for the invocation to
 PATH, a JSON list it creates if missing: the base commit, workload, seed and
 run length, every pair (order, both wall_s, the ratio, both digests and
-failed-check counts), each side's wall_s median and quartiles, the win count
-and both sides' medians of the other end-to-end metrics. A perf change
+failed-check counts, both sides' faults and system seconds per unit), each
+side's wall_s median and quartiles, the win count and both sides' medians of
+the other end-to-end metrics and of the two per-unit host costs. A perf change
 commits that file as its BENCH_<n>.json ledger.
 The exit code is 1 when a digest differs or any run failed a check, 2 when
 the worktree cannot be made or a run prints no result, and 0 otherwise.
@@ -34,6 +41,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,6 +52,9 @@ ROOT = HERE.parent
 AB_DIR = ROOT / ".bench_build" / "ab"
 
 DIGEST = re.compile(r"sim_digest ([0-9a-f]+)")
+UNITS = re.compile(r"checks over (\d+) units")
+# Host costs per unit from getrusage around each run.py call (not run.py metrics).
+HOST_COSTS = ("minor_faults_per_unit", "sys_s_per_unit")
 
 
 def git(*args):
@@ -65,11 +76,16 @@ def base_worktree(rev):
 
 
 def run_side(tree, args):
-    """Runs perfbench once in `tree`; returns (metrics, failed, correct, digest)."""
+    """Runs perfbench once in `tree`; returns (metrics, failed, correct, digest).
+
+    The metrics are run.py's end-to-end metrics plus HOST_COSTS.
+    """
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, text=True, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -77,8 +93,13 @@ def run_side(tree, args):
         tail = "\n".join(lines[-20:])
         raise RuntimeError(f"no result from {tree} (exit {proc.returncode}):\n{tail}")
     digest = next((m.group(1) for m in map(DIGEST.search, lines) if m), None)
+    units = next((int(m.group(1)) for m in map(UNITS.search, lines) if m), 0)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    correct = result["correct"] and proc.returncode == 0 and "wall_s" in metrics
+    if units:
+        metrics["minor_faults_per_unit"] = (after.ru_minflt - before.ru_minflt) / units
+        metrics["sys_s_per_unit"] = (after.ru_stime - before.ru_stime) / units
+    correct = (result["correct"] and proc.returncode == 0 and "wall_s" in metrics
+               and all(name in metrics for name in HOST_COSTS))
     return metrics, result["failed"], correct, digest
 
 
@@ -158,9 +179,11 @@ def main():
                 return 2
         (bm, bf, _, bd), (cm, cf, _, cd) = runs["base"][-1], runs["change"][-1]
         b, c = bm.get("wall_s", float("nan")), cm.get("wall_s", float("nan"))
-        pairs.append({"first": order[0], "base_wall_s": b, "change_wall_s": c,
-                      "ratio": c / b, "base_digest": bd, "change_digest": cd,
-                      "base_failed": bf, "change_failed": cf})
+        pair = {"first": order[0], "base_wall_s": b, "change_wall_s": c, "ratio": c / b,
+                "base_digest": bd, "change_digest": cd, "base_failed": bf, "change_failed": cf}
+        for name in HOST_COSTS:
+            pair[f"base_{name}"], pair[f"change_{name}"] = bm.get(name), cm.get(name)
+        pairs.append(pair)
         print(f"pair {i + 1:>2} ({order[0]} first): base {b:.4f} s, change {c:.4f} s, "
               f"change/base {c / b:.3f}; digest {bd} / {cd}; failed {bf} / {cf}", flush=True)
 
@@ -194,7 +217,7 @@ def main():
                     for side in ("base", "change"))
             record["other_medians"][name] = {"base": b, "change": c}
             ratio = f"{c / b:.4f}" if b else "n/a"
-            print(f"  {name:<18} median base {b:.6g}, change {c:.6g}, change/base {ratio}")
+            print(f"  {name:<21} median base {b:.6g}, change {c:.6g}, change/base {ratio}")
     digests = {r[3] for rs in runs.values() for r in rs}
     digest_ok = len(digests) == 1 and None not in digests
     fails_ok = all(b[1] == c[1] for b, c in zip(runs["base"], runs["change"]))

@@ -500,14 +500,21 @@ void Flashvisor::SealActiveBlockGroup(Tick now) {
   for (std::uint32_t s = 0; s < data_slots; ++s) {
     summary[s] = map_.ReverseLookup(GroupOfSlot(active_bg_, s));
   }
-  std::vector<std::uint8_t> footer(2 * cfg.GroupBytes(), 0);
-  std::memcpy(footer.data(), summary.data(),
-              std::min<std::uint64_t>(summary.size() * sizeof(std::uint32_t), footer.size()));
+  // Footer slot f holds the summary's f-th GroupBytes() of bytes, zero-padded.
+  // One group-sized buffer builds each slot in turn: ProgramGroup copies it
+  // before it returns.
+  const std::uint64_t group_bytes = cfg.GroupBytes();
+  const std::uint64_t summary_bytes = summary.size() * sizeof(std::uint32_t);
+  const auto* summary_data = reinterpret_cast<const std::uint8_t*>(summary.data());
+  std::vector<std::uint8_t> slot(group_bytes);
   bool failed = false;
   for (std::uint32_t f = 0; f < 2; ++f) {
+    const std::uint64_t off = std::min<std::uint64_t>(f * group_bytes, summary_bytes);
+    const std::uint64_t n = std::min(group_bytes, summary_bytes - off);
+    std::memcpy(slot.data(), summary_data + off, n);
+    std::memset(slot.data() + n, 0, group_bytes - n);
     const std::uint32_t phys = GroupOfSlot(active_bg_, data_slots + f);
-    FlashBackbone::OpResult r =
-        backbone_->ProgramGroup(now, phys, footer.data() + f * cfg.GroupBytes(), kOobFooter);
+    FlashBackbone::OpResult r = backbone_->ProgramGroup(now, phys, slot.data(), kOobFooter);
     failed = failed || r.status == IoStatus::kProgramFailed;
     write_drain_horizon_ = std::max(write_drain_horizon_, r.done);
   }

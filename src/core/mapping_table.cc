@@ -45,14 +45,9 @@ void MappingTable::Unmap(std::uint64_t logical_group) {
   }
 }
 
-void MappingTable::Snapshot(std::vector<std::uint8_t>* out) const {
-  out->resize(table_bytes());
-  std::memcpy(out->data(), forward_.data(), table_bytes());
-}
-
-void MappingTable::Restore(const std::vector<std::uint8_t>& snapshot) {
-  FAB_CHECK_EQ(snapshot.size(), table_bytes());
-  std::memcpy(forward_.data(), snapshot.data(), table_bytes());
+void MappingTable::Restore(std::span<const std::uint8_t> bytes) {
+  FAB_CHECK_EQ(bytes.size(), table_bytes());
+  std::memcpy(forward_.data(), bytes.data(), table_bytes());
   // Rebuild the reverse map and count from the restored forward table.
   std::fill(reverse_.begin(), reverse_.end(), kUnmapped);
   mapped_count_ = 0;

@@ -4,13 +4,15 @@
 // resident in the scratchpad (32 GB / 64 KB groups x 4 B entries = 2 MB,
 // matching the paper's scratchpad budget; the constructor checks that the
 // table fits the configured capacity), with a reverse map for GC migration.
-// The table also serializes itself for persistence: Storengine's journaling
-// dumps it to flash and a block-summary footer is written into each sealed
-// block group so the mapping survives power loss.
+// The mapping survives power loss two ways: Storengine's journal dump
+// programs the forward table's bytes() to flash, and Flashvisor writes a
+// block-summary footer (built from ReverseLookup) into each sealed block
+// group.
 #ifndef SRC_CORE_MAPPING_TABLE_H_
 #define SRC_CORE_MAPPING_TABLE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/flash/nand_config.h"
@@ -41,10 +43,13 @@ class MappingTable : public Snapshottable {
   std::uint64_t mapped_count() const { return mapped_count_; }
   std::uint64_t table_bytes() const { return entries() * sizeof(std::uint32_t); }
 
-  // Serializes the forward table into `out` (for journal dumps / block
-  // summaries); Restore() is the inverse, used by recovery tests.
-  void Snapshot(std::vector<std::uint8_t>* out) const;
-  void Restore(const std::vector<std::uint8_t>& snapshot);
+  // The forward table's table_bytes() bytes in place, without a copy (what
+  // the journal dump programs); they change as the table does. Restore() is
+  // the inverse: crash recovery loads a journal back through it.
+  std::span<const std::uint8_t> bytes() const {
+    return {reinterpret_cast<const std::uint8_t*>(forward_.data()), table_bytes()};
+  }
+  void Restore(std::span<const std::uint8_t> bytes);
 
   // Power loss: drops every mapping (the scratchpad is volatile).
   void Clear();

@@ -1,6 +1,7 @@
 #include "src/core/storengine.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -249,13 +250,17 @@ void Storengine::FinishVictim(std::uint64_t victim, Tick barrier,
 }
 
 void Storengine::RunJournalDump(std::function<void(Tick)> done) {
-  // Snapshot the scratchpad-resident mapping table atomically, then stream it
-  // into a dedicated journal block group.
-  std::vector<std::uint8_t> snapshot;
-  fv_->mapping().Snapshot(&snapshot);
+  // Stream the scratchpad-resident mapping table into a dedicated journal
+  // block group. Every program below starts within this one event, and
+  // ProgramGroup copies its payload before it returns, so the dump is an
+  // atomic image of the table without a copy of its own: whole groups program
+  // straight from the table's bytes, and only a partial last group goes
+  // through a zero-padded bounce (a 2 MiB Paper-geometry table is exactly 32
+  // groups and needs none).
+  const std::span<const std::uint8_t> table = fv_->mapping().bytes();
   const auto& cfg = fv_->backbone().config();
   const std::uint64_t group_bytes = cfg.GroupBytes();
-  const std::uint64_t groups_needed = (snapshot.size() + group_bytes - 1) / group_bytes;
+  const std::uint64_t groups_needed = (table.size() + group_bytes - 1) / group_bytes;
   FAB_CHECK_LE(groups_needed, fv_->DataSlotsPerBlockGroup())
       << "mapping snapshot larger than one journal block group";
 
@@ -276,15 +281,18 @@ void Storengine::RunJournalDump(std::function<void(Tick)> done) {
   done = std::move(traced);
   Tick flash_done = iv.end;
   bool failed = false;
-  std::vector<std::uint8_t> buf(group_bytes, 0);
+  std::vector<std::uint8_t> bounce;
   for (std::uint64_t g = 0; g < groups_needed; ++g) {
-    const std::uint64_t off = g * group_bytes;
-    const std::uint64_t n = std::min<std::uint64_t>(group_bytes, snapshot.size() - off);
-    std::fill(buf.begin(), buf.end(), 0);
-    std::copy_n(snapshot.begin() + static_cast<std::ptrdiff_t>(off), n, buf.begin());
+    const std::span<const std::uint8_t> part =
+        table.subspan(g * group_bytes, std::min(group_bytes, table.size() - g * group_bytes));
+    const std::uint8_t* payload = part.data();
+    if (part.size() < group_bytes) {
+      bounce.assign(group_bytes, 0);
+      std::copy(part.begin(), part.end(), bounce.begin());
+      payload = bounce.data();
+    }
     FlashBackbone::OpResult r = fv_->backbone().ProgramGroup(
-        flash_done, fv_->GroupOfSlot(bg, static_cast<std::uint32_t>(g)), buf.data(),
-        kOobJournal);
+        flash_done, fv_->GroupOfSlot(bg, static_cast<std::uint32_t>(g)), payload, kOobJournal);
     failed = failed || r.status == IoStatus::kProgramFailed;
     flash_done = std::max(flash_done, r.done);
   }

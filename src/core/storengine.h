@@ -61,7 +61,10 @@ class Storengine : public Snapshottable {
   // was nothing to do).
   void RunGcPass(std::function<void(Tick)> done);
 
-  // Dumps the mapping table to flash now.
+  // Dumps the mapping table to flash now: its bytes() program a fresh block
+  // group slot by slot (the last slot zero-padded), all started in this call.
+  // `done` fires once the old journal is erased, or when the dump is skipped
+  // (no free block group) or abandoned (a program failed).
   void RunJournalDump(std::function<void(Tick)> done);
 
   // Runs one patrol-scrub pass now: picks the neediest victim (stranded data

@@ -4,10 +4,21 @@
 
 namespace fabacus {
 
+namespace {
+// Host bytes per chunk of the file store. Files sit at model-size offsets and
+// only a functional prefix of each carries data (a 3 KiB vector, a 100-400 KiB
+// operand), so a prefix rarely shares a chunk with another file's bytes, and
+// ByteStore zero-fills whatever part of a fresh chunk a write leaves
+// uncovered. At one page per chunk a file costs the host just the pages its
+// bytes touch; 1 MiB chunks zero-filled (and faulted in) a whole MiB per
+// file. The timing model reads only volumes, so no simulated result moves.
+constexpr std::uint64_t kFileChunkBytes = 4 * 1024;
+}  // namespace
+
 NvmeSsd::NvmeSsd(const NvmeConfig& config)
     : config_(config),
       channel_("nvme", config.read_gb_per_s, config.command_latency),
-      data_(1 << 20) {}
+      data_(kFileChunkBytes) {}
 
 bool NvmeSsd::CreateFile(const std::string& name, std::uint64_t bytes) {
   if (alloc_cursor_ + bytes > config_.capacity_bytes) {

@@ -45,6 +45,8 @@ class NvmeSsd {
              const void* data);
 
   const NvmeConfig& config() const { return config_; }
+  // The sparse store behind the files (for memory-footprint assertions).
+  const ByteStore& contents() const { return data_; }
   double bytes_read() const { return bytes_read_; }
   double bytes_written() const { return bytes_written_; }
   std::uint64_t commands() const { return channel_.transfers(); }

@@ -18,7 +18,7 @@ class StateIO;
 
 class ByteStore {
  public:
-  explicit ByteStore(std::uint64_t chunk_size = 64 * 1024) : chunk_size_(chunk_size) {
+  explicit ByteStore(std::uint64_t chunk_size) : chunk_size_(chunk_size) {
     FAB_CHECK_GT(chunk_size_, 0u);
   }
 

@@ -3,7 +3,9 @@
 // handling, and the device-level CrashAt / RecoverFromFlash flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/core/storengine.h"
@@ -270,6 +272,87 @@ TEST(CrashRecoveryDevice, CrashMidWorkloadRecoversDurableData) {
           [&](RunReport) { rerun_done = true; });
   sim.Run();
   EXPECT_TRUE(rerun_done);
+}
+
+TEST(CrashRecoveryDevice, PaperGeometryJournalAndFooterBytes) {
+  // At Paper geometry the 2 MiB mapping table fills exactly 32 journal
+  // groups and a block summary fits in the first footer slot. Pins the bytes
+  // a journal dump and a seal store there, then recovers every mapping from
+  // flash after a crash.
+  const FlashAbacusConfig cfg = FlashAbacusConfig::Small();
+  Simulator sim;
+  FlashAbacus dev(&sim, cfg);
+  Flashvisor& fv = dev.flashvisor();
+  const FlashBackbone& bb = dev.backbone();
+  const std::uint64_t group_bytes = cfg.nand.GroupBytes();
+  ASSERT_EQ(fv.mapping().table_bytes(), 32 * group_bytes);
+
+  Rng rng(42);
+  std::vector<std::unique_ptr<AppInstance>> insts;
+  for (const char* name : {"GEMM", "ATAX"}) {
+    const Workload* wl = WorkloadRegistry::Get().Find(name);
+    ASSERT_NE(wl, nullptr) << name;
+    insts.push_back(std::make_unique<AppInstance>(0, static_cast<int>(insts.size()),
+                                                  &wl->spec(), cfg.model_scale));
+    wl->Prepare(*insts.back(), rng);
+    ASSERT_TRUE(dev.InstallData(insts.back().get(), [](Tick) {}));
+    sim.Run();
+  }
+  // One block group's worth of timing-only writes fills the installs' block
+  // group, and the allocation after its last data slot seals it.
+  const std::uint32_t data_slots = fv.DataSlotsPerBlockGroup();
+  Flashvisor::IoRequest fill;
+  fill.type = Flashvisor::IoRequest::Type::kWrite;
+  fill.model_bytes = std::uint64_t{data_slots} * group_bytes;
+  fill.flash_addr = fv.AllocLogicalExtent(fill.model_bytes);
+  fill.on_complete = [](Tick, IoStatus) {};
+  fv.SubmitIo(std::move(fill));
+  sim.Run();
+  ASSERT_FALSE(fv.blocks().used().empty());
+  const std::uint64_t sealed = fv.blocks().used().front();
+
+  // Footer 0: the logical group in each data slot, then zeros; footer 1: a
+  // programmed all-zero payload.
+  std::vector<std::vector<std::uint8_t>> footers(2, std::vector<std::uint8_t>(group_bytes, 0));
+  for (std::uint32_t s = 0; s < data_slots; ++s) {
+    const std::uint32_t lg = fv.mapping().ReverseLookup(fv.GroupOfSlot(sealed, s));
+    std::memcpy(footers[0].data() + s * sizeof(lg), &lg, sizeof(lg));
+  }
+  for (std::uint32_t f = 0; f < 2; ++f) {
+    const std::uint32_t g = fv.GroupOfSlot(sealed, data_slots + f);
+    ASSERT_EQ(bb.Oob(g).tag, kOobFooter) << "footer " << f;
+    const std::uint8_t* stored = bb.GroupData(g);
+    ASSERT_NE(stored, nullptr) << "footer " << f;
+    EXPECT_TRUE(std::equal(footers[f].begin(), footers[f].end(), stored)) << "footer " << f;
+  }
+
+  // The journal: 32 groups equal to the table's bytes, and nothing after.
+  bool dumped = false;
+  dev.storengine().RunJournalDump([&](Tick) { dumped = true; });
+  sim.Run();
+  ASSERT_TRUE(dumped);
+  const std::uint64_t journal = dev.storengine().last_journal_bg();
+  const std::span<const std::uint8_t> table = fv.mapping().bytes();
+  for (std::uint32_t j = 0; j < 32; ++j) {
+    const std::uint32_t g = fv.GroupOfSlot(journal, j);
+    ASSERT_EQ(bb.Oob(g).tag, kOobJournal) << "journal group " << j;
+    const std::uint8_t* stored = bb.GroupData(g);
+    ASSERT_NE(stored, nullptr) << "journal group " << j;
+    EXPECT_TRUE(std::equal(stored, stored + group_bytes, table.begin() + j * group_bytes))
+        << "journal group " << j;
+  }
+  EXPECT_EQ(bb.Oob(fv.GroupOfSlot(journal, 32)).tag, kOobUnwritten);
+
+  const std::vector<std::uint8_t> before(table.begin(), table.end());
+  dev.CrashAt(sim.Now() + 1 * kMs);
+  sim.Run();
+  ASSERT_TRUE(dev.crashed());
+  const Flashvisor::RecoveryReport rep = dev.RecoverFromFlash();
+  ASSERT_TRUE(rep.found_journal);
+  EXPECT_EQ(rep.journal_bg, journal);
+  EXPECT_EQ(rep.lost_groups, 0u);
+  const std::span<const std::uint8_t> after = fv.mapping().bytes();
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), before.begin(), before.end()));
 }
 
 TEST(CrashRecoveryDevice, DeterministicCrashAndRecoveryTimeline) {

@@ -92,10 +92,8 @@ TEST(MappingTable, SnapshotRestoreRoundTrips) {
   for (std::uint64_t g = 0; g < 50; ++g) {
     map.Update(g * 3 % map.entries(), static_cast<std::uint32_t>(g));
   }
-  std::vector<std::uint8_t> snap;
-  map.Snapshot(&snap);
   MappingTable restored(nand, &spm);
-  restored.Restore(snap);
+  restored.Restore(map.bytes());
   for (std::uint64_t g = 0; g < map.entries(); ++g) {
     EXPECT_EQ(restored.Lookup(g), map.Lookup(g));
   }

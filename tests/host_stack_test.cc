@@ -3,6 +3,8 @@
 // through the file namespace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/core/trace.h"
@@ -55,6 +57,49 @@ TEST(NvmeSsd, InstallFilePopulatesPrefix) {
   }
   for (std::size_t i = 100; i < 1000; ++i) {
     EXPECT_EQ(out[i], 0);
+  }
+}
+
+TEST(NvmeSsd, FileStoreHoldsOnlyThePagesItsDataTouches) {
+  // As SimdSystem stages them: files at model-size offsets, each carrying a
+  // functional prefix — a 3 KiB vector in a 1.6 MB file and a 2.25 MiB
+  // operand in a 36 MiB file — then a 3 KiB output written into a third.
+  // Every file starts on a page, so each prefix costs its own pages.
+  constexpr std::uint64_t kPage = 4096;
+  struct File {
+    std::string name;
+    std::uint64_t bytes;
+    std::uint64_t prefix;
+  };
+  const std::vector<File> files = {{"vec", 400 * kPage, 3 << 10},
+                                   {"operand", 36ULL << 20, 2304ULL << 10},
+                                   {"out", 1ULL << 20, 3 << 10}};
+  NvmeSsd ssd;
+  std::uint64_t touched = 0;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    std::vector<std::uint8_t> data(files[f].prefix);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 7 + f + 1);
+    }
+    if (files[f].name == "out") {
+      ASSERT_TRUE(ssd.CreateFile(files[f].name, files[f].bytes));
+      ssd.Write(0, files[f].name, 0, data.size(), data.data());
+    } else {
+      ssd.InstallFile(files[f].name, files[f].bytes, data.data(), data.size());
+    }
+    touched += (files[f].prefix + kPage - 1) / kPage * kPage;
+  }
+  EXPECT_EQ(ssd.contents().allocated_chunks() * ssd.contents().chunk_size(), touched);
+
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    std::vector<std::uint8_t> out(files[f].bytes, 0xFF);
+    ssd.Read(0, files[f].name, 0, out.size(), out.data());
+    for (std::size_t i = 0; i < files[f].prefix; ++i) {
+      ASSERT_EQ(out[i], static_cast<std::uint8_t>(i * 7 + f + 1)) << files[f].name << " @" << i;
+    }
+    EXPECT_TRUE(std::all_of(out.begin() + static_cast<std::ptrdiff_t>(files[f].prefix),
+                            out.end(), [](std::uint8_t b) { return b == 0; }))
+        << files[f].name;
   }
 }
 
