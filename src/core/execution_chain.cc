@@ -34,6 +34,12 @@ bool ExecutionChain::IsLoadDone(const AppInstance* inst) const {
   return apps_[static_cast<std::size_t>(FindApp(inst))].load_done;
 }
 
+ExecutionChain::App& ExecutionChain::AppOf(const ScreenRef& ref) {
+  App& app = apps_.at(static_cast<std::size_t>(ref.app));
+  FAB_CHECK(app.inst == ref.inst) << "screen of another app";
+  return app;
+}
+
 ExecutionChain::App& ExecutionChain::Visit(const std::vector<int>* order, std::size_t k) {
   return apps_[order == nullptr ? k : static_cast<std::size_t>((*order)[k])];
 }
@@ -47,6 +53,7 @@ bool ExecutionChain::ReadyScreenOfApp(App& app, ScreenRef* out) {
     return false;  // all screens of the current microblock already in flight
   }
   out->inst = app.inst;
+  out->app = static_cast<int>(&app - apps_.data());
   out->mblk = app.current;
   out->screen = node.dispatched;
   out->num_screens = node.screens_total;
@@ -79,7 +86,7 @@ bool ExecutionChain::NextReadyScreenInOrder(ScreenRef* out, const std::vector<in
 }
 
 void ExecutionChain::OnDispatched(const ScreenRef& ref) {
-  App& app = apps_[static_cast<std::size_t>(FindApp(ref.inst))];
+  App& app = AppOf(ref);
   FAB_CHECK_EQ(ref.mblk, app.current);
   Node& node = app.nodes[static_cast<std::size_t>(ref.mblk)];
   FAB_CHECK_LT(node.dispatched, node.screens_total);
@@ -87,7 +94,7 @@ void ExecutionChain::OnDispatched(const ScreenRef& ref) {
 }
 
 bool ExecutionChain::OnScreenComplete(const ScreenRef& ref) {
-  App& app = apps_[static_cast<std::size_t>(FindApp(ref.inst))];
+  App& app = AppOf(ref);
   Node& node = app.nodes[static_cast<std::size_t>(ref.mblk)];
   ++node.completed;
   FAB_CHECK_LE(node.completed, node.screens_total);

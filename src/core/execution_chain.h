@@ -19,6 +19,7 @@ struct ScreenRef {
   int mblk = 0;
   int screen = 0;
   int num_screens = 1;
+  int app = 0;  // the instance's arrival index in the chain (set by the walkers)
 };
 
 class ExecutionChain {
@@ -69,6 +70,7 @@ class ExecutionChain {
   };
 
   int FindApp(const AppInstance* inst) const;
+  App& AppOf(const ScreenRef& ref);
   // The app visited `k`-th: apps_[(*order)[k]], or apps_[k] without an order.
   App& Visit(const std::vector<int>* order, std::size_t k);
   bool ReadyScreenOfApp(App& app, ScreenRef* out);

@@ -1,10 +1,11 @@
 #include "src/core/flashabacus.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <memory>
-#include <unordered_map>
+#include <numeric>
+#include <span>
+#include <utility>
 
 #include "src/sim/log.h"
 
@@ -63,35 +64,81 @@ const char* SchedulerKindName(SchedulerKind kind) {
   return "?";
 }
 
+// One offloaded kernel in flight: the section requests still pending on its
+// behalf and the inter-kernel worker stalled on its data.
+struct FlashAbacus::KernelRun {
+  AppInstance* inst = nullptr;
+  int heads_pending = 0;   // head reads: the compute gate
+  int tails_pending = 0;   // streamed tails, still arriving
+  int stores_pending = 0;  // output writebacks
+  bool computed = false;   // every microblock ran
+  int stalled_worker = -1;
+};
+
 // An inter-kernel queue entry. `resume_mblk` is 0 for fresh kernels and the
 // next microblock for kernels a weighted-fair preemption point re-queued.
 struct FlashAbacus::PendingKernel {
-  AppInstance* inst = nullptr;
+  KernelRun* kernel = nullptr;
   int resume_mblk = 0;
 };
 
 struct FlashAbacus::RunState {
   SchedulerKind kind = SchedulerKind::kIntraOutOfOrder;
-  std::vector<AppInstance*> instances;
+  // Arrival order, as in the chain; filled once, so KernelRun* stays valid.
+  std::vector<KernelRun> kernels;
   std::function<void(RunReport)> done_cb;
   ExecutionChain chain;
   Tick start_time = 0;
 
   std::vector<bool> worker_free;
-  std::vector<std::deque<PendingKernel>> static_queues;  // per worker
-  std::deque<PendingKernel> dynamic_queue;
-
-  // Inter-kernel: worker stalled waiting for an instance's load.
-  std::unordered_map<AppInstance*, int> waiting_worker;
-  std::unordered_map<AppInstance*, int> loads_pending;  // head requests (compute gate)
-  std::unordered_map<AppInstance*, int> tails_pending;  // streamed tails
-  std::unordered_map<AppInstance*, bool> awaiting_tail; // compute done, tails not
-  std::unordered_map<AppInstance*, int> stores_pending;
+  // Inter-kernel queues: one per worker (InterSt) or one shared (InterDy).
+  std::vector<std::deque<PendingKernel>> queues;
 
   int instances_remaining = 0;
   bool finished = false;
   RunReport result;
+
+  bool inter() const {
+    return kind == SchedulerKind::kInterStatic || kind == SchedulerKind::kInterDynamic;
+  }
+  // The queue `worker` takes its kernels from.
+  std::deque<PendingKernel>& queue(std::size_t worker) {
+    return queues[kind == SchedulerKind::kInterStatic ? worker : 0];
+  }
 };
+
+namespace {
+
+// A `type` request for `bytes` of section `s` from byte `offset`, carrying
+// whatever functional bytes of the section fall inside it.
+Flashvisor::IoRequest SectionIo(AppInstance* inst, const DataSection& s,
+                                Flashvisor::IoRequest::Type type, std::uint64_t offset,
+                                std::uint64_t bytes) {
+  const std::span<std::uint8_t> data = inst->SectionData(s);
+  Flashvisor::IoRequest req;
+  req.type = type;
+  req.flash_addr = s.flash_addr + offset;
+  req.model_bytes = bytes;
+  req.tenant = inst->tenant;
+  if (offset < data.size()) {
+    req.func_data = data.data() + offset;
+    req.func_bytes = std::min<std::uint64_t>(data.size() - offset, bytes);
+  }
+  return req;
+}
+
+// A load of input section `s` whose read lock stays held until the kernel
+// finishes.
+Flashvisor::IoRequest SectionLoad(AppInstance* inst, DataSection* s, std::uint64_t offset,
+                                  std::uint64_t bytes) {
+  Flashvisor::IoRequest req =
+      SectionIo(inst, *s, Flashvisor::IoRequest::Type::kRead, offset, bytes);
+  req.hold_lock = true;
+  req.lock_holder = [s](RangeLock::LockId id) { s->lock_ids.push_back(id); };
+  return req;
+}
+
+}  // namespace
 
 FlashAbacus::FlashAbacus(Simulator* sim, const FlashAbacusConfig& config)
     : sim_(sim), config_(config) {
@@ -321,8 +368,8 @@ void FlashAbacus::Crash() {
   if (run_ != nullptr) {
     // The range lock died with the device; the abandoned run's lock handles
     // are meaningless and must not be released against the rebuilt lock.
-    for (AppInstance* inst : run_->instances) {
-      for (DataSection& s : inst->sections()) {
+    for (KernelRun& kr : run_->kernels) {
+      for (DataSection& s : kr.inst->sections()) {
         s.lock_ids.clear();
       }
     }
@@ -347,32 +394,14 @@ Flashvisor::RecoveryReport FlashAbacus::RecoverFromFlash() {
 
 FlashAbacus::~FlashAbacus() = default;
 
-std::uint64_t FlashAbacus::SectionFuncBytes(const AppInstance& inst,
-                                            const DataSection& s) const {
-  if (s.spec->buffer_index < 0) {
-    return 0;
-  }
-  return inst.buffer(s.spec->buffer_index).size() * sizeof(float);
-}
-
 bool FlashAbacus::InstallData(AppInstance* inst, std::function<void(Tick)> done) {
   // Materialize the instance's data sections: allocate logical flash extents
   // (charged against the tenant's flash-space quota, all-or-nothing) and
   // stream the input buffers in through Flashvisor's normal write path.
-  inst->sections().clear();
+  inst->LayOutSections();
   std::vector<std::uint64_t> sizes;
-  for (const DataSectionSpec& spec : inst->spec().sections) {
-    DataSection s;
-    s.spec = &spec;
-    std::uint64_t func_bytes = 0;
-    if (spec.buffer_index >= 0) {
-      func_bytes = inst->buffer(spec.buffer_index).size() * sizeof(float);
-    }
-    const double model = inst->model_input_bytes() * spec.model_fraction;
-    s.model_bytes = std::max<std::uint64_t>(static_cast<std::uint64_t>(model), func_bytes);
-    s.model_bytes = std::max<std::uint64_t>(s.model_bytes, 1);
+  for (const DataSection& s : inst->sections()) {
     sizes.push_back(s.model_bytes);
-    inst->sections().push_back(s);
   }
   std::vector<std::uint64_t> addrs;
   if (!flashvisor_->TryAllocTenantExtents(inst->tenant, sizes, &addrs)) {
@@ -390,15 +419,8 @@ bool FlashAbacus::InstallData(AppInstance* inst, std::function<void(Tick)> done)
       continue;
     }
     ++*pending;
-    Flashvisor::IoRequest req;
-    req.type = Flashvisor::IoRequest::Type::kWrite;
-    req.flash_addr = s.flash_addr;
-    req.model_bytes = s.model_bytes;
-    req.tenant = inst->tenant;
-    if (s.spec->buffer_index >= 0) {
-      req.func_data = inst->buffer(s.spec->buffer_index).data();
-      req.func_bytes = SectionFuncBytes(*inst, s);
-    }
+    Flashvisor::IoRequest req =
+        SectionIo(inst, s, Flashvisor::IoRequest::Type::kWrite, 0, s.model_bytes);
     req.on_complete = [pending, latest, done](Tick t, IoStatus) {
       *latest = std::max(*latest, t);
       if (--*pending == 0) {
@@ -416,16 +438,11 @@ bool FlashAbacus::InstallData(AppInstance* inst, std::function<void(Tick)> done)
 void FlashAbacus::ReadSectionFromFlash(AppInstance* inst, int section_idx,
                                        std::vector<float>* out,
                                        std::function<void(Tick)> done) {
-  DataSection& s = inst->sections().at(static_cast<std::size_t>(section_idx));
-  const std::uint64_t func_bytes = SectionFuncBytes(*inst, s);
-  out->assign(func_bytes / sizeof(float), 0.0f);
-  Flashvisor::IoRequest req;
-  req.type = Flashvisor::IoRequest::Type::kRead;
-  req.flash_addr = s.flash_addr;
-  req.model_bytes = s.model_bytes;
-  req.tenant = inst->tenant;
+  const DataSection& s = inst->sections().at(static_cast<std::size_t>(section_idx));
+  Flashvisor::IoRequest req =
+      SectionIo(inst, s, Flashvisor::IoRequest::Type::kRead, 0, s.model_bytes);
+  out->assign(req.func_bytes / sizeof(float), 0.0f);
   req.func_data = out->data();
-  req.func_bytes = func_bytes;
   req.on_complete = [done = std::move(done)](Tick t, IoStatus) { done(t); };
   SubmitIoReliable(std::move(req));
 }
@@ -437,34 +454,36 @@ void FlashAbacus::Run(std::vector<AppInstance*> instances, SchedulerKind kind,
   run_ = std::make_unique<RunState>();
   RunState* rs = run_.get();
   rs->kind = kind;
-  rs->instances = std::move(instances);
+  for (AppInstance* inst : instances) {
+    rs->kernels.push_back(KernelRun{.inst = inst});
+  }
   rs->done_cb = std::move(done);
   rs->start_time = sim_->Now();
   rs->worker_free.assign(workers_.size(), true);
-  rs->static_queues.assign(workers_.size(), {});
-  rs->instances_remaining = static_cast<int>(rs->instances.size());
+  rs->queues.resize(kind == SchedulerKind::kInterStatic ? workers_.size() : rs->inter() ? 1 : 0);
+  rs->instances_remaining = static_cast<int>(rs->kernels.size());
   rs->result.system = SchedulerKindName(kind);
 
   storengine_->Start();
 
   // Inter-kernel modes execute each kernel as a single instruction stream,
   // so their chain nodes have exactly one screen per microblock.
-  const bool inter = kind == SchedulerKind::kInterStatic || kind == SchedulerKind::kInterDynamic;
-  const int fanout = inter ? 1 : num_workers();
-  for (AppInstance* inst : rs->instances) {
-    rs->chain.AddApp(inst, fanout);
-    inst->submit_time = sim_->Now();
-    tenants_->OnSubmit(inst->tenant, sim_->Now());
-    OffloadKernel(rs, inst);
+  const int fanout = rs->inter() ? 1 : num_workers();
+  for (KernelRun& kr : rs->kernels) {
+    rs->chain.AddApp(kr.inst, fanout);
+    kr.inst->submit_time = sim_->Now();
+    tenants_->OnSubmit(kr.inst->tenant, sim_->Now());
+    OffloadKernel(rs, &kr);
   }
 }
 
-void FlashAbacus::OffloadKernel(RunState* rs, AppInstance* inst) {
+void FlashAbacus::OffloadKernel(RunState* rs, KernelRun* kr) {
   // Host-side toolchain: serialize the kernel into its description table
   // (real bytes — an ELF-like object, see kernel_table.h), then write it
   // through the PCIe BAR into DDR3L and raise an interrupt that Flashvisor
   // services (paper §4, "Offload"/"Execution"). The transferred payload is
   // the table plus the .text/.heap/.stack images it declares.
+  AppInstance* inst = kr->inst;
   auto table = std::make_shared<std::vector<std::uint8_t>>(
       SerializeKernelTable(inst->spec()));
   const double table_bytes =
@@ -472,7 +491,7 @@ void FlashAbacus::OffloadKernel(RunState* rs, AppInstance* inst) {
   const BandwidthResource::Reservation r = pcie_->Reserve(sim_->Now(), table_bytes);
   trace_.Add(TraceTag::kPcieXfer, r.start, r.end);
   const Tick dram_done = dram_->BulkAccess(r.end, table_bytes);
-  sim_->ScheduleAt(dram_done, [this, rs, inst, table]() {
+  sim_->ScheduleAt(dram_done, [this, rs, kr, inst, table]() {
     // Interrupt -> Flashvisor parses and validates the description table
     // before registering the kernel (a corrupted offload must not execute).
     KernelSpec parsed;
@@ -482,18 +501,18 @@ void FlashAbacus::OffloadKernel(RunState* rs, AppInstance* inst) {
     FAB_CHECK_EQ(parsed.name, inst->spec().name);
     FAB_CHECK_EQ(parsed.num_microblocks(), inst->spec().num_microblocks());
     FAB_CHECK_EQ(parsed.sections.size(), inst->spec().sections.size());
-    StartLoad(rs, inst);
+    StartLoad(rs, kr);
     if (tenants_->weighted_fair()) {
       // Activation clamp: a tenant that was idle must not bank credit — its
       // virtual time jumps forward to the floor of the currently-active set,
       // so it competes fairly from "now" instead of replaying its idle past.
       double floor_vt = 0.0;
       bool have_floor = false;
-      for (const AppInstance* other : rs->instances) {
-        if (other->tenant == inst->tenant || other->done) {
+      for (const KernelRun& other : rs->kernels) {
+        if (other.inst->tenant == inst->tenant || other.inst->done) {
           continue;
         }
-        const double vt = tenants_->virtual_time(other->tenant);
+        const double vt = tenants_->virtual_time(other.inst->tenant);
         if (!have_floor || vt < floor_vt) {
           floor_vt = vt;
           have_floor = true;
@@ -503,22 +522,15 @@ void FlashAbacus::OffloadKernel(RunState* rs, AppInstance* inst) {
         tenants_->ClampVirtualTime(inst->tenant, floor_vt);
       }
     }
-    switch (rs->kind) {
-      case SchedulerKind::kInterStatic:
-        rs->static_queues[static_cast<std::size_t>(inst->app_id()) % workers_.size()]
-            .push_back(PendingKernel{inst, 0});
-        break;
-      case SchedulerKind::kInterDynamic:
-        rs->dynamic_queue.push_back(PendingKernel{inst, 0});
-        break;
-      default:
-        break;
+    if (rs->inter()) {
+      rs->queue(static_cast<std::size_t>(inst->app_id()) % workers_.size())
+          .push_back(PendingKernel{kr, 0});
     }
     TryDispatch(rs);
   });
 }
 
-void FlashAbacus::StartLoad(RunState* rs, AppInstance* inst) {
+void FlashAbacus::StartLoad(RunState* rs, KernelRun* kr) {
   // Streamed loads (paper §2.2: DDR3L hides flash latency): each input
   // section splits into a *head* request — the prefix the kernel needs
   // before its first microblock can run — and a background *tail* that
@@ -526,19 +538,7 @@ void FlashAbacus::StartLoad(RunState* rs, AppInstance* inst) {
   // covers their offsets; both hold read locks until the kernel finishes.
   const std::uint64_t group_bytes = backbone_->config().GroupBytes();
   const double head_frac = std::clamp(config_.load_stream_fraction, 0.0, 1.0);
-
-  int n_heads = 0;
-  int n_tails = 0;
-  struct Piece {
-    DataSection* section;
-    std::uint64_t addr;
-    std::uint64_t model_bytes;
-    void* func_data;
-    std::uint64_t func_bytes;
-    bool is_head;
-  };
-  std::vector<Piece> pieces;
-  for (DataSection& s : inst->sections()) {
+  for (DataSection& s : kr->inst->sections()) {
     if (s.spec->dir != DataSectionSpec::Dir::kIn) {
       continue;
     }
@@ -547,118 +547,67 @@ void FlashAbacus::StartLoad(RunState* rs, AppInstance* inst) {
         static_cast<double>(n_groups) * head_frac + 0.999);
     head_groups = std::max<std::uint64_t>(1, std::min(head_groups, n_groups));
     const std::uint64_t head_bytes = std::min(head_groups * group_bytes, s.model_bytes);
-    std::uint8_t* func = nullptr;
-    std::uint64_t func_bytes = 0;
-    if (s.spec->buffer_index >= 0) {
-      func = reinterpret_cast<std::uint8_t*>(inst->buffer(s.spec->buffer_index).data());
-      func_bytes = SectionFuncBytes(*inst, s);
-    }
-    pieces.push_back(Piece{&s, s.flash_addr, head_bytes, func,
-                           std::min(func_bytes, head_bytes), true});
-    ++n_heads;
+    Flashvisor::IoRequest head = SectionLoad(kr->inst, &s, 0, head_bytes);
+    head.on_complete = [this, rs, kr](Tick t, IoStatus) {
+      if (--kr->heads_pending == 0) {
+        OnLoaded(rs, kr, t);
+      }
+    };
+    ++kr->heads_pending;
+    SubmitIoReliable(std::move(head));
     if (head_bytes < s.model_bytes) {
-      const std::uint64_t tail_func =
-          func_bytes > head_bytes ? func_bytes - head_bytes : 0;
-      pieces.push_back(Piece{&s, s.flash_addr + head_groups * group_bytes,
-                             s.model_bytes - head_bytes,
-                             tail_func > 0 ? func + head_bytes : nullptr, tail_func, false});
-      ++n_tails;
+      ++kr->tails_pending;
+      StreamTail(rs, kr, &s, head_bytes);
     }
   }
-  rs->loads_pending[inst] = n_heads;
-  rs->tails_pending[inst] = n_tails;
-  rs->awaiting_tail[inst] = false;
-  if (n_heads == 0) {
-    inst->load_done_time = sim_->Now();
-    rs->chain.MarkLoadDone(inst);
-    TryDispatch(rs);
-    return;
-  }
-  for (Piece& p : pieces) {
-    Flashvisor::IoRequest req;
-    req.type = Flashvisor::IoRequest::Type::kRead;
-    req.flash_addr = p.addr;
-    req.model_bytes = p.model_bytes;
-    req.tenant = inst->tenant;
-    req.func_data = p.func_data;
-    req.func_bytes = p.func_bytes;
-    req.hold_lock = true;
-    DataSection* section = p.section;
-    req.lock_holder = [section](RangeLock::LockId id) { section->lock_ids.push_back(id); };
-    if (p.is_head) {
-      req.on_complete = [this, rs, inst](Tick t, IoStatus) {
-        if (--rs->loads_pending[inst] == 0) {
-          inst->load_done_time = t;
-          rs->chain.MarkLoadDone(inst);
-          // Wake a worker stalled on this kernel's data (inter-kernel modes).
-          auto it = rs->waiting_worker.find(inst);
-          if (it != rs->waiting_worker.end()) {
-            const int w = it->second;
-            rs->waiting_worker.erase(it);
-            RunKernelMicroblock(rs, inst, w, 0);
-          } else {
-            TryDispatch(rs);
-          }
-        }
-      };
-      SubmitIoReliable(std::move(req));
-    } else {
-      // Tails self-pace: one outstanding chunk per section, so background
-      // streaming never books the whole device ahead of other kernels'
-      // demand (head) fetches.
-      StreamTail(rs, inst, p.section, p.addr, p.model_bytes,
-                 static_cast<std::uint8_t*>(p.func_data), p.func_bytes);
-    }
+  if (kr->heads_pending == 0) {
+    OnLoaded(rs, kr, sim_->Now());
   }
 }
 
-void FlashAbacus::StreamTail(RunState* rs, AppInstance* inst, DataSection* section,
-                             std::uint64_t addr, std::uint64_t remaining,
-                             std::uint8_t* func_data, std::uint64_t func_remaining) {
-  const std::uint64_t group_bytes = backbone_->config().GroupBytes();
-  const std::uint64_t chunk = std::min<std::uint64_t>(remaining, 16 * group_bytes);
-  Flashvisor::IoRequest req;
-  req.type = Flashvisor::IoRequest::Type::kRead;
-  req.flash_addr = addr;
-  req.model_bytes = chunk;
-  req.tenant = inst->tenant;
-  req.func_data = func_remaining > 0 ? func_data : nullptr;
-  req.func_bytes = std::min(func_remaining, chunk);
-  req.hold_lock = true;
-  req.lock_holder = [section](RangeLock::LockId id) { section->lock_ids.push_back(id); };
-  req.on_complete = [this, rs, inst, section, addr, remaining, chunk, func_data,
-                     func_remaining](Tick, IoStatus) {
-    if (remaining > chunk) {
-      const std::uint64_t consumed_func = std::min(func_remaining, chunk);
-      StreamTail(rs, inst, section, addr + chunk, remaining - chunk,
-                 func_data == nullptr ? nullptr : func_data + consumed_func,
-                 func_remaining - consumed_func);
-      return;
-    }
-    if (--rs->tails_pending[inst] == 0 && rs->awaiting_tail[inst]) {
-      rs->awaiting_tail[inst] = false;
-      StartWriteback(rs, inst);
+void FlashAbacus::StreamTail(RunState* rs, KernelRun* kr, DataSection* s, std::uint64_t offset) {
+  // Tails self-pace: one outstanding chunk per section, so background
+  // streaming never books the whole device ahead of other kernels' demand
+  // (head) fetches.
+  const std::uint64_t chunk =
+      std::min<std::uint64_t>(s->model_bytes - offset, 16 * backbone_->config().GroupBytes());
+  Flashvisor::IoRequest req = SectionLoad(kr->inst, s, offset, chunk);
+  req.on_complete = [this, rs, kr, s, next = offset + chunk](Tick, IoStatus) {
+    if (next < s->model_bytes) {
+      StreamTail(rs, kr, s, next);
+    } else if (--kr->tails_pending == 0 && kr->computed) {
+      StartWriteback(rs, kr);
     }
   };
   SubmitIoReliable(std::move(req));
 }
 
-void FlashAbacus::OnComputeDone(RunState* rs, AppInstance* inst) {
-  inst->compute_done_time = sim_->Now();
-  if (rs->tails_pending[inst] > 0) {
-    // The kernel consumed its streamed input no faster than it arrived:
-    // completion waits for the last tail bytes.
-    rs->awaiting_tail[inst] = true;
-    return;
+void FlashAbacus::OnLoaded(RunState* rs, KernelRun* kr, Tick when) {
+  kr->inst->load_done_time = when;
+  rs->chain.MarkLoadDone(kr->inst);
+  // Wake a worker stalled on this kernel's data (inter-kernel modes).
+  if (kr->stalled_worker >= 0) {
+    RunKernelMicroblock(rs, kr, std::exchange(kr->stalled_worker, -1), 0);
+  } else {
+    TryDispatch(rs);
   }
-  StartWriteback(rs, inst);
+}
+
+void FlashAbacus::OnComputeDone(RunState* rs, KernelRun* kr) {
+  kr->inst->compute_done_time = sim_->Now();
+  kr->computed = true;
+  // A kernel that consumed its streamed input no faster than it arrived
+  // writes back once the last tail lands.
+  if (kr->tails_pending == 0) {
+    StartWriteback(rs, kr);
+  }
 }
 
 void FlashAbacus::TryDispatch(RunState* rs) {
   if (rs->finished) {
     return;
   }
-  if (rs->kind == SchedulerKind::kInterStatic || rs->kind == SchedulerKind::kInterDynamic) {
+  if (rs->inter()) {
     DispatchInterKernel(rs);
   } else {
     DispatchIntraKernel(rs);
@@ -684,13 +633,11 @@ bool FlashAbacus::PrefersTenant(TenantId a, TenantId b) const {
 
 std::vector<int> FlashAbacus::TenantDispatchOrder(const RunState* rs) const {
   // Stable, so instances of one tenant keep their submission order.
-  std::vector<int> order(rs->instances.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<int>(i);
-  }
+  std::vector<int> order(rs->kernels.size());
+  std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [this, rs](int a, int b) {
-    return PrefersTenant(rs->instances[static_cast<std::size_t>(a)]->tenant,
-                         rs->instances[static_cast<std::size_t>(b)]->tenant);
+    return PrefersTenant(rs->kernels[static_cast<std::size_t>(a)].inst->tenant,
+                         rs->kernels[static_cast<std::size_t>(b)].inst->tenant);
   });
   return order;
 }
@@ -699,23 +646,20 @@ std::size_t FlashAbacus::PickPendingKernel(const std::deque<PendingKernel>& q) c
   // The earliest-queued kernel of the most preferred tenant.
   std::size_t best = 0;
   for (std::size_t i = 1; i < q.size(); ++i) {
-    if (PrefersTenant(q[i].inst->tenant, q[best].inst->tenant)) {
+    if (PrefersTenant(q[i].kernel->inst->tenant, q[best].kernel->inst->tenant)) {
       best = i;
     }
   }
   return best;
 }
 
-bool FlashAbacus::ShouldPreemptInter(const RunState* rs, const AppInstance* inst,
-                                     int worker) const {
-  if (!tenants_->weighted_fair() || tenants_->latency_class(inst->tenant)) {
+bool FlashAbacus::ShouldPreemptInter(RunState* rs, const KernelRun* kr, int worker) const {
+  if (!tenants_->weighted_fair() || tenants_->latency_class(kr->inst->tenant)) {
     return false;
   }
-  const std::deque<PendingKernel>& q = rs->kind == SchedulerKind::kInterStatic
-                                           ? rs->static_queues[static_cast<std::size_t>(worker)]
-                                           : rs->dynamic_queue;
-  for (const PendingKernel& pk : q) {
-    if (tenants_->latency_class(pk.inst->tenant) && rs->chain.IsLoadDone(pk.inst)) {
+  for (const PendingKernel& pk : rs->queue(static_cast<std::size_t>(worker))) {
+    if (tenants_->latency_class(pk.kernel->inst->tenant) &&
+        rs->chain.IsLoadDone(pk.kernel->inst)) {
       return true;
     }
   }
@@ -724,12 +668,8 @@ bool FlashAbacus::ShouldPreemptInter(const RunState* rs, const AppInstance* inst
 
 void FlashAbacus::DispatchInterKernel(RunState* rs) {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (!rs->worker_free[w]) {
-      continue;
-    }
-    std::deque<PendingKernel>& q =
-        rs->kind == SchedulerKind::kInterStatic ? rs->static_queues[w] : rs->dynamic_queue;
-    if (q.empty()) {
+    std::deque<PendingKernel>& q = rs->queue(w);
+    if (!rs->worker_free[w] || q.empty()) {
       continue;
     }
     const std::size_t pick = tenants_->weighted_fair() ? PickPendingKernel(q) : 0;
@@ -739,73 +679,35 @@ void FlashAbacus::DispatchInterKernel(RunState* rs) {
     const int worker = static_cast<int>(w);
     flashvisor_->RunSchedulingTask([this, rs, pk, worker](Tick t) {
       trace_.Add(TraceTag::kSchedule, t - flashvisor_->config().scheduling_cost, t);
-      RunWholeKernel(rs, pk.inst, worker, pk.resume_mblk);
+      // PSC wake/boot sequence, then the kernel runs as a single instruction
+      // stream: every microblock in order on this one LWP, a preempted one
+      // from the microblock boundary where it yielded.
+      workers_[static_cast<std::size_t>(worker)]->BootKernel(sim_->Now());
+      if (!rs->chain.IsLoadDone(pk.kernel->inst)) {
+        // Stall (occupied but not utilized) until the data sections arrive.
+        FAB_CHECK_EQ(pk.resume_mblk, 0);  // a preempted kernel already had its data
+        pk.kernel->stalled_worker = worker;
+        return;
+      }
+      RunKernelMicroblock(rs, pk.kernel, worker, pk.resume_mblk);
     });
   }
 }
 
-void FlashAbacus::RunWholeKernel(RunState* rs, AppInstance* inst, int worker, int start_mblk) {
-  // PSC wake/boot sequence, then execute the kernel as a single instruction
-  // stream: every microblock in order on this one LWP. A preempted kernel
-  // resumes at the microblock boundary where it yielded.
-  workers_[static_cast<std::size_t>(worker)]->BootKernel(sim_->Now());
-  if (!rs->chain.IsLoadDone(inst)) {
-    // Stall (occupied but not utilized) until the data sections arrive.
-    FAB_CHECK_EQ(start_mblk, 0);  // a preempted kernel already had its data
-    rs->waiting_worker[inst] = worker;
-    return;
-  }
-  RunKernelMicroblock(rs, inst, worker, start_mblk);
-}
-
-void FlashAbacus::RunKernelMicroblock(RunState* rs, AppInstance* inst, int worker, int mblk) {
-  Lwp& lwp = *workers_[static_cast<std::size_t>(worker)];
-  const ScreenWork work = ComputeScreenWork(*inst, mblk, 0, 1);
-  tenants_->ChargeWork(inst->tenant, work.instructions);
-  const Lwp::ScreenTiming t = lwp.ExecuteScreen(sim_->Now(), work);
-  trace_.Add(TraceTag::kLwpCompute, t.start, t.end, t.avg_fus_busy, lwp.id());
-  ScreenRef ref{inst, mblk, 0, 1};
+void FlashAbacus::RunKernelMicroblock(RunState* rs, KernelRun* kr, int worker, int mblk) {
+  const ScreenRef ref{kr->inst, mblk, 0, 1, static_cast<int>(kr - rs->kernels.data())};
+  tenants_->ChargeWork(kr->inst->tenant, ComputeScreenWork(*kr->inst, mblk, 0, 1).instructions);
   rs->chain.OnDispatched(ref);
-  sim_->ScheduleAt(t.end, [this, rs, inst, worker, mblk, ref]() {
-    const MicroblockSpec& spec = inst->spec().microblocks[static_cast<std::size_t>(mblk)];
-    if (spec.body) {
-      spec.body(*inst, 0, spec.func_iterations);
-    }
-    const bool kernel_done = rs->chain.OnScreenComplete(ref);
-    if (!kernel_done) {
-      if (ShouldPreemptInter(rs, inst, worker)) {
-        // Weighted-fair preemption point: yield the LWP to a queued
-        // latency-class kernel; this one re-queues at its next microblock.
-        std::deque<PendingKernel>& q =
-            rs->kind == SchedulerKind::kInterStatic
-                ? rs->static_queues[static_cast<std::size_t>(worker)]
-                : rs->dynamic_queue;
-        q.push_back(PendingKernel{inst, mblk + 1});
-        rs->worker_free[static_cast<std::size_t>(worker)] = true;
-        TryDispatch(rs);
-        return;
-      }
-      RunKernelMicroblock(rs, inst, worker, mblk + 1);
-      return;
-    }
-    rs->worker_free[static_cast<std::size_t>(worker)] = true;
-    OnComputeDone(rs, inst);
-    TryDispatch(rs);
-  });
+  RunScreen(rs, ref, worker, sim_->Now());
 }
 
 void FlashAbacus::DispatchIntraKernel(RunState* rs) {
   while (true) {
-    int worker = -1;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (rs->worker_free[w]) {
-        worker = static_cast<int>(w);
-        break;
-      }
-    }
-    if (worker < 0) {
+    const auto idle = std::find(rs->worker_free.begin(), rs->worker_free.end(), true);
+    if (idle == rs->worker_free.end()) {
       return;
     }
+    const int worker = static_cast<int>(idle - rs->worker_free.begin());
     // Re-rank every iteration under weighted-fair QoS: each dispatch advances
     // the tenant's virtual time, which can flip the preference before the
     // next free worker.
@@ -831,16 +733,15 @@ void FlashAbacus::DispatchIntraKernel(RunState* rs) {
     // the fine-granularity overhead the paper measures against IntraO3.
     flashvisor_->RunSchedulingTask([this, rs, ref, worker](Tick t) {
       trace_.Add(TraceTag::kSchedule, t - flashvisor_->config().scheduling_cost, t);
-      ExecuteScreenOn(rs, ref, worker);
+      RunScreen(rs, ref, worker, sim_->Now() + flashvisor_->config().queue_latency);
     });
   }
 }
 
-void FlashAbacus::ExecuteScreenOn(RunState* rs, const ScreenRef& ref, int worker) {
+void FlashAbacus::RunScreen(RunState* rs, const ScreenRef& ref, int worker, Tick start) {
   Lwp& lwp = *workers_[static_cast<std::size_t>(worker)];
-  const ScreenWork work = ComputeScreenWork(*ref.inst, ref.mblk, ref.screen, ref.num_screens);
-  const Tick start = sim_->Now() + flashvisor_->config().queue_latency;
-  const Lwp::ScreenTiming t = lwp.ExecuteScreen(start, work);
+  const Lwp::ScreenTiming t = lwp.ExecuteScreen(
+      start, ComputeScreenWork(*ref.inst, ref.mblk, ref.screen, ref.num_screens));
   trace_.Add(TraceTag::kLwpCompute, t.start, t.end, t.avg_fus_busy, lwp.id());
   sim_->ScheduleAt(t.end, [this, rs, ref, worker]() {
     const MicroblockSpec& spec =
@@ -851,67 +752,60 @@ void FlashAbacus::ExecuteScreenOn(RunState* rs, const ScreenRef& ref, int worker
       ScreenFuncRange(*ref.inst, ref.mblk, ref.screen, ref.num_screens, &begin, &end);
       spec.body(*ref.inst, begin, end);
     }
+    KernelRun* kr = &rs->kernels[static_cast<std::size_t>(ref.app)];
     const bool kernel_done = rs->chain.OnScreenComplete(ref);
+    if (rs->inter() && !kernel_done) {
+      // An inter-kernel stream runs on to its next microblock, unless a
+      // weighted-fair preemption point yields the LWP to a queued
+      // latency-class kernel; this one re-queues at its next microblock.
+      if (!ShouldPreemptInter(rs, kr, worker)) {
+        RunKernelMicroblock(rs, kr, worker, ref.mblk + 1);
+        return;
+      }
+      rs->queue(static_cast<std::size_t>(worker)).push_back(PendingKernel{kr, ref.mblk + 1});
+    }
     rs->worker_free[static_cast<std::size_t>(worker)] = true;
     if (kernel_done) {
-      OnComputeDone(rs, ref.inst);
+      OnComputeDone(rs, kr);
     }
     TryDispatch(rs);
   });
 }
 
-void FlashAbacus::StartWriteback(RunState* rs, AppInstance* inst) {
+void FlashAbacus::StartWriteback(RunState* rs, KernelRun* kr) {
   // The kernel no longer uses its input mappings: release the read locks.
-  for (DataSection& s : inst->sections()) {
+  for (DataSection& s : kr->inst->sections()) {
     for (std::uint64_t id : s.lock_ids) {
       flashvisor_->ReleaseLock(id);
     }
     s.lock_ids.clear();
   }
-  int n_outputs = 0;
-  for (DataSection& s : inst->sections()) {
-    if (s.spec->dir == DataSectionSpec::Dir::kOut) {
-      ++n_outputs;
-    }
-  }
-  rs->stores_pending[inst] = n_outputs;
-  if (n_outputs == 0) {
-    FinishInstance(rs, inst, sim_->Now());
-    return;
-  }
-  for (DataSection& s : inst->sections()) {
+  for (const DataSection& s : kr->inst->sections()) {
     if (s.spec->dir != DataSectionSpec::Dir::kOut) {
       continue;
     }
-    Flashvisor::IoRequest req;
-    req.type = Flashvisor::IoRequest::Type::kWrite;
-    req.flash_addr = s.flash_addr;
-    req.model_bytes = s.model_bytes;
-    req.tenant = inst->tenant;
-    if (s.spec->buffer_index >= 0) {
-      req.func_data = inst->buffer(s.spec->buffer_index).data();
-      req.func_bytes = SectionFuncBytes(*inst, s);
-    }
-    req.on_complete = [this, rs, inst](Tick t, IoStatus) {
-      if (--rs->stores_pending[inst] == 0) {
-        FinishInstance(rs, inst, t);
+    Flashvisor::IoRequest req =
+        SectionIo(kr->inst, s, Flashvisor::IoRequest::Type::kWrite, 0, s.model_bytes);
+    req.on_complete = [this, rs, kr](Tick t, IoStatus) {
+      if (--kr->stores_pending == 0) {
+        FinishInstance(rs, kr, t);
       }
     };
+    ++kr->stores_pending;
     SubmitIoReliable(std::move(req));
+  }
+  if (kr->stores_pending == 0) {
+    FinishInstance(rs, kr, sim_->Now());
   }
 }
 
-void FlashAbacus::FinishInstance(RunState* rs, AppInstance* inst, Tick when) {
+void FlashAbacus::FinishInstance(RunState* rs, KernelRun* kr, Tick when) {
+  AppInstance* inst = kr->inst;
   inst->complete_time = when;
   inst->done = true;
   rs->result.completion_times.push_back(when - rs->start_time);
   tenants_->OnComplete(inst->tenant, TicksToMs(when - inst->submit_time), when);
-  --rs->instances_remaining;
-  MaybeFinishRun(rs);
-}
-
-void FlashAbacus::MaybeFinishRun(RunState* rs) {
-  if (rs->finished || rs->instances_remaining > 0) {
+  if (--rs->instances_remaining > 0) {
     return;
   }
   rs->finished = true;
@@ -931,8 +825,8 @@ void FlashAbacus::FinalizeResult(RunState* rs) {
   res.fairness = TenantManager::ComputeFairness(res.tenants);
   res.makespan = end - rs->start_time;
   double input_bytes = 0.0;
-  for (const AppInstance* inst : rs->instances) {
-    input_bytes += inst->model_input_bytes();
+  for (const KernelRun& kr : rs->kernels) {
+    input_bytes += kr.inst->model_input_bytes();
   }
   res.input_bytes = input_bytes;
   res.throughput_mb_s =

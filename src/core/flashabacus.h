@@ -182,8 +182,9 @@ class FlashAbacus : public Snapshottable {
   Simulator& sim() { return *sim_; }
 
  private:
-  struct RunState;
+  struct KernelRun;
   struct PendingKernel;
+  struct RunState;
 
   void RegisterMetrics();
   // Every snapshot section in container order, this device's own included:
@@ -195,34 +196,34 @@ class FlashAbacus : public Snapshottable {
   void SubmitIoReliable(Flashvisor::IoRequest req, int attempt = 0);
   void Crash();
 
-  void OffloadKernel(RunState* rs, AppInstance* inst);
-  void StartLoad(RunState* rs, AppInstance* inst);
+  void OffloadKernel(RunState* rs, KernelRun* kr);
+  void StartLoad(RunState* rs, KernelRun* kr);
+  // Streams an input section's tail from byte `offset`, one chunk at a time.
+  void StreamTail(RunState* rs, KernelRun* kr, DataSection* s, std::uint64_t offset);
+  void OnLoaded(RunState* rs, KernelRun* kr, Tick when);
   void TryDispatch(RunState* rs);
   void DispatchInterKernel(RunState* rs);
   void DispatchIntraKernel(RunState* rs);
-  void RunWholeKernel(RunState* rs, AppInstance* inst, int worker, int start_mblk = 0);
-  void RunKernelMicroblock(RunState* rs, AppInstance* inst, int worker, int mblk);
+  // Inter-kernel modes: runs microblock `mblk` of the kernel on `worker`.
+  void RunKernelMicroblock(RunState* rs, KernelRun* kr, int worker, int mblk);
+  // Executes one screen on `worker` from `start` for every scheduler, then
+  // applies its functional body and moves the run on (docs/ARCHITECTURE.md).
+  void RunScreen(RunState* rs, const ScreenRef& ref, int worker, Tick start);
   // Weighted-fair helpers (docs/QOS.md). PrefersTenant is the one preference
   // key: true when tenant `a` goes strictly before `b` (latency class first,
   // then least virtual time, then tenant id). TenantDispatchOrder ranks the
   // run's instances by it, arrival breaking ties; PickPendingKernel picks by
   // it from an inter queue, FIFO breaking ties; ShouldPreemptInter decides
-  // whether a worker yields at a microblock boundary to a queued
-  // latency-class kernel.
+  // whether a worker yields at a microblock boundary to a latency-class
+  // kernel queued where it takes its work.
   bool PrefersTenant(TenantId a, TenantId b) const;
   std::vector<int> TenantDispatchOrder(const RunState* rs) const;
   std::size_t PickPendingKernel(const std::deque<PendingKernel>& q) const;
-  bool ShouldPreemptInter(const RunState* rs, const AppInstance* inst, int worker) const;
-  void ExecuteScreenOn(RunState* rs, const ScreenRef& ref, int worker);
-  void StreamTail(RunState* rs, AppInstance* inst, DataSection* section, std::uint64_t addr,
-                  std::uint64_t remaining, std::uint8_t* func_data,
-                  std::uint64_t func_remaining);
-  void OnComputeDone(RunState* rs, AppInstance* inst);
-  void StartWriteback(RunState* rs, AppInstance* inst);
-  void FinishInstance(RunState* rs, AppInstance* inst, Tick when);
-  void MaybeFinishRun(RunState* rs);
+  bool ShouldPreemptInter(RunState* rs, const KernelRun* kr, int worker) const;
+  void OnComputeDone(RunState* rs, KernelRun* kr);
+  void StartWriteback(RunState* rs, KernelRun* kr);
+  void FinishInstance(RunState* rs, KernelRun* kr, Tick when);
   void FinalizeResult(RunState* rs);
-  std::uint64_t SectionFuncBytes(const AppInstance& inst, const DataSection& s) const;
 
   Simulator* sim_;
   FlashAbacusConfig config_;

@@ -24,6 +24,25 @@ AppInstance::AppInstance(int app_id, int instance_id, const KernelSpec* spec,
   model_input_bytes_ = spec->model_input_mb * 1024.0 * 1024.0 * model_scale;
 }
 
+void AppInstance::LayOutSections() {
+  sections_.clear();
+  for (const DataSectionSpec& spec : spec_->sections) {
+    DataSection s;
+    s.spec = &spec;
+    const auto model = static_cast<std::uint64_t>(model_input_bytes_ * spec.model_fraction);
+    s.model_bytes = std::max<std::uint64_t>({model, SectionData(s).size(), 1});
+    sections_.push_back(s);
+  }
+}
+
+std::span<std::uint8_t> AppInstance::SectionData(const DataSection& s) {
+  if (s.spec->buffer_index < 0) {
+    return {};
+  }
+  std::vector<float>& buf = buffer(s.spec->buffer_index);
+  return {reinterpret_cast<std::uint8_t*>(buf.data()), buf.size() * sizeof(float)};
+}
+
 ScreenWork ComputeScreenWork(const AppInstance& inst, int mblk, int screen_idx,
                              int num_screens) {
   const KernelSpec& spec = inst.spec();

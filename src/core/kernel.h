@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,13 @@ class AppInstance {
 
   std::vector<DataSection>& sections() { return sections_; }
   const std::vector<DataSection>& sections() const { return sections_; }
+  // Rebuilds sections() from the spec, each sized at its share of the
+  // modelled input volume but never below its functional bytes or one byte.
+  // The device and the SIMD baseline both lay data out this way.
+  void LayOutSections();
+  // The functional bytes behind a section: its buffer as bytes, or empty
+  // for a section without one.
+  std::span<std::uint8_t> SectionData(const DataSection& s);
 
   // Scratch integer state some workloads need besides float buffers.
   std::vector<std::int32_t>& int_state() { return int_state_; }

@@ -23,79 +23,89 @@ void Storengine::Start() {
     }
   });
   if (config_.enable_background_gc) {
-    ScheduleNextGc();
+    Every(config_.gc_interval, [this](std::function<void(Tick)> next) {
+      if (!maintenance_in_progress_ &&
+          fv_->blocks().free_count() < config_.gc_high_watermark && GcCanReclaim()) {
+        RunGcPass(std::move(next));
+      } else {
+        next(sim_->Now());
+      }
+    });
   }
-  ScheduleNextJournal();
-  ScheduleNextScrub();
+  Every(config_.journal_interval,
+        [this](std::function<void(Tick)> next) { RunJournalDump(std::move(next)); });
+  Every(config_.scrub_interval, [this](std::function<void(Tick)> next) {
+    if (!maintenance_in_progress_) {
+      RunScrubPass(std::move(next));
+    } else {
+      next(sim_->Now());
+    }
+  });
 }
 
-void Storengine::ScheduleNextGc() {
+void Storengine::Every(Tick interval, std::function<void(std::function<void(Tick)>)> task) {
   if (!running_) {
     return;
   }
-  sim_->ScheduleDaemon(config_.gc_interval, [this, epoch = epoch_]() {
+  sim_->ScheduleDaemon(interval, [this, interval, task = std::move(task), epoch = epoch_]() {
     if (epoch != epoch_ || !running_) {
       return;  // stopped (or stopped and restarted) since this was scheduled
     }
-    if (!maintenance_in_progress_ && fv_->blocks().free_count() < config_.gc_high_watermark &&
-        GcCanReclaim()) {
-      RunGcPass([this](Tick) { ScheduleNextGc(); });
-    } else {
-      ScheduleNextGc();
-    }
-  });
-}
-
-void Storengine::ScheduleNextJournal() {
-  if (!running_) {
-    return;
-  }
-  sim_->ScheduleDaemon(config_.journal_interval, [this, epoch = epoch_]() {
-    if (epoch != epoch_ || !running_) {
-      return;
-    }
-    RunJournalDump([this](Tick) { ScheduleNextJournal(); });
-  });
-}
-
-void Storengine::ScheduleNextScrub() {
-  if (!running_) {
-    return;
-  }
-  sim_->ScheduleDaemon(config_.scrub_interval, [this, epoch = epoch_]() {
-    if (epoch != epoch_ || !running_) {
-      return;
-    }
-    if (!maintenance_in_progress_) {
-      RunScrubPass([this](Tick) { ScheduleNextScrub(); });
-    } else {
-      ScheduleNextScrub();
-    }
+    task([this, interval, task](Tick) { Every(interval, task); });
   });
 }
 
 void Storengine::RunGcPass(std::function<void(Tick)> done) {
   FAB_CHECK(!maintenance_in_progress_) << "overlapping maintenance passes";
-  const std::uint64_t victim = fv_->blocks().PickVictim();
+  RunPass(fv_->blocks().PickVictim(), /*retired=*/false, &gc_passes_, &groups_migrated_,
+          /*track=*/0, std::move(done));
+}
+
+void Storengine::RunScrubPass(std::function<void(Tick)> done) {
+  FAB_CHECK(!maintenance_in_progress_) << "overlapping maintenance passes";
+  bool retired = false;
+  const std::uint64_t victim = PickScrubVictim(&retired);
+  if (victim != BlockManager::kNone && !retired) {
+    // Pull the victim out of the GC candidate pool; it is erased and freed
+    // (or retired) when the migration finishes, like a GC victim.
+    FAB_CHECK(fv_->blocks().TakeUsed(victim));
+  }
+  RunPass(victim, retired, &scrub_passes_, &scrub_migrations_, /*track=*/2, std::move(done));
+}
+
+void Storengine::RunPass(std::uint64_t victim, bool retired, Counter* passes, Counter* migrated,
+                         int track, std::function<void(Tick)> done) {
   if (victim == BlockManager::kNone) {
     done(sim_->Now());
     return;
   }
   maintenance_in_progress_ = true;
-  gc_passes_.Add();
+  passes->Add();
   const SerialCore::Interval iv = core_.Occupy(sim_->Now(), config_.pass_fixed_cpu);
-  // Trace the whole pass (orchestration + migrations + erase) on GC track 0.
-  auto traced = [this, pass_start = iv.start, done = std::move(done)](Tick t) mutable {
+  // Trace the whole pass (orchestration + migrations + erase) on `track`.
+  auto end = [this, pass_start = iv.start, track, done = std::move(done)](Tick t) {
+    maintenance_in_progress_ = false;
     if (trace_ != nullptr) {
-      trace_->Add(TraceTag::kGc, pass_start, t, 1.0, /*track=*/0);
+      trace_->Add(TraceTag::kGc, pass_start, t, 1.0, track);
     }
     done(t);
   };
-  // Walk the victim's data slots sequentially, migrating each valid group.
-  sim_->ScheduleAt(iv.end, [this, victim, done = std::move(traced)]() mutable {
-    MigrateRange(victim, 0, sim_->Now(), &groups_migrated_,
-                 [this, victim, done = std::move(done)](Tick barrier) mutable {
-                   FinishVictim(victim, barrier, std::move(done));
+  // Walk the victim's data slots sequentially, migrating each valid group;
+  // a retired victim keeps its block (nothing references it again), any
+  // other is erased and recycled.
+  sim_->ScheduleAt(iv.end, [this, victim, retired, migrated, end = std::move(end)]() mutable {
+    MigrateRange(victim, 0, sim_->Now(), migrated,
+                 [this, victim, retired, end = std::move(end)](Tick barrier) {
+                   if (retired) {
+                     end(barrier);
+                     return;
+                   }
+                   Recycle(victim, barrier, [this, end](Tick t, bool freed) {
+                     if (freed) {
+                       blocks_reclaimed_.Add();
+                     }
+                     end(t);
+                   });
                  });
   });
 }
@@ -134,44 +144,6 @@ std::uint64_t Storengine::PickScrubVictim(bool* retired_mode) const {
   }
   *retired_mode = false;
   return BlockManager::kNone;
-}
-
-void Storengine::RunScrubPass(std::function<void(Tick)> done) {
-  FAB_CHECK(!maintenance_in_progress_) << "overlapping maintenance passes";
-  bool retired_mode = false;
-  const std::uint64_t victim = PickScrubVictim(&retired_mode);
-  if (victim == BlockManager::kNone) {
-    done(sim_->Now());
-    return;
-  }
-  maintenance_in_progress_ = true;
-  scrub_passes_.Add();
-  const SerialCore::Interval iv = core_.Occupy(sim_->Now(), config_.pass_fixed_cpu);
-  // Scrub activity shares the GC trace tag on its own track (2).
-  auto traced = [this, pass_start = iv.start, done = std::move(done)](Tick t) mutable {
-    if (trace_ != nullptr) {
-      trace_->Add(TraceTag::kGc, pass_start, t, 1.0, /*track=*/2);
-    }
-    done(t);
-  };
-  if (!retired_mode) {
-    // Pull the victim out of the GC candidate pool; it is erased and freed
-    // (or retired) when the migration finishes, like a GC victim.
-    FAB_CHECK(fv_->blocks().TakeUsed(victim));
-  }
-  sim_->ScheduleAt(iv.end, [this, victim, retired_mode, done = std::move(traced)]() mutable {
-    MigrateRange(victim, 0, sim_->Now(), &scrub_migrations_,
-                 [this, victim, retired_mode, done = std::move(done)](Tick barrier) mutable {
-                   if (retired_mode) {
-                     // The block group stays retired; its data now lives
-                     // elsewhere and nothing references it again.
-                     maintenance_in_progress_ = false;
-                     done(barrier);
-                     return;
-                   }
-                   FinishVictim(victim, barrier, std::move(done));
-                 });
-  });
 }
 
 void Storengine::MigrateRange(std::uint64_t victim, std::uint32_t slot, Tick barrier,
@@ -232,20 +204,16 @@ void Storengine::MigrateRange(std::uint64_t victim, std::uint32_t slot, Tick bar
       });
 }
 
-void Storengine::FinishVictim(std::uint64_t victim, Tick barrier,
-                              std::function<void(Tick)> done) {
-  FlashBackbone::OpResult er =
-      fv_->backbone().EraseBlockGroup(barrier, static_cast<int>(victim));
-  sim_->ScheduleAt(er.done, [this, victim, became_bad = er.became_bad, done = std::move(done),
-                             when = er.done]() {
-    if (became_bad) {
-      fv_->blocks().Retire(victim);
+void Storengine::Recycle(std::uint64_t bg, Tick at, std::function<void(Tick, bool)> done) {
+  const FlashBackbone::OpResult er = fv_->backbone().EraseBlockGroup(at, static_cast<int>(bg));
+  sim_->ScheduleAt(er.done, [this, bg, freed = !er.became_bad, when = er.done,
+                             done = std::move(done)]() {
+    if (freed) {
+      fv_->blocks().OnErased(bg);
     } else {
-      fv_->blocks().OnErased(victim);
-      blocks_reclaimed_.Add();
+      fv_->blocks().Retire(bg);
     }
-    maintenance_in_progress_ = false;
-    done(when);
+    done(when, freed);
   });
 }
 
@@ -309,21 +277,11 @@ void Storengine::RunJournalDump(std::function<void(Tick)> done) {
   const std::uint64_t old_journal = prev_journal_bg_;
   prev_journal_bg_ = bg;
   sim_->ScheduleAt(flash_done, [this, old_journal, done = std::move(done), flash_done]() {
-    if (old_journal != BlockManager::kNone) {
-      FlashBackbone::OpResult er =
-          fv_->backbone().EraseBlockGroup(flash_done, static_cast<int>(old_journal));
-      sim_->ScheduleAt(er.done, [this, old_journal, became_bad = er.became_bad,
-                                 done = std::move(done), when = er.done]() {
-        if (became_bad) {
-          fv_->blocks().Retire(old_journal);
-        } else {
-          fv_->blocks().OnErased(old_journal);
-        }
-        done(when);
-      });
-    } else {
+    if (old_journal == BlockManager::kNone) {
       done(flash_done);
+      return;
     }
+    Recycle(old_journal, flash_done, [done](Tick t, bool) { done(t); });
   });
 }
 

@@ -57,8 +57,8 @@ class Storengine : public Snapshottable {
   }
 
   // Runs one GC pass immediately (also used by the on-demand trigger and by
-  // tests); `done` fires when the victim has been reclaimed (or when there
-  // was nothing to do).
+  // tests); `done` fires when the victim has been recycled — freed, or
+  // retired if its erase failed — or at once when there was nothing to do.
   void RunGcPass(std::function<void(Tick)> done);
 
   // Dumps the mapping table to flash now: its bytes() program a fresh block
@@ -91,8 +91,8 @@ class Storengine : public Snapshottable {
   const StorengineConfig& config() const { return config_; }
 
   // When set, background work records kGc intervals into `trace`:
-  // track 0 = GC passes (pass start -> victim reclaimed), track 1 = metadata
-  // journal dumps.
+  // track 0 = GC passes (pass start -> victim recycled), track 1 = metadata
+  // journal dumps, track 2 = scrub passes.
   void set_trace(RunTrace* trace) { trace_ = trace; }
 
   // Registers GC/journal counters plus core-occupancy gauges under `prefix`
@@ -121,15 +121,25 @@ class Storengine : public Snapshottable {
   }
 
  private:
-  void ScheduleNextGc();
-  void ScheduleNextJournal();
-  void ScheduleNextScrub();
+  // Runs `task` every `interval` until Stop(): each wake-up hands the task
+  // the continuation that arms the next one.
+  void Every(Tick interval, std::function<void(std::function<void(Tick)>)> task);
+  // The one maintenance pass behind GC and scrub: orchestration on the core,
+  // then every valid slot of `victim` migrated to the active write point
+  // (bumping `passes` once and `migrated` per group), then the victim
+  // recycled — unless it is `retired`, which keeps it. `track` is its trace
+  // track; `done` fires when the pass ends (at once without a victim).
+  void RunPass(std::uint64_t victim, bool retired, Counter* passes, Counter* migrated,
+               int track, std::function<void(Tick)> done);
   // Walks the victim's data slots from `slot`, migrating each valid group to
   // the active write point (bumping `migrated`); calls `finish` with the
   // final barrier once the slots are exhausted.
   void MigrateRange(std::uint64_t victim, std::uint32_t slot, Tick barrier, Counter* migrated,
                     std::function<void(Tick)> finish);
-  void FinishVictim(std::uint64_t victim, Tick barrier, std::function<void(Tick)> done);
+  // Erases block group `bg` at `at`; when the erase lands the group returns
+  // to the free pool, or is retired if the erase failed. `done` receives the
+  // erase's end and whether the group came back.
+  void Recycle(std::uint64_t bg, Tick at, std::function<void(Tick, bool)> done);
   // Scrub victim selection: returns the block group to refresh, or kNone.
   // Sets *retired_mode when the victim is a retired group (migrate-only).
   std::uint64_t PickScrubVictim(bool* retired_mode) const;

@@ -274,7 +274,10 @@ void FlashBackbone::Persist(StateIO& io) {
     io.U64(p.done);
   });
   if (!io.saving()) {
-    if (inflight.size() > oob_.size()) {
+    // Each entry is a distinct program, but a group programmed, erased and
+    // programmed again within one prune window is listed twice: the bound is
+    // the program count, not the group count.
+    if (inflight.size() > program_seq_) {
       io.Fail("corrupt in-flight program count");
       return;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 
 #include "src/sim/log.h"
 
@@ -63,28 +64,14 @@ std::string SimdSystem::FileName(const AppInstance& inst, int section_idx) {
 }
 
 void SimdSystem::InstallData(AppInstance* inst) {
-  inst->sections().clear();
-  int idx = 0;
-  for (const DataSectionSpec& spec : inst->spec().sections) {
-    DataSection s;
-    s.spec = &spec;
-    s.flash_addr = 0;  // unused on the SIMD path: data is file-addressed
-    std::uint64_t func_bytes = 0;
-    const void* payload = nullptr;
-    if (spec.buffer_index >= 0) {
-      func_bytes = inst->buffer(spec.buffer_index).size() * sizeof(float);
-      payload = inst->buffer(spec.buffer_index).data();
-    }
-    const double model = inst->model_input_bytes() * spec.model_fraction;
-    s.model_bytes = std::max<std::uint64_t>(
-        std::max<std::uint64_t>(static_cast<std::uint64_t>(model), func_bytes), 1);
-    const std::string name = FileName(*inst, idx);
+  inst->LayOutSections();  // flash_addr stays 0: the SIMD path addresses data by file
+  for (std::size_t i = 0; i < inst->sections().size(); ++i) {
+    const DataSection& s = inst->sections()[i];
+    const std::span<std::uint8_t> data = inst->SectionData(s);
     // Input files carry the functional prefix; output files start zeroed.
-    const bool carries = spec.dir == DataSectionSpec::Dir::kIn && payload != nullptr;
-    ssd_->InstallFile(name, s.model_bytes, carries ? payload : nullptr,
-                      carries ? func_bytes : 0);
-    inst->sections().push_back(s);
-    ++idx;
+    const bool carries = s.spec->dir == DataSectionSpec::Dir::kIn && data.data() != nullptr;
+    ssd_->InstallFile(FileName(*inst, static_cast<int>(i)), s.model_bytes,
+                      carries ? data.data() : nullptr, carries ? data.size() : 0);
   }
 }
 
@@ -128,18 +115,13 @@ void SimdSystem::RunNextInstance(RunState* rs) {
       continue;
     }
     const std::string name = FileName(*inst, static_cast<int>(i));
-    std::uint64_t func_bytes = 0;
-    void* payload = nullptr;
-    if (s.spec->buffer_index >= 0) {
-      func_bytes = inst->buffer(s.spec->buffer_index).size() * sizeof(float);
-      payload = inst->buffer(s.spec->buffer_index).data();
-    }
+    const std::span<std::uint8_t> data = inst->SectionData(s);
     // Functional prefix carries data; the tail is timing-only.
-    if (func_bytes > 0) {
-      t = stack_->ReadFile(t, name, func_bytes, payload);
+    if (!data.empty()) {
+      t = stack_->ReadFile(t, name, data.size(), data.data());
     }
-    if (s.model_bytes > func_bytes) {
-      t = stack_->ReadFile(t, name, s.model_bytes - func_bytes, nullptr);
+    if (s.model_bytes > data.size()) {
+      t = stack_->ReadFile(t, name, s.model_bytes - data.size(), nullptr);
     }
     total_model_bytes += static_cast<double>(s.model_bytes);
   }
@@ -205,17 +187,12 @@ void SimdSystem::FinishCompute(SimdSystem::RunState* rs, AppInstance* inst, Tick
         continue;
       }
       const std::string name = FileName(*inst, static_cast<int>(i));
-      std::uint64_t func_bytes = 0;
-      const void* payload = nullptr;
-      if (s.spec->buffer_index >= 0) {
-        func_bytes = inst->buffer(s.spec->buffer_index).size() * sizeof(float);
-        payload = inst->buffer(s.spec->buffer_index).data();
+      const std::span<std::uint8_t> data = inst->SectionData(s);
+      if (!data.empty()) {
+        t = stack_->WriteFile(t, name, data.size(), data.data());
       }
-      if (func_bytes > 0) {
-        t = stack_->WriteFile(t, name, func_bytes, payload);
-      }
-      if (s.model_bytes > func_bytes) {
-        t = stack_->WriteFile(t, name, s.model_bytes - func_bytes, nullptr);
+      if (s.model_bytes > data.size()) {
+        t = stack_->WriteFile(t, name, s.model_bytes - data.size(), nullptr);
       }
     }
   }
@@ -229,11 +206,8 @@ void SimdSystem::FinishCompute(SimdSystem::RunState* rs, AppInstance* inst, Tick
 
 void SimdSystem::ReadSectionFromSsd(AppInstance* inst, int section_idx,
                                     std::vector<float>* out) {
-  const DataSection& s = inst->sections().at(static_cast<std::size_t>(section_idx));
-  std::uint64_t func_bytes = 0;
-  if (s.spec->buffer_index >= 0) {
-    func_bytes = inst->buffer(s.spec->buffer_index).size() * sizeof(float);
-  }
+  const std::uint64_t func_bytes =
+      inst->SectionData(inst->sections().at(static_cast<std::size_t>(section_idx))).size();
   out->assign(func_bytes / sizeof(float), 0.0f);
   ssd_->Read(sim_->Now(), FileName(*inst, section_idx), 0, func_bytes, out->data());
 }

@@ -315,6 +315,86 @@ TEST(FlashBackbone, InflightHeapTearsWhatARescanWould) {
   }
 }
 
+// Programs every page group of `bb` at tick 0, page by page within each
+// block group.
+void ProgramEveryGroup(FlashBackbone* bb) {
+  const NandConfig& cfg = bb->config();
+  for (int block = 0; block < cfg.blocks_per_plane; ++block) {
+    for (int page = 0; page < cfg.pages_per_block; ++page) {
+      for (int pkg = 0; pkg < cfg.packages_per_channel; ++pkg) {
+        bb->ProgramGroup(0, EncodeGroup(cfg, GroupAddress{pkg, block, page}), nullptr);
+      }
+    }
+  }
+}
+
+// Offset of the program sequence number in a saved backbone.
+std::size_t ProgramSeqOffset(const std::vector<std::uint8_t>& p) {
+  StateReader r(p);
+  r.U64();  // SRIO link: next free, busy tracker, bytes moved, transfers
+  r.U64();
+  r.U64();
+  r.I32();
+  r.F64();
+  r.U64();
+  r.U64();  // page contents: chunk size, then the chunks
+  for (std::uint64_t n = r.U64(), i = 0; i < n && r.ok(); ++i) {
+    r.U64();
+    r.VecU8();
+  }
+  for (std::uint64_t n = r.U64(), i = 0; i < n && r.ok(); ++i) {
+    r.U32();  // OOB tag and sequence number
+    r.U64();
+  }
+  EXPECT_TRUE(r.ok()) << r.error();
+  return p.size() - r.remaining();
+}
+
+// A group programmed, erased and programmed again within one tick stays
+// listed in flight twice until a prune, so a checkpoint can hold more
+// in-flight programs than there are groups: 1,024 on 512 groups here.
+TEST(FlashBackbone, ReprogrammedInflightListRoundTrips) {
+  const NandConfig cfg = TinyNand();
+  FlashBackbone bb(cfg);
+  ProgramEveryGroup(&bb);
+  for (int block = 0; block < cfg.blocks_per_plane; ++block) {
+    bb.EraseBlockGroup(0, block);
+  }
+  ProgramEveryGroup(&bb);
+  StateWriter saved;
+  bb.SaveState(saved);
+  FlashBackbone restored(cfg);
+  StateReader reader(saved.buffer());
+  restored.LoadState(reader);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  StateWriter resaved;
+  restored.SaveState(resaved);
+  EXPECT_EQ(saved.buffer(), resaved.buffer());
+  restored.PowerFail(0);
+  EXPECT_EQ(restored.torn_groups(), 2 * cfg.TotalGroups());
+}
+
+// Every in-flight entry is a distinct program, so a program sequence number
+// below the list's length marks a corrupt checkpoint.
+TEST(FlashBackbone, InflightListLongerThanProgramSeqIsRejected) {
+  const NandConfig cfg = TinyNand();
+  FlashBackbone bb(cfg);
+  ProgramEveryGroup(&bb);
+  StateWriter saved;
+  bb.SaveState(saved);
+  std::vector<std::uint8_t> bytes = saved.buffer();
+  const std::size_t at = ProgramSeqOffset(bytes);
+  ASSERT_LE(at + 8, bytes.size());
+  const std::uint64_t patched = cfg.TotalGroups() - 1;
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(patched >> (8 * i));
+  }
+  FlashBackbone restored(cfg);
+  StateReader reader(bytes);
+  restored.LoadState(reader);
+  EXPECT_FALSE(reader.ok()) << "a program sequence below the in-flight count was accepted";
+}
+
 TEST(TagQueue, BoundsInFlightOperations) {
   TagQueue tags(2);
   EXPECT_EQ(tags.Acquire(0), 0u);

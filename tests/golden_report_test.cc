@@ -8,7 +8,11 @@
 // install-cache hit path (slot reset + memoized reference, docs/FLEET.md).
 // WorkloadOutputs.json pins every registry workload's functional outputs bit
 // for bit, and SnapshotSections.json pins the byte layout of every snapshot
-// section (docs/SNAPSHOT.md).
+// section (docs/SNAPSHOT.md). DeviceRunPaths.json pins RunReports for the
+// scheduler paths the canonical set misses (weighted-fair yields, io-free
+// kernels, a quota denial), and DeviceMaintenance.json Storengine's GC,
+// scrub and journal under each fault kind, with Flashvisor's foreground
+// reclaim.
 //
 // Refreshing after an intentional change:
 //   scripts/update_goldens.sh        (or FABACUS_UPDATE_GOLDENS=1, see below)
@@ -20,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -152,6 +157,218 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, GoldenReport,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+// Device run paths the canonical set never takes, one RunReport each:
+//  * InterSt and InterDy under weighted-fair QoS with a latency-class probe
+//    arriving behind six throughput kernels, so a worker yields to it at a
+//    microblock boundary — from its own queue (InterSt: app 6 shares worker
+//    0 with app 0) and from the shared one (InterDy);
+//  * an io-free synthetic kernel (no data sections: no head, tail or store
+//    request) under all four schedulers;
+//  * a capped tenant whose second instance the flash quota denies.
+TEST(GoldenDeviceRunPaths, MatchesCheckedInReports) {
+  BenchOptions opt;
+  opt.model_scale = kBenchScale / 4;
+  opt.seed = 42;
+  std::vector<std::pair<std::string, BenchRun>> runs;
+
+  auto bully = MakeBullyWriter(2.0);
+  auto probe = MakeLatencyProbe(2.0);
+  std::vector<const Workload*> behind(6, bully.get());
+  behind.push_back(probe.get());
+  FlashAbacusConfig qos = FlashAbacusConfig::Paper();
+  qos.model_scale = opt.model_scale;
+  qos.tenant_sched = NoisyNeighborTenants(TenantSchedPolicy::kWeightedFair);
+  for (SchedulerKind kind : {SchedulerKind::kInterStatic, SchedulerKind::kInterDynamic}) {
+    runs.emplace_back(std::string("latency_behind_throughput_") + SchedulerKindName(kind),
+                      RunFlashAbacusSystemTenants(behind, {0, 0, 0, 0, 0, 0, 1}, 1, kind, qos,
+                                                  opt));
+  }
+
+  auto io_free = MakeSynthetic(0.3, 64.0, /*io_free=*/true);
+  for (SchedulerKind kind : {SchedulerKind::kInterStatic, SchedulerKind::kInterDynamic,
+                             SchedulerKind::kIntraInOrder, SchedulerKind::kIntraOutOfOrder}) {
+    runs.emplace_back(std::string("io_free_") + SchedulerKindName(kind),
+                      RunFlashAbacusSystem({io_free.get()}, 2, kind, opt));
+  }
+
+  const WorkloadRegistry& reg = WorkloadRegistry::Get();
+  FlashAbacusConfig quota = FlashAbacusConfig::Paper();
+  quota.model_scale = opt.model_scale;
+  quota.tenant_sched = QuotaTenants(16ULL << 20);
+  runs.emplace_back("quota_denied_IntraO3",
+                    RunFlashAbacusSystemTenants({reg.Find("ATAX"), reg.Find("ATAX")}, {0, 1}, 2,
+                                                SchedulerKind::kIntraOutOfOrder, quota, opt));
+
+  std::string doc = "{";
+  const char* separator = "\n";
+  for (const auto& [name, run] : runs) {
+    EXPECT_TRUE(run.verified) << name << " failed functional verification";
+    doc += separator;
+    separator = ",\n";
+    doc += "\"" + name + "\": " + run.result.ToJson();
+  }
+  doc += "\n}";
+  const std::vector<TenantQosReport>& rows = runs.back().second.result.tenants;
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].quota_denials, 1u) << "the capped tenant's second instance is denied";
+  CheckGolden("DeviceRunPaths", doc);
+}
+
+// --- Device maintenance -----------------------------------------------------
+
+// FNV-1a over every page group's stored bytes (a never-written or erased
+// group hashes as one marker byte) and OOB record.
+std::string BackboneFnv1a(const FlashBackbone& bb) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  const std::uint64_t group_bytes = bb.config().GroupBytes();
+  for (std::uint64_t g = 0; g < bb.config().TotalGroups(); ++g) {
+    const std::uint8_t* data = bb.GroupData(g);
+    const unsigned char stored = data != nullptr ? 1 : 0;
+    mix(&stored, 1);
+    if (data != nullptr) {
+      mix(data, group_bytes);
+    }
+    const FlashBackbone::OobEntry oob = bb.Oob(g);
+    mix(&oob.tag, sizeof oob.tag);
+    mix(&oob.seq, sizeof oob.seq);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+struct MaintenanceCase {
+  std::string name;
+  double utilization = 0.5;  // share of the logical capacity the churn covers
+  FaultConfig fault;
+  Tick journal_interval = 50 * kMs;
+  bool background_gc = true;
+  Tick gap = 2 * kMs;  // between two requests
+};
+
+// Flashvisor and a started Storengine on TinyNand with 32 blocks per plane
+// (32 block groups of 64 page groups): the region is filled eight groups at
+// a time, then 3,000 one-group reads and overwrites (half each, seeded)
+// arrive `gap` apart while GC runs every millisecond, scrub every 10 ms and
+// the journal every `journal_interval`. Returns every Flashvisor, Storengine
+// and flash counter once the device drains; `flash_fnv1a` receives a hash of
+// the flash contents.
+MetricsSnapshot RunMaintenance(const MaintenanceCase& c, std::string* flash_fnv1a) {
+  NandConfig nand = TinyNand();
+  nand.blocks_per_plane = 32;
+  nand.fault = c.fault;
+  Simulator sim;
+  FlashBackbone bb(nand);
+  Dram dram(DramConfig{});
+  Scratchpad spm(ScratchpadConfig{});
+  Flashvisor fv(&sim, &bb, &dram, &spm);
+  StorengineConfig se_cfg;
+  se_cfg.gc_interval = 1 * kMs;
+  se_cfg.journal_interval = c.journal_interval;
+  se_cfg.scrub_interval = 10 * kMs;
+  se_cfg.enable_background_gc = c.background_gc;
+  Storengine se(&sim, &fv, se_cfg);
+  MetricsRegistry reg;
+  fv.RegisterMetrics(&reg, "flashvisor");
+  se.RegisterMetrics(&reg, "storengine");
+  bb.RegisterMetrics(&reg, "flash");
+  se.Start();
+
+  const std::uint64_t group_bytes = nand.GroupBytes();
+  const std::uint64_t groups = static_cast<std::uint64_t>(
+      c.utilization * static_cast<double>(fv.LogicalCapacityBytes() / group_bytes));
+  const std::uint64_t base = fv.AllocLogicalExtent(groups * group_bytes);
+  Rng rng(c.fault.seed * 31 + 7);
+  std::vector<std::uint8_t> pool(16 * group_bytes);
+  for (std::uint8_t& b : pool) {
+    b = static_cast<std::uint8_t>(rng.Next());
+  }
+  std::vector<std::uint8_t> readback(group_bytes);
+  auto submit = [&](bool read, std::uint64_t first, std::uint64_t n) {
+    Flashvisor::IoRequest req;
+    req.type = read ? Flashvisor::IoRequest::Type::kRead : Flashvisor::IoRequest::Type::kWrite;
+    req.flash_addr = base + first * group_bytes;
+    req.model_bytes = n * group_bytes;
+    req.func_data = read ? readback.data() : pool.data() + rng.NextBelow(8) * group_bytes;
+    req.func_bytes = n * group_bytes;
+    req.on_complete = [](Tick, IoStatus) {};
+    fv.SubmitIo(std::move(req));
+  };
+  for (std::uint64_t g = 0; g < groups; g += 8) {
+    submit(/*read=*/false, g, std::min<std::uint64_t>(8, groups - g));
+    sim.Run();
+  }
+  std::function<void(int)> next = [&](int left) {
+    if (left == 0) {
+      return;
+    }
+    submit(rng.NextBelow(2) == 0, rng.NextBelow(groups), 1);
+    sim.Schedule(c.gap, [&next, left]() { next(left - 1); });
+  };
+  next(3000);
+  sim.RunUntil(sim.Now() + 3000 * c.gap);
+  se.Stop();
+  sim.Run();
+  *flash_fnv1a = BackboneFnv1a(bb);
+  return reg.Snapshot(sim.Now());
+}
+
+// One case per fault kind, each kept below the fault levels at which
+// Flashvisor's foreground reclaim runs out of destinations, plus one with
+// background GC off so the free pool runs dry and Flashvisor reclaims inline.
+TEST(GoldenDeviceMaintenance, MatchesCheckedInCounters) {
+  std::vector<MaintenanceCase> cases(4);
+  cases[0].name = "erase_failures";  // a GC victim's and two journals' erases fail
+  cases[0].fault.seed = 3;
+  cases[0].fault.erase_failure_rate = 0.02;
+  cases[0].journal_interval = 20 * kMs;
+  cases[1].name = "program_failures";  // a journal abort, scrubs of retired groups
+  cases[1].utilization = 0.25;
+  cases[1].fault.seed = 8;
+  cases[1].fault.program_failure_rate = 0.001;
+  cases[2].name = "read_errors";  // error-driven scrub passes
+  cases[2].utilization = 0.25;
+  cases[2].fault.seed = 7;
+  cases[2].fault.read_error_base = 0.5;
+  cases[2].journal_interval = 100 * kMs;
+  cases[3].name = "foreground_reclaim";
+  cases[3].utilization = 0.25;
+  cases[3].fault.seed = 9;
+  cases[3].background_gc = false;
+  cases[3].gap = 500 * kUs;
+
+  std::string doc = "{";
+  const char* separator = "\n";
+  std::vector<MetricsSnapshot> ends;
+  for (const MaintenanceCase& c : cases) {
+    std::string fnv;
+    const MetricsSnapshot& m = ends.emplace_back(RunMaintenance(c, &fnv));
+    JsonWriter w;
+    w.BeginObject();
+    w.Key("counters");
+    m.WriteJson(&w);
+    w.Field("flash_fnv1a", fnv);
+    w.EndObject();
+    doc += separator;
+    separator = ",\n";
+    doc += "\"" + c.name + "\": " + w.str();
+  }
+  doc += "\n}";
+  // Each case reaches the path it is named for.
+  EXPECT_LT(ends[0].Value("storengine/blocks_reclaimed"), ends[0].Value("storengine/gc_passes"));
+  EXPECT_GT(ends[1].Value("storengine/journal_aborts"), 0.0);
+  EXPECT_GT(ends[1].Value("storengine/scrub_passes"), 0.0);
+  EXPECT_GT(ends[2].Value("storengine/scrub_migrations"), 0.0);
+  EXPECT_GT(ends[3].Value("flashvisor/foreground_reclaims"), 0.0);
+  CheckGolden("DeviceMaintenance", doc);
+}
 
 // Real-device fleets served mostly from the shards' install caches:
 //  * FleetDefault       — the default ATAX/BICG/MVT/GESUM mix;
