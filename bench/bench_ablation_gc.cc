@@ -3,7 +3,10 @@
 // workload repeatedly overwrites logical ranges on a small flash geometry so
 // the free pool keeps draining. With background GC the reclaim overlaps
 // kernel I/O; without it every reclaim happens on demand when the pool is
-// exhausted, stalling the write path.
+// exhausted, stalling the write path. The bench exits 1 unless both arms
+// finish every write pass, the background arm reclaims only through GC
+// passes and the on-demand arm reclaims in the foreground: both paths that
+// move live data (GC and foreground reclaim) then ran.
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -17,7 +20,10 @@
 namespace fabacus {
 namespace {
 
+constexpr int kPasses = 12;
+
 struct GcOutcome {
+  int write_passes = 0;
   Tick total_time = 0;
   std::uint64_t gc_passes = 0;
   std::uint64_t migrated = 0;
@@ -61,7 +67,6 @@ GcOutcome RunOverwriteChurn(bool background_gc) {
   // Each pass is followed by a compute window (as between kernel output
   // bursts); background GC can reclaim inside these windows, on-demand GC
   // cannot run ahead of need.
-  constexpr int kPasses = 12;
   constexpr Tick kComputeGap = 60 * kMs;
   int done = 0;
   std::function<void()> write_pass = [&]() {
@@ -110,6 +115,7 @@ GcOutcome RunOverwriteChurn(bool background_gc) {
   stop_reader = true;
 
   GcOutcome out;
+  out.write_passes = done;
   out.total_time = sim.Now();
   out.gc_passes = dev.storengine().gc_passes();
   out.migrated = dev.storengine().groups_migrated();
@@ -161,5 +167,16 @@ int main() {
   std::printf("\nBackground GC reclaims ahead of demand, keeping the write path from\n"
               "stalling on pool exhaustion (paper: Storengine overlaps reclamation with\n"
               "kernel execution and address translation).\n");
+  if (bg.write_passes != kPasses || fg.write_passes != kPasses || bg.gc_passes == 0 ||
+      bg.foreground != 0 || fg.foreground == 0) {
+    std::fprintf(stderr,
+                 "FAILED: write passes %d and %d of %d; background arm %llu GC passes and %llu "
+                 "foreground reclaims; on-demand arm %llu foreground reclaims\n",
+                 bg.write_passes, fg.write_passes, kPasses,
+                 static_cast<unsigned long long>(bg.gc_passes),
+                 static_cast<unsigned long long>(bg.foreground),
+                 static_cast<unsigned long long>(fg.foreground));
+    return 1;
+  }
   return 0;
 }

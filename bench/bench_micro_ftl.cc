@@ -50,7 +50,7 @@ BENCHMARK(BM_MappingUpdate);
 
 void BM_FlashvisorWritePath(benchmark::State& state) {
   // Host-side cost of the full synchronous write-allocation machinery:
-  // allocation, mapping update, validity bookkeeping, group program
+  // allocation, mapping update (with its live count), group program
   // reservation (simulation bookkeeping only — no wall-clock flash latency).
   for (auto _ : state) {
     state.PauseTiming();
@@ -65,7 +65,6 @@ void BM_FlashvisorWritePath(benchmark::State& state) {
     for (int g = 0; g < 512; ++g) {
       const std::uint32_t phys = fv.AllocatePhysicalGroup(0);
       fv.mapping().Update(static_cast<std::uint64_t>(g), phys);
-      fv.blocks().MarkValid(fv.BlockGroupOf(phys), fv.SlotOf(phys));
       benchmark::DoNotOptimize(phys);
     }
   }

@@ -5,15 +5,8 @@
 namespace fabacus {
 
 BlockManager::BlockManager(const NandConfig& config)
-    : total_(config.TotalBlockGroups()),
-      groups_per_block_(config.GroupsPerBlockGroup()),
-      valid_(total_),
-      valid_count_(total_, 0),
-      is_retired_(total_, false) {
-  for (std::uint64_t bg = 0; bg < total_; ++bg) {
-    free_.push_back(bg);
-    valid_[bg].assign(groups_per_block_, false);
-  }
+    : total_(config.TotalBlockGroups()), is_retired_(total_, false) {
+  Reset();
 }
 
 std::uint64_t BlockManager::AllocBlockGroup() {
@@ -43,8 +36,6 @@ std::uint64_t BlockManager::PickVictim() {
 void BlockManager::OnErased(std::uint64_t bg) {
   FAB_CHECK_LT(bg, total_);
   FAB_CHECK(!is_retired_[bg]);
-  FAB_CHECK_EQ(valid_count_[bg], 0u) << "erase of block group with valid data";
-  valid_[bg].assign(groups_per_block_, false);
   free_.push_back(bg);
 }
 
@@ -54,8 +45,6 @@ void BlockManager::Reset() {
   retired_count_ = 0;
   for (std::uint64_t bg = 0; bg < total_; ++bg) {
     free_.push_back(bg);
-    valid_[bg].assign(groups_per_block_, false);
-    valid_count_[bg] = 0;
     is_retired_[bg] = false;
   }
 }
@@ -90,34 +79,8 @@ void BlockManager::Retire(std::uint64_t bg) {
   }
 }
 
-void BlockManager::MarkValid(std::uint64_t bg, std::uint32_t slot) {
-  FAB_CHECK_LT(bg, total_);
-  FAB_CHECK_LT(slot, groups_per_block_);
-  if (!valid_[bg][slot]) {
-    valid_[bg][slot] = true;
-    ++valid_count_[bg];
-  }
-}
-
-void BlockManager::MarkInvalid(std::uint64_t bg, std::uint32_t slot) {
-  FAB_CHECK_LT(bg, total_);
-  FAB_CHECK_LT(slot, groups_per_block_);
-  if (valid_[bg][slot]) {
-    valid_[bg][slot] = false;
-    FAB_CHECK_GT(valid_count_[bg], 0u);
-    --valid_count_[bg];
-  }
-}
-
-bool BlockManager::IsValid(std::uint64_t bg, std::uint32_t slot) const {
-  FAB_CHECK_LT(bg, total_);
-  FAB_CHECK_LT(slot, groups_per_block_);
-  return valid_[bg][slot];
-}
-
 void BlockManager::Persist(StateIO& io) {
-  if (!io.Count(total_, "block manager geometry") ||
-      !io.Count(groups_per_block_, "block manager geometry")) {
+  if (!io.Count(total_, "block manager geometry")) {
     return;
   }
   std::vector<std::uint64_t> free(free_.begin(), free_.end());
@@ -125,21 +88,19 @@ void BlockManager::Persist(StateIO& io) {
   const auto entry = [&io](std::uint64_t& bg) { io.U64(bg); };
   io.Seq(free, entry);
   io.Seq(used, entry);
-  for (std::vector<bool>& bits : valid_) {
-    io.FixedBits(bits, "valid bitmap size");
-  }
-  io.FixedVecU32(valid_count_, "block manager vector size");
   io.FixedBits(is_retired_, "block manager vector size");
   if (io.saving() || !io.ok()) {
     return;
   }
-  // A block group sits in at most one pool, at most once.
+  // A block group sits in at most one pool, at most once, and a retired one
+  // in neither: allocating or sealing it would trip a CHECK later.
   std::vector<bool> pooled(total_, false);
   for (const std::vector<std::uint64_t>* pool : {&free, &used}) {
     for (const std::uint64_t bg : *pool) {
-      if (bg >= total_ || pooled[bg]) {
+      if (bg >= total_ || pooled[bg] || is_retired_[bg]) {
         io.Fail("block group " + std::to_string(bg) +
-                (bg >= total_ ? " is past the device" : " is pooled twice"));
+                (bg >= total_ ? " is past the device"
+                              : pooled[bg] ? " is pooled twice" : " is pooled but retired"));
         return;
       }
       pooled[bg] = true;

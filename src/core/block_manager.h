@@ -2,8 +2,9 @@
 // GC/erase unit: one block at the same index on every plane of one package,
 // striped across all four channels (paper §4.3). The manager tracks the free
 // pool, the used pool in allocation order (Storengine picks GC victims from
-// it round-robin rather than by valid-count, §4.3 "Storage management"),
-// per-group valid bitmaps, and retired (bad) block groups.
+// it round-robin rather than by valid-count, §4.3 "Storage management") and
+// retired (bad) block groups. Which slots hold live data is the mapping
+// table's to say (MappingTable::ReverseLookup and LiveCount).
 #ifndef SRC_CORE_BLOCK_MANAGER_H_
 #define SRC_CORE_BLOCK_MANAGER_H_
 
@@ -38,8 +39,8 @@ class BlockManager : public Snapshottable {
   bool IsRetired(std::uint64_t bg) const { return is_retired_[bg]; }
 
   // Crash-recovery rebuild support -------------------------------------------
-  // Returns every block group to the free pool and clears all valid bitmaps
-  // and retirement state (the on-die wear/bad state lives in the backbone).
+  // Returns every block group to the free pool and clears all retirement
+  // state (the on-die wear/bad state lives in the backbone).
   void Reset();
   // Removes `bg` from the free pool (so recovery can re-seal/retire it).
   // Returns false when `bg` is not currently free.
@@ -47,13 +48,6 @@ class BlockManager : public Snapshottable {
   // Removes `bg` from the used pool (scrub victim selection). False when absent.
   bool TakeUsed(std::uint64_t bg);
   const std::deque<std::uint64_t>& used() const { return used_; }
-
-  // Valid-page-group bookkeeping. `slot` indexes the group within its block
-  // group [0, GroupsPerBlockGroup).
-  void MarkValid(std::uint64_t bg, std::uint32_t slot);
-  void MarkInvalid(std::uint64_t bg, std::uint32_t slot);
-  bool IsValid(std::uint64_t bg, std::uint32_t slot) const;
-  std::uint32_t ValidCount(std::uint64_t bg) const { return valid_count_[bg]; }
 
   std::size_t free_count() const { return free_.size(); }
   std::size_t used_count() const { return used_.size(); }
@@ -63,17 +57,16 @@ class BlockManager : public Snapshottable {
   static constexpr std::uint64_t kNone = ~0ULL;
 
   // Snapshottable (docs/SNAPSHOT.md). Pool order is serialized verbatim:
-  // allocation and GC-victim order are part of deterministic replay.
+  // allocation and GC-victim order are part of deterministic replay. A load
+  // refuses a pool entry past the device, pooled twice or retired.
   std::string StateName() const override { return "ftl/blocks"; }
+  int StateVersion() const override { return 2; }  // v2: no valid bitmaps or counts
   void Persist(StateIO& io) override;
 
  private:
   std::uint64_t total_;
-  std::uint64_t groups_per_block_;
   std::deque<std::uint64_t> free_;
   std::deque<std::uint64_t> used_;  // allocation order; front = oldest
-  std::vector<std::vector<bool>> valid_;
-  std::vector<std::uint32_t> valid_count_;
   std::vector<bool> is_retired_;
   std::size_t retired_count_ = 0;
 };

@@ -105,9 +105,10 @@ class FlashAbacus : public Snapshottable {
 
   // Allocates flash extents for the instance's data sections and writes the
   // input buffers to flash (device-resident dataset). `done` fires when the
-  // data is accepted; durable after DrainWrites(). Returns false (and `done`
-  // never fires, nothing is allocated) when the instance's tenant is over
-  // its flash-space quota — the denial is counted in the tenant's metrics.
+  // data is accepted; it is durable once the simulator runs past
+  // flashvisor().write_drain_horizon(). Returns false (and `done` never
+  // fires, nothing is allocated) when the instance's tenant is over its
+  // flash-space quota — the denial is counted in the tenant's metrics.
   bool InstallData(AppInstance* inst, std::function<void(Tick)> done);
 
   // Offloads and executes the instances under `kind`; `done` receives the

@@ -40,19 +40,6 @@ std::uint32_t Flashvisor::DataSlotsPerBlockGroup() const {
 // A block group is a superblock: block index `bg` across every package.
 // Slot s maps to page s / P on package s % P, so consecutive slots stride
 // the packages and the write point pipelines die programs.
-std::uint64_t Flashvisor::BlockGroupOf(std::uint32_t phys_group) const {
-  const auto& cfg = backbone_->config();
-  return (phys_group / cfg.packages_per_channel) / cfg.pages_per_block;
-}
-
-std::uint32_t Flashvisor::SlotOf(std::uint32_t phys_group) const {
-  const auto& cfg = backbone_->config();
-  const std::uint32_t package = phys_group % cfg.packages_per_channel;
-  const std::uint32_t page =
-      static_cast<std::uint32_t>((phys_group / cfg.packages_per_channel) % cfg.pages_per_block);
-  return page * cfg.packages_per_channel + package;
-}
-
 std::uint32_t Flashvisor::GroupOfSlot(std::uint64_t bg, std::uint32_t slot) const {
   const auto& cfg = backbone_->config();
   const std::uint32_t package = slot % cfg.packages_per_channel;
@@ -125,15 +112,6 @@ void Flashvisor::SetSlotOwner(std::uint32_t phys_group, TenantId tenant) {
     slot_tenant_.resize(phys_group + 1, 0);
   }
   slot_tenant_[phys_group] = tenant;
-}
-
-void Flashvisor::NoteMigration(std::uint32_t phys_old, std::uint32_t phys_new) {
-  if (tenants_ == nullptr || !tenants_->configured()) {
-    return;
-  }
-  const TenantId owner = SlotOwner(phys_old);
-  tenants_->RecordGcDrag(owner, 1);
-  SetSlotOwner(phys_new, owner);
 }
 
 void Flashvisor::SubmitIo(IoRequest req) {
@@ -314,15 +292,11 @@ void Flashvisor::DoWrite(IoRequest req) {
       const std::uint32_t phys = ProgramReliable(
           staged, static_cast<std::uint32_t>(lg), payload, &prog_done, &status);
       const std::uint32_t old = map_.Update(lg, phys);
-      if (old != MappingTable::kUnmapped) {
-        blocks_.MarkInvalid(BlockGroupOf(old), SlotOf(old));
-        if (tenants_ != nullptr) {
-          // Overwrite garbage is the overwriter's doing, whoever owned the
-          // stale copy: GC pressure is charged to who creates it.
-          tenants_->RecordGarbageCreated(req.tenant, 1);
-        }
+      if (old != MappingTable::kUnmapped && tenants_ != nullptr) {
+        // Overwrite garbage is the overwriter's doing, whoever owned the
+        // stale copy: GC pressure is charged to who creates it.
+        tenants_->RecordGarbageCreated(req.tenant, 1);
       }
-      blocks_.MarkValid(BlockGroupOf(phys), SlotOf(phys));
       SetSlotOwner(phys, req.tenant);
       flash_done = std::max(flash_done, prog_done);
     }
@@ -405,45 +379,51 @@ void Flashvisor::ForegroundReclaim(Tick now) {
   }
   // This runs atomically within one simulation event (Flashvisor's own
   // context), so no kernel mapping can interleave: the range lock is not
-  // needed here. Valid groups migrate to the active write point; device time
+  // needed here. Live groups migrate to the active write point; device time
   // queues naturally in the controllers, stalling subsequent writes.
-  // Each group is read for timing only and programmed straight from its
-  // stored bytes (GroupData). The source stays intact meanwhile: PickVictim
-  // took the victim off the candidate list, so a reclaim nested in
-  // ProgramReliable erases some other block group.
+  // PickVictim took the victim off the used pool, as Relocate requires.
   const std::uint32_t data_slots = DataSlotsPerBlockGroup();
   for (std::uint32_t slot = 0; slot < data_slots; ++slot) {
-    if (!blocks_.IsValid(victim, slot)) {
-      continue;
-    }
     const std::uint32_t phys_old = GroupOfSlot(victim, slot);
-    const std::uint32_t lg = map_.ReverseLookup(phys_old);
-    if (lg == MappingTable::kUnmapped) {
-      blocks_.MarkInvalid(victim, slot);
+    if (map_.ReverseLookup(phys_old) == MappingTable::kUnmapped) {
       continue;
     }
-    FlashBackbone::OpResult rd = backbone_->ReadGroup(now, phys_old, nullptr);
-    if (rd.status == IoStatus::kUncorrectable) {
+    const Relocation moved = Relocate(phys_old, now);
+    if (moved.read_status == IoStatus::kUncorrectable) {
       uncorrectable_reads_.Add();
     }
-    Tick prog_done = rd.done;
-    const std::uint32_t phys_new =
-        ProgramReliable(rd.done, lg, backbone_->GroupData(phys_old), &prog_done);
-    write_drain_horizon_ = std::max(write_drain_horizon_, prog_done);
-    map_.Update(lg, phys_new);
-    blocks_.MarkInvalid(victim, slot);
-    blocks_.MarkValid(BlockGroupOf(phys_new), SlotOf(phys_new));
-    NoteMigration(phys_old, phys_new);
+    write_drain_horizon_ = std::max(write_drain_horizon_, moved.done);
   }
   // The per-package busy horizon already serializes this erase behind the
   // reads above, so issuing it "now" is safe.
-  FlashBackbone::OpResult er = backbone_->EraseBlockGroup(now, static_cast<int>(victim));
-  if (er.became_bad) {
-    blocks_.Retire(victim);
-  } else {
-    blocks_.OnErased(victim);
-  }
+  ReturnErased(victim, backbone_->EraseBlockGroup(now, static_cast<int>(victim)).became_bad);
   --reclaim_depth_;
+}
+
+Flashvisor::Relocation Flashvisor::Relocate(std::uint32_t phys_old, Tick at) {
+  const std::uint32_t lg = map_.ReverseLookup(phys_old);
+  FAB_CHECK_NE(lg, MappingTable::kUnmapped) << "relocating a group with no live data";
+  // Read for timing only, then program straight from the stored bytes.
+  const FlashBackbone::OpResult rd = backbone_->ReadGroup(at, phys_old, nullptr);
+  Tick done = rd.done;
+  const std::uint32_t phys_new =
+      ProgramReliable(rd.done, lg, backbone_->GroupData(phys_old), &done);
+  map_.Update(lg, phys_new);
+  if (tenants_ != nullptr && tenants_->configured()) {
+    const TenantId owner = SlotOwner(phys_old);
+    tenants_->RecordGcDrag(owner, 1);
+    SetSlotOwner(phys_new, owner);
+  }
+  return {rd.status, done};
+}
+
+void Flashvisor::ReturnErased(std::uint64_t bg, bool erase_failed) {
+  FAB_CHECK_EQ(map_.LiveCount(bg), 0u) << "erase of block group with valid data";
+  if (erase_failed) {
+    blocks_.Retire(bg);
+  } else {
+    blocks_.OnErased(bg);
+  }
 }
 
 std::uint32_t Flashvisor::ProgramReliable(Tick now, std::uint32_t oob_tag, const void* payload,
@@ -548,7 +528,6 @@ Flashvisor::RecoveryReport Flashvisor::RecoverFromFlash(Tick now) {
   const auto& cfg = backbone_->config();
   const std::uint64_t group_bytes = cfg.GroupBytes();
   const std::uint64_t total_bgs = cfg.TotalBlockGroups();
-  const std::uint32_t data_slots = DataSlotsPerBlockGroup();
   const std::uint64_t journal_groups = (map_.table_bytes() + group_bytes - 1) / group_bytes;
   RecoveryReport rep;
   rep.done = now;
@@ -631,7 +610,8 @@ Flashvisor::RecoveryReport Flashvisor::RecoverFromFlash(Tick now) {
 
   // Phase 5: rebuild the block-group pools from device state. Any group with
   // a programmed page cannot be handed out as free (NAND program-order
-  // discipline); it becomes a sealed GC candidate instead.
+  // discipline); it becomes a sealed GC candidate instead. Live data needs
+  // no rebuild: the mapping table's live counts followed phases 2-4.
   blocks_.Reset();
   for (std::uint64_t bg = 0; bg < total_bgs; ++bg) {
     if (backbone_->IsBadBlockGroup(static_cast<int>(bg))) {
@@ -655,11 +635,6 @@ Flashvisor::RecoveryReport Flashvisor::RecoverFromFlash(Tick now) {
       continue;
     }
     blocks_.SealBlockGroup(bg);
-    for (std::uint32_t s = 0; s < data_slots; ++s) {
-      if (map_.ReverseLookup(GroupOfSlot(bg, s)) != MappingTable::kUnmapped) {
-        blocks_.MarkValid(bg, s);
-      }
-    }
   }
   return rep;
 }

@@ -106,11 +106,6 @@ class Flashvisor : public Snapshottable {
   void set_tenants(TenantManager* tenants);
   TenantManager* tenants() const { return tenants_; }
 
-  // GC attribution hook shared with Storengine: valid-data migration moves
-  // the slot's tenant ownership to the new physical group and credits one
-  // dragged group to the owner.
-  void NoteMigration(std::uint32_t phys_old, std::uint32_t phys_new);
-
   MappingTable& mapping() { return map_; }
   BlockManager& blocks() { return blocks_; }
   RangeLock& range_lock() { return lock_; }
@@ -148,15 +143,21 @@ class Flashvisor : public Snapshottable {
   // Allocates the next physical page-group slot in the active block group,
   // sealing it (with a summary write) when full. Returns the physical group.
   std::uint32_t AllocatePhysicalGroup(Tick now);
-  // Allocate + program with program-failure handling: a program-status fail
-  // retires the active block group (its already-written slots stay readable
-  // until the scrubber migrates them) and re-allocates in a fresh one.
-  // `oob_tag` lands in the group's out-of-band record (the logical group for
-  // data, or a kOob* constant). `*done_out` is max'ed with the program
-  // completion; `*status_out` (optional) accumulates the worst non-fatal
-  // status (dead-die degradation). Returns the physical group programmed.
-  std::uint32_t ProgramReliable(Tick now, std::uint32_t oob_tag, const void* payload,
-                                Tick* done_out, IoStatus* status_out = nullptr);
+  // The one path live data takes out of a victim, for foreground reclaim, GC
+  // and scrub: reads the live group at `phys_old` at `at` for timing,
+  // programs its stored bytes at the write point, remaps it and hands its
+  // tenant ownership over (one dragged group charged to the owner). The
+  // victim must be off the used pool, so no reclaim nested in the program
+  // erases it. The bytes move whatever the read reports; each caller decides
+  // what the read status counts for.
+  struct Relocation {
+    IoStatus read_status = IoStatus::kOk;
+    Tick done = 0;  // the program's completion
+  };
+  Relocation Relocate(std::uint32_t phys_old, Tick at);
+  // Takes block group `bg` back once its erase has landed: to the free pool,
+  // or retired when the erase failed. CHECKs that it holds no live data.
+  void ReturnErased(std::uint64_t bg, bool erase_failed);
 
   // --- Power-loss crash recovery -------------------------------------------
   // Models the volatile state vanishing: mapping table, block-manager
@@ -181,8 +182,6 @@ class Flashvisor : public Snapshottable {
   RecoveryReport RecoverFromFlash(Tick now);
   // Number of data slots per block group (excludes the summary footer).
   std::uint32_t DataSlotsPerBlockGroup() const;
-  std::uint64_t BlockGroupOf(std::uint32_t phys_group) const;
-  std::uint32_t SlotOf(std::uint32_t phys_group) const;
   std::uint32_t GroupOfSlot(std::uint64_t bg, std::uint32_t slot) const;
 
   // Snapshottable: write-buffer occupancy, allocation cursors and service
@@ -205,6 +204,15 @@ class Flashvisor : public Snapshottable {
   void SealActiveBlockGroup(Tick now);
   void EnsureActiveBlockGroup(Tick now);
   void ForegroundReclaim(Tick now);
+  // Allocate + program with program-failure handling: a program-status fail
+  // retires the active block group (its already-written slots stay readable
+  // until the scrubber migrates them) and re-allocates in a fresh one.
+  // `oob_tag` lands in the group's out-of-band record (the logical group for
+  // data, or a kOob* constant). `*done_out` is max'ed with the program
+  // completion; `*status_out` (optional) accumulates the worst non-fatal
+  // status (dead-die degradation). Returns the physical group programmed.
+  std::uint32_t ProgramReliable(Tick now, std::uint32_t oob_tag, const void* payload,
+                                Tick* done_out, IoStatus* status_out = nullptr);
   // Admits a staged write into the finite DDR3L write buffer; returns the
   // time the caller may consider the write accepted.
   Tick AdmitWrite(Tick staged, std::uint64_t bytes, Tick flash_done);

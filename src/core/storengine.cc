@@ -113,7 +113,7 @@ void Storengine::RunPass(std::uint64_t victim, bool retired, Counter* passes, Co
 bool Storengine::GcCanReclaim() const {
   const std::uint32_t data_slots = fv_->DataSlotsPerBlockGroup();
   for (const std::uint64_t bg : fv_->blocks().used()) {
-    if (fv_->blocks().ValidCount(bg) < data_slots) {
+    if (fv_->mapping().LiveCount(bg) < data_slots) {
       return true;
     }
   }
@@ -125,7 +125,7 @@ std::uint64_t Storengine::PickScrubVictim(bool* retired_mode) const {
   // abandonment leaves valid groups behind in a block that can never erase).
   const std::uint64_t total = fv_->blocks().total_block_groups();
   for (std::uint64_t bg = 0; bg < total; ++bg) {
-    if (fv_->blocks().IsRetired(bg) && fv_->blocks().ValidCount(bg) > 0) {
+    if (fv_->blocks().IsRetired(bg) && fv_->mapping().LiveCount(bg) > 0) {
       *retired_mode = true;
       return bg;
     }
@@ -153,15 +153,9 @@ void Storengine::MigrateRange(std::uint64_t victim, std::uint32_t slot, Tick bar
     finish(barrier);
     return;
   }
-  if (!fv_->blocks().IsValid(victim, slot)) {
-    MigrateRange(victim, slot + 1, barrier, migrated, std::move(finish));
-    return;
-  }
   const std::uint32_t phys_old = fv_->GroupOfSlot(victim, slot);
   const std::uint32_t lg = fv_->mapping().ReverseLookup(phys_old);
   if (lg == MappingTable::kUnmapped) {
-    // Stale validity (should not happen; defensive).
-    fv_->blocks().MarkInvalid(victim, slot);
     MigrateRange(victim, slot + 1, barrier, migrated, std::move(finish));
     return;
   }
@@ -175,27 +169,17 @@ void Storengine::MigrateRange(std::uint64_t victim, std::uint32_t slot, Tick bar
         const Tick now = std::max(sim_->Now(), barrier);
         // Re-validate after a potential wait: the kernel may have rewritten
         // the logical group while we queued, invalidating this slot.
-        if (fv_->mapping().Lookup(lg) != phys_old || !fv_->blocks().IsValid(victim, slot)) {
+        if (fv_->mapping().Lookup(lg) != phys_old) {
           fv_->range_lock().Release(lock_id);
           MigrateRange(victim, slot + 1, barrier, migrated, std::move(finish));
           return;
         }
         const SerialCore::Interval iv = core_.Occupy(now, config_.per_group_cpu);
-        // Read for timing, then program straight from the stored bytes. The
-        // source cannot be erased by a foreground reclaim nested in
-        // ProgramReliable: the victim left the candidate list (PickVictim /
-        // TakeUsed) or is retired, so no reclaim picks it.
-        FlashBackbone& bb = fv_->backbone();
-        FlashBackbone::OpResult rd = bb.ReadGroup(iv.end, phys_old, nullptr);
-        Tick prog_done = rd.done;
-        const std::uint32_t phys_new =
-            fv_->ProgramReliable(rd.done, lg, bb.GroupData(phys_old), &prog_done);
-        fv_->mapping().Update(lg, phys_new);
-        fv_->blocks().MarkInvalid(victim, slot);
-        fv_->blocks().MarkValid(fv_->BlockGroupOf(phys_new), fv_->SlotOf(phys_new));
-        fv_->NoteMigration(phys_old, phys_new);
+        // The victim left the candidate list (PickVictim / TakeUsed) or is
+        // retired, as Relocate requires. The read status is not acted on: an
+        // uncorrectable source moves as if it had read clean.
+        const Tick slot_done = fv_->Relocate(phys_old, iv.end).done;
         migrated->Add();
-        const Tick slot_done = prog_done;
         sim_->ScheduleAt(slot_done, [this, victim, slot, slot_done, lock_id, migrated,
                                      finish = std::move(finish)]() mutable {
           fv_->range_lock().Release(lock_id);
@@ -208,11 +192,7 @@ void Storengine::Recycle(std::uint64_t bg, Tick at, std::function<void(Tick, boo
   const FlashBackbone::OpResult er = fv_->backbone().EraseBlockGroup(at, static_cast<int>(bg));
   sim_->ScheduleAt(er.done, [this, bg, freed = !er.became_bad, when = er.done,
                              done = std::move(done)]() {
-    if (freed) {
-      fv_->blocks().OnErased(bg);
-    } else {
-      fv_->blocks().Retire(bg);
-    }
+    fv_->ReturnErased(bg, !freed);
     done(when, freed);
   });
 }

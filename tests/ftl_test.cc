@@ -10,6 +10,8 @@
 #include "src/core/block_manager.h"
 #include "src/core/flashvisor.h"
 #include "src/core/mapping_table.h"
+#include "src/sim/rng.h"
+#include "src/sim/snapshot.h"
 #include "tests/test_util.h"
 
 namespace fabacus {
@@ -114,25 +116,81 @@ TEST(BlockManager, PoolLifecycle) {
   EXPECT_EQ(bm.free_count(), total - 1);
 }
 
-TEST(BlockManager, ValidCountTracksMarks) {
-  BlockManager bm(TinyNand());
-  bm.MarkValid(2, 0);
-  bm.MarkValid(2, 1);
-  bm.MarkValid(2, 1);  // idempotent
-  EXPECT_EQ(bm.ValidCount(2), 2u);
-  bm.MarkInvalid(2, 0);
-  EXPECT_EQ(bm.ValidCount(2), 1u);
-  EXPECT_FALSE(bm.IsValid(2, 0));
-  EXPECT_TRUE(bm.IsValid(2, 1));
+// The live count is the reverse map's own: after every step of a seeded mix
+// of fresh and overwriting updates, unmaps, journal restores, snapshot round
+// trips and clears, LiveCount(bg) equals the mapped ReverseLookups over bg's
+// slots.
+TEST(MappingTable, LiveCountMatchesReverseMap) {
+  const NandConfig nand = TinyNand();
+  Scratchpad spm(ScratchpadConfig{});
+  MappingTable map(nand, &spm);
+  const std::uint64_t groups = nand.TotalGroups();
+  const std::uint64_t logical = groups / 2;
+  Rng rng(20181);
+  std::vector<std::uint8_t> journal(map.bytes().begin(), map.bytes().end());
+  int fresh = 0;
+  int overwrites = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t lg = rng.NextBelow(logical);
+    const std::uint64_t op = rng.NextBelow(100);
+    if (op < 80) {
+      // Like the write point, map only a physical group nobody holds.
+      std::uint32_t phys = 0;
+      do {
+        phys = static_cast<std::uint32_t>(rng.NextBelow(groups));
+      } while (map.ReverseLookup(phys) != MappingTable::kUnmapped);
+      if (map.Update(lg, phys) == MappingTable::kUnmapped) {
+        ++fresh;
+      } else {
+        ++overwrites;
+      }
+    } else if (op < 90) {
+      map.Unmap(lg);
+    } else if (op < 94) {
+      journal.assign(map.bytes().begin(), map.bytes().end());
+    } else if (op < 97) {
+      map.Restore(journal);  // an older table comes back, as after a crash
+    } else if (op < 99) {
+      StateWriter w;
+      SaveTo(map, w);
+      map.Clear();
+      StateReader r(w.buffer());
+      LoadFrom(map, r);
+      ASSERT_TRUE(r.ok()) << r.error();
+    } else {
+      map.Clear();
+    }
+    for (std::uint64_t bg = 0; bg < nand.TotalBlockGroups(); ++bg) {
+      std::uint32_t live = 0;
+      for (std::uint64_t s = 0; s < nand.GroupsPerBlockGroup(); ++s) {
+        const GroupAddress a{static_cast<int>(s % nand.packages_per_channel),
+                             static_cast<int>(bg),
+                             static_cast<int>(s / nand.packages_per_channel)};
+        const auto phys = static_cast<std::uint32_t>(EncodeGroup(nand, a));
+        live += map.ReverseLookup(phys) != MappingTable::kUnmapped ? 1 : 0;
+      }
+      ASSERT_EQ(map.LiveCount(bg), live) << "block group " << bg << " after step " << step;
+    }
+  }
+  EXPECT_GT(fresh, 0);
+  EXPECT_GT(overwrites, 0);
 }
 
 TEST(BlockManager, EraseWithValidDataDies) {
-  BlockManager bm(TinyNand());
-  const std::uint64_t bg = bm.AllocBlockGroup();
-  bm.MarkValid(bg, 0);
-  bm.SealBlockGroup(bg);
-  EXPECT_EQ(bm.PickVictim(), bg);
-  EXPECT_DEATH(bm.OnErased(bg), "valid data");
+  // Flashvisor's erase return holds the check, read from the mapping's live
+  // count: a block group still holding a mapped group may neither be freed
+  // nor retired.
+  Simulator sim;
+  const NandConfig nand = TinyNand();
+  FlashBackbone backbone(nand);
+  Dram dram(DramConfig{});
+  Scratchpad spm(ScratchpadConfig{});
+  Flashvisor fv(&sim, &backbone, &dram, &spm);
+  const std::uint32_t phys = fv.AllocatePhysicalGroup(0);
+  fv.mapping().Update(0, phys);
+  const std::uint64_t bg = DecodeGroup(nand, phys).block;
+  EXPECT_DEATH(fv.ReturnErased(bg, /*erase_failed=*/false), "valid data");
+  EXPECT_DEATH(fv.ReturnErased(bg, /*erase_failed=*/true), "valid data");
 }
 
 TEST_F(FtlFixture, SingleGroupWriteReadRoundTrip) {
@@ -167,7 +225,7 @@ TEST_F(FtlFixture, OverwriteReturnsNewDataAndInvalidatesOld) {
   Write(addr, Pattern(floats, 100.0f));
   const std::uint32_t phys_after = fv_.mapping().Lookup(addr / nand_.GroupBytes());
   EXPECT_NE(phys_before, phys_after) << "log-structured: overwrite must relocate";
-  EXPECT_FALSE(fv_.blocks().IsValid(fv_.BlockGroupOf(phys_before), fv_.SlotOf(phys_before)));
+  EXPECT_EQ(fv_.mapping().ReverseLookup(phys_before), MappingTable::kUnmapped);
   EXPECT_EQ(Read(addr, floats), Pattern(floats, 100.0f));
 }
 

@@ -157,7 +157,8 @@ TEST_F(ReliabilityFixture, SealedBlockFooterHoldsReverseMapping) {
   ASSERT_EQ(fv_.blocks().used_count(), 1u);
 
   // The sealed block group is the one holding the first write's groups.
-  const std::uint64_t bg = fv_.BlockGroupOf(fv_.mapping().Lookup(addr / nand_.GroupBytes()));
+  const std::uint64_t bg =
+      DecodeGroup(nand_, fv_.mapping().Lookup(addr / nand_.GroupBytes())).block;
   std::vector<std::uint8_t> footer(2 * nand_.GroupBytes());
   backbone_.ReadGroup(sim_.Now(), fv_.GroupOfSlot(bg, data_slots), footer.data());
   backbone_.ReadGroup(sim_.Now(), fv_.GroupOfSlot(bg, data_slots + 1),

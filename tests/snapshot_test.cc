@@ -407,8 +407,8 @@ TEST_F(SnapshotRejection, TraceTagOutOfRangeIsRejected) {
 
 TEST_F(SnapshotRejection, BlockPoolEntryOutOfRangeIsRejected) {
   const std::uint64_t block_groups = LiveConfig().nand.TotalBlockGroups();
-  // Total, groups per block group and the free pool's length precede it.
-  const auto first_free = [](const auto&) { return 8 + 8 + 8; };
+  // The block-group count and the free pool's length precede it.
+  const auto first_free = [](const auto&) { return 8 + 8; };
   ExpectRejected(Patched("ftl/blocks", first_free, 8, block_groups), "ftl/blocks");
   // A free block group that is listed twice.
   SnapshotFile snap;
@@ -416,11 +416,27 @@ TEST_F(SnapshotRejection, BlockPoolEntryOutOfRangeIsRejected) {
   ASSERT_TRUE(SnapshotFile::Parse(LiveSnapshot(), &snap, &err)) << err;
   StateReader r(snap.Find("ftl/blocks")->payload);
   r.U64();
-  r.U64();
   ASSERT_GE(r.U64(), 2u);
   const std::uint64_t free0 = r.U64();
-  ExpectRejected(Patched("ftl/blocks", [](const auto&) { return 8 + 8 + 8 + 8; }, 8, free0),
+  ExpectRejected(Patched("ftl/blocks", [](const auto&) { return 8 + 8 + 8; }, 8, free0),
                  "ftl/blocks");
+}
+
+TEST_F(SnapshotRejection, PooledBlockGroupMarkedRetiredIsRejected) {
+  // A free block group flagged retired would resume, then trip
+  // SealBlockGroup's CHECK on its first allocation. The retirement flags are
+  // the section's last bytes, one per block group.
+  SnapshotFile snap;
+  std::string err;
+  ASSERT_TRUE(SnapshotFile::Parse(LiveSnapshot(), &snap, &err)) << err;
+  StateReader r(snap.Find("ftl/blocks")->payload);
+  const std::uint64_t block_groups = r.U64();
+  ASSERT_GE(r.U64(), 1u);
+  const std::uint64_t free0 = r.U64();
+  const auto flag = [block_groups, free0](const std::vector<std::uint8_t>& p) {
+    return p.size() - block_groups + free0;
+  };
+  ExpectRejected(Patched("ftl/blocks", flag, 1, 1), "ftl/blocks");
 }
 
 TEST_F(SnapshotRejection, InflightProgramGroupOutOfRangeIsRejected) {

@@ -2,6 +2,7 @@
 // valid-data migration), metadata journaling, and wear-levelling behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/storengine.h"
@@ -106,6 +107,89 @@ TEST_F(StorengineFixture, JournalDumpPersistsMappingSnapshot) {
   sim_.Run();
   ASSERT_TRUE(done2);
   EXPECT_EQ(se_.journal_dumps(), 2u);
+}
+
+TEST_F(StorengineFixture, JournalDumpWithNoFreeBlockGroupIsSkipped) {
+  bool first = false;
+  se_.RunJournalDump([&](Tick) { first = true; });
+  sim_.Run();
+  ASSERT_TRUE(first);
+  const std::uint64_t journal = se_.last_journal_bg();
+  ASSERT_NE(journal, BlockManager::kNone);
+  while (fv_.blocks().AllocBlockGroup() != BlockManager::kNone) {
+  }
+  // With nothing free the dump is skipped at once: no program, no counter,
+  // and the previous journal stays the durable one.
+  const std::uint64_t programs = backbone_.programs();
+  bool done = false;
+  Tick at = 0;
+  se_.RunJournalDump([&](Tick t) {
+    done = true;
+    at = t;
+  });
+  ASSERT_TRUE(done);
+  EXPECT_EQ(at, sim_.Now());
+  sim_.Run();
+  EXPECT_EQ(backbone_.programs(), programs);
+  EXPECT_EQ(se_.journal_dumps(), 1u);
+  EXPECT_EQ(se_.journal_aborts(), 0u);
+  EXPECT_EQ(se_.last_journal_bg(), journal);
+}
+
+TEST_F(StorengineFixture, GcSkipsAGroupRewrittenWhileItWaitedForTheLock) {
+  // Block group X holds one logical extent in all its data slots; one more
+  // group seals it, so X is the only GC candidate.
+  const std::uint32_t slots = fv_.DataSlotsPerBlockGroup();
+  ASSERT_EQ(slots, 62u);
+  const std::size_t group_floats = nand_.GroupBytes() / sizeof(float);
+  const std::uint64_t x_bytes = static_cast<std::uint64_t>(slots) * nand_.GroupBytes();
+  const std::uint64_t x = fv_.AllocLogicalExtent(x_bytes);
+  std::vector<float> old(slots * group_floats);
+  for (std::size_t i = 0; i < old.size(); ++i) {
+    old[i] = static_cast<float>(i);
+  }
+  Write(x, old, x_bytes);
+  Write(fv_.AllocLogicalExtent(nand_.GroupBytes()), {}, nand_.GroupBytes());
+  ASSERT_EQ(fv_.blocks().used_count(), 1u);
+  const std::uint64_t lg = x / nand_.GroupBytes();
+
+  // A reader holds L = X's first logical group, so a host rewrite of L
+  // queues on the range lock...
+  RangeLock::LockId reader = 0;
+  fv_.range_lock().Acquire(lg, lg, LockMode::kRead, [&](RangeLock::LockId id) { reader = id; });
+  ASSERT_NE(reader, 0u);
+  const std::vector<float> fresh(group_floats, -7.0f);
+  Flashvisor::IoRequest req;
+  req.type = Flashvisor::IoRequest::Type::kWrite;
+  req.flash_addr = x;
+  req.model_bytes = nand_.GroupBytes();
+  req.func_data = const_cast<float*>(fresh.data());
+  req.func_bytes = nand_.GroupBytes();
+  req.on_complete = [](Tick, IoStatus) {};
+  const std::uint64_t writes = fv_.writes_served();
+  fv_.SubmitIo(std::move(req));
+  sim_.RunUntil(sim_.Now() + 50 * kUs);
+  EXPECT_EQ(fv_.writes_served(), writes);
+  EXPECT_EQ(fv_.range_lock().waiter_count(), 1u);
+
+  // ...and the GC pass's migration of L queues behind the write.
+  bool done = false;
+  se_.RunGcPass([&](Tick) { done = true; });
+  sim_.RunUntil(sim_.Now() + 50 * kUs);
+  EXPECT_EQ(se_.groups_migrated(), 0u);
+  EXPECT_EQ(fv_.range_lock().waiter_count(), 2u);
+
+  // Once the reader lets go the write remaps L first, so the pass finds L's
+  // slot stale when its turn comes and moves only the other groups.
+  fv_.range_lock().Release(reader);
+  sim_.Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(fv_.writes_served(), writes + 1);
+  EXPECT_EQ(se_.groups_migrated(), slots - 1u);
+  EXPECT_EQ(se_.blocks_reclaimed(), 1u);
+  std::vector<float> expected = old;
+  std::copy(fresh.begin(), fresh.end(), expected.begin());
+  EXPECT_EQ(Read(x, expected.size()), expected);
 }
 
 TEST_F(StorengineFixture, BackgroundTasksStopCleanly) {

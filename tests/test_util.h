@@ -22,7 +22,9 @@ inline NandConfig TinyNand() {
   NandConfig cfg;
   cfg.blocks_per_plane = 8;
   cfg.pages_per_block = 16;
-  return cfg;  // 4ch x 4pkg: 4*8=32 block groups, 16 groups each, 32 MB total
+  // 4 channels x 4 packages: 8 block groups of 64 page groups (62 data slots
+  // plus the two-slot summary footer), 512 page groups of 64 KiB, 32 MiB.
+  return cfg;
 }
 
 // Device config scaled for fast tests (the Small preset).
